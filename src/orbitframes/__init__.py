@@ -25,8 +25,6 @@ from .coeffs import (
 )
 from .blaschke import (
     BlaschkeProduct,
-    ZERO_FUNCTION,
-    ZeroFunction,
     carleson_delta,
     delta_capacity,
     evaluate,
@@ -51,6 +49,7 @@ from .orbits import (
     generator_closure,
     kernel_shift_invariance,
     lower_norm_check,
+    orbit_columns,
     similarity_transport,
     synthesis_matrix,
     unitarity_defect,
@@ -95,8 +94,6 @@ __all__ = [
     "scale",
     "trim",
     "BlaschkeProduct",
-    "ZERO_FUNCTION",
-    "ZeroFunction",
     "carleson_delta",
     "delta_capacity",
     "evaluate",
@@ -117,6 +114,7 @@ __all__ = [
     "generator_closure",
     "kernel_shift_invariance",
     "lower_norm_check",
+    "orbit_columns",
     "similarity_transport",
     "synthesis_matrix",
     "unitarity_defect",

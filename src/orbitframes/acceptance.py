@@ -10,8 +10,8 @@ dichotomy, grid Parseval/unitarity defects, translate periodization,
 and transport sandwiches.
 
 The battery never throws: a check that raises is reported as failed
-with the exception text.  ``quick`` runs everything but the two
-slower checks (5 and 9); ``full`` runs all eleven.
+with the exception text.  Each check has an optional time budget; one
+that runs over it fails.
 """
 
 from __future__ import annotations
@@ -58,10 +58,7 @@ from .orbits import (
     unitarity_defect,
 )
 
-__all__ = ["CriterionResult", "run_battery", "format_line", "QUICK_SKIP"]
-
-#: Criteria skipped at the quick level (the two multi-second ones).
-QUICK_SKIP = (5, 9)
+__all__ = ["CriterionResult", "run_battery", "format_line"]
 
 
 @dataclass(frozen=True)
@@ -343,14 +340,10 @@ _CRITERIA = (
 )
 
 
-def run_battery(level: str = "quick", seed: int = 0) -> list[CriterionResult]:
-    """Run the acceptance checks; 'quick' skips the slow ones."""
-    if level not in ("quick", "full"):
-        raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
+def run_battery(seed: int = 0) -> list[CriterionResult]:
+    """Run all acceptance checks."""
     results = []
     for index, name, fn, needs_rng, budget in _CRITERIA:
-        if level == "quick" and index in QUICK_SKIP:
-            continue
         start = time.perf_counter()
         try:
             if needs_rng:

@@ -28,8 +28,6 @@ __all__ = [
     "POLE_TOL",
     "validate_zeros",
     "BlaschkeProduct",
-    "ZeroFunction",
-    "ZERO_FUNCTION",
     "carleson_delta",
     "delta_capacity",
     "evaluate",
@@ -42,10 +40,14 @@ def validate_zeros(zeros, eps_disk: float = EPS_DISK) -> np.ndarray:
 
     Points with ``|l| > 1 - eps_disk`` are rejected: the factor expansions
     scale like ``1 / (1 - |l|^2)`` and lose all accuracy at the boundary.
+    NaN and infinite entries are rejected by position.
     """
     arr = np.atleast_1d(np.asarray(zeros, dtype=np.complex128)).reshape(-1)
     if arr.size == 0:
         return arr
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"zero {bad[0]} is {arr[bad[0]]}; zeros must be finite")
     radii = np.abs(arr)
     worst = int(np.argmax(radii))
     if radii[worst] > 1.0 - eps_disk:
@@ -82,21 +84,6 @@ class BlaschkeProduct:
         return len(self.zeros)
 
 
-class ZeroFunction:
-    """Marker for the identically zero symbol.
-
-    The flat-zero case corresponds to an orthonormal-basis orbit (no model
-    space to compress to); constructors that need a nonzero inner function
-    reject it with a pointed message instead of failing downstream.
-    """
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "ZeroFunction()"
-
-
-ZERO_FUNCTION = ZeroFunction()
-
-
 def carleson_delta(zeros) -> float:
     """Uniform separation constant of a finite zero list.
 
@@ -122,16 +109,25 @@ def delta_capacity(delta: float) -> float:
 
     Decreasing in delta on (0, 1]; the value at 1 is 2.  A nonpositive
     delta means the zeros are not uniformly separated and no finite
-    certificate exists.
+    certificate exists.  Raises ``NumericalError`` when delta is so small
+    that the capacity overflows the float range.
     """
     delta = float(delta)
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError(
-            "separation constant must be positive; delta <= 0 admits no certificate"
+            f"separation constant must be positive, got {delta}; "
+            f"delta <= 0 admits no certificate"
         )
     if delta > 1.0:
         raise ValueError(f"separation constant cannot exceed 1, got {delta:.17g}")
-    return (2.0 / delta**4) * (1.0 - 2.0 * math.log(delta))
+    fourth = delta**4
+    capacity = (2.0 / fourth) * (1.0 - 2.0 * math.log(delta)) if fourth else math.inf
+    if not math.isfinite(capacity):
+        raise NumericalError(
+            f"capacity of separation constant {delta:.3e} overflows the float "
+            f"range; the zeros are too weakly separated for a certificate"
+        )
+    return capacity
 
 
 def evaluate(b: BlaschkeProduct, z):

@@ -40,7 +40,7 @@ from .constructions import (
     perturb_tau,
 )
 from .errors import NumericalError
-from .model_space import build_model_space, decay_profile
+from .model_space import GRAM_TARGET, build_model_space, decay_profile
 from .orbits import (
     OrbitSpec,
     frame_bounds,
@@ -235,8 +235,7 @@ def _run_model_space(params: dict, tol: float) -> tuple[dict, dict, dict]:
                 ["n", "orbit_norm"],
                 [(n, float(x)) for n, x in enumerate(profile)],
             )
-    tolerances = {"gram_target": 1e-10, "gram_fail": 1e-8}
-    return results, {}, tolerances
+    return results, {}, {"gram_target": GRAM_TARGET}
 
 
 def _run_orbit_analysis(params: dict, tol: float) -> tuple[dict, dict, dict]:
@@ -446,11 +445,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_battery(level=args.level, seed=args.seed)
+    results = run_battery(seed=args.seed)
     for result in results:
         print(format_line(result))
     passed = sum(1 for r in results if r.passed)
-    print(f"{passed}/{len(results)} criteria passed ({args.level})")
+    print(f"{passed}/{len(results)} criteria passed")
     return 0 if passed == len(results) else 1
 
 
@@ -464,13 +463,10 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a JSON problem file")
     p_run.add_argument("problem", help="path to the problem JSON")
     p_run.add_argument("--out", help="report path (overrides the file's 'output')")
-    p_run.add_argument("--seed", type=int, default=0, help="seed echo (runs are deterministic)")
     p_run.add_argument("--tol", type=float, default=DEFAULT_TOL, help="residual tolerance")
 
     p_verify = sub.add_parser("verify", help="run the acceptance battery")
-    p_verify.add_argument("--level", choices=["quick", "full"], default="quick")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tol", type=float, default=DEFAULT_TOL, help="unused; accepted for interface symmetry")
 
     args = parser.parse_args(argv)
     if args.command == "run":

@@ -1,11 +1,13 @@
 """Model spaces of finite inner functions and their compressed shift.
 
 For a finite product h of degree d the space ``H_h = L2+ minus h L2+`` has
-dimension d.  It carries the compression ``A_h`` of the coordinate shift,
-whose matrix is assembled here in an orthonormal basis of rational functions
-(one factor of the product peeled off per basis element).  The orbit of the
-projected constant under ``A_h`` is the prototype frame the rest of the
-package analyzes.
+dimension d.  It carries the compression ``A_h`` of the coordinate shift.
+In the orthonormal Takenaka-Malmquist basis (one factor of the product
+peeled off per basis element) ``A_h`` and the projected constant ``phi``
+have an exact closed form, which is what is built here.  The basis itself
+needs no series: the projection of ``z^k`` is ``A^k phi``, so coefficient k
+of basis element j is ``conj((A^k phi)_j)``.  The orbit of ``phi`` under
+``A_h`` is the prototype frame the rest of the package analyzes.
 """
 
 from __future__ import annotations
@@ -15,20 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coeffs as cs
-from .blaschke import BlaschkeProduct, ZeroFunction, taylor_coeffs
+from .blaschke import BlaschkeProduct, taylor_coeffs
 from .config import max_truncation
 from .coeffs import CoeffVec
 from .errors import NumericalError
+from .orbits import orbit_columns
 
 #: Basis Gram residual the truncation doubling aims for.
 GRAM_TARGET = 1e-10
 
-#: Residual past which a build is refused outright.
-GRAM_FAIL = 1e-8
-
 __all__ = [
     "GRAM_TARGET",
-    "GRAM_FAIL",
     "ModelSpace",
     "build_model_space",
     "basis_coordinates",
@@ -40,48 +39,55 @@ __all__ = [
 ]
 
 
-def _factor_series(lam: complex, n_trunc: int) -> np.ndarray:
-    """Expansion of (z - lam) / (1 - conj(lam) z) on [0, n_trunc]."""
-    out = np.empty(n_trunc + 1, dtype=np.complex128)
-    out[0] = -lam
-    if n_trunc >= 1:
-        out[1:] = (1.0 - abs(lam) ** 2) * np.conj(lam) ** np.arange(n_trunc)
-    return out
+def _compressed_shift(zeros: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form ``A`` and ``phi`` in the Takenaka-Malmquist basis.
 
-
-def _tm_expansions(zeros: np.ndarray, n_trunc: int) -> np.ndarray:
-    """Coefficient rows of the orthonormal basis, shape (d, n_trunc + 1).
-
-    Element k is the normalized reproducing-kernel factor for zero k times
-    the product of the first k disk factors; orthonormality is exact in
-    exact arithmetic for any zero list, repeated zeros included.
+    With ``w = sqrt(1 - |l|^2)``: ``A[j, j] = l_j``,
+    ``A[k, j] = w_j w_k prod_{j<m<k} (-conj l_m)`` for k > j, and
+    ``phi_k = w_k prod_{m<k} (-conj l_m)`` (Garcia, Mashreghi and Ross,
+    *Introduction to Model Spaces and their Operators*, CUP 2016).
     """
     d = len(zeros)
-    rows = np.zeros((d, n_trunc + 1), dtype=np.complex128)
-    partial = np.zeros(n_trunc + 1, dtype=np.complex128)
-    partial[0] = 1.0
-    for k, lam in enumerate(zeros):
-        szego = np.sqrt(1.0 - abs(lam) ** 2) * np.conj(lam) ** np.arange(n_trunc + 1)
-        rows[k] = np.convolve(szego, partial)[: n_trunc + 1]
-        if k < d - 1:
-            partial = np.convolve(partial, _factor_series(lam, n_trunc))[: n_trunc + 1]
-    return rows
+    w = np.sqrt(1.0 - np.abs(zeros) ** 2)
+    c = -np.conj(zeros)
+    A = np.diag(zeros)
+    for j in range(d - 1):
+        A[j + 1 :, j] = w[j] * w[j + 1 :] * np.cumprod(np.r_[1.0, c[j + 1 : d - 1]])
+    phi = w * np.cumprod(np.r_[1.0, c[: d - 1]])
+    return A, phi
+
+
+def _window(ms: ModelSpace) -> int:
+    """The window end ``trunc_n``, refused past the configured ceiling.
+
+    Every routine that materializes coefficients on a window of about
+    ``trunc_n`` asks here first.
+    """
+    cap = max_truncation()
+    if ms.trunc_n > cap:
+        raise NumericalError(
+            f"coefficient window [0, {ms.trunc_n}] exceeds the ceiling {cap} "
+            f"(ORBITFRAMES_MAX_TRUNC); zeros too close to the boundary for "
+            f"this ceiling"
+        )
+    return ms.trunc_n
 
 
 @dataclass(frozen=True)
 class ModelSpace:
     """Finite-dimensional model space with its compressed shift.
 
-    ``basis`` holds coefficient windows of the orthonormal basis on
-    [0, trunc_n].  ``shift_matrix[k, j]`` is the pairing of the shifted
-    j-th basis element against the k-th, so columns are images and the
-    matrix acts on coordinate vectors.  ``phi`` holds the coordinates of
-    the projected constant.
+    ``shift_matrix[k, j]`` is the pairing of the shifted j-th basis element
+    against the k-th, so columns are images and the matrix acts on
+    coordinate vectors.  ``phi`` holds the coordinates of the projected
+    constant.  Both are exact closed forms.  ``trunc_n`` is the coefficient
+    window [0, trunc_n] on which the basis is materialized; ``gram_residual``
+    is the exact Gram defect of the basis on that window,
+    ``||I - G|| = ||A^(trunc_n + 1)||_2^2``.
     """
 
     h: BlaschkeProduct
     trunc_n: int
-    basis: tuple[CoeffVec, ...]
     shift_matrix: np.ndarray
     phi: np.ndarray
     gram_residual: float
@@ -89,6 +95,12 @@ class ModelSpace:
     @property
     def dim(self) -> int:
         return self.h.degree
+
+    @property
+    def basis(self) -> tuple[CoeffVec, ...]:
+        """Coefficient windows of the orthonormal basis on [0, trunc_n]."""
+        rows = orbit_columns(self.shift_matrix, self.phi, _window(self)).conj()
+        return tuple(CoeffVec(0, row) for row in rows)
 
     def to_dict(self) -> dict:
         """JSON-ready summary (complex entries as [re, im] pairs)."""
@@ -106,24 +118,22 @@ class ModelSpace:
 
 
 def build_model_space(h: BlaschkeProduct, n_trunc: int | None = None) -> ModelSpace:
-    """Construct the model space of ``h`` at a certified truncation.
+    """Construct the model space of ``h`` from its closed form.
 
     Parameters
     ----------
     h : BlaschkeProduct
-        Nonconstant finite product; the flat-zero marker and degree-0
-        products are rejected (their "model space" is all of L2+ or {0}).
+        Nonconstant finite product; degree-0 products are rejected (their
+        model space is {0}).
     n_trunc : int, optional
         Starting coefficient window, at least ``max(8 * degree, 64)``
-        (the default).  The window is doubled until the basis Gram matrix
-        is within 1e-10 of the identity; if the configured ceiling is hit
-        first and the residual still exceeds 1e-8 the build fails.
+        (the default) and at most the configured ceiling.  The window is
+        doubled until the basis Gram residual ``||A^(n + 1)||_2^2`` is
+        within ``GRAM_TARGET``; each doubling squares a d x d power, so no
+        window is allocated here and the result may pass the ceiling.
+        Routines that then materialize that window raise
+        ``NumericalError``.
     """
-    if isinstance(h, ZeroFunction):
-        raise ValueError(
-            "the flat-zero symbol has no finite model space; its orbit case "
-            "is an orthonormal basis and needs no compression"
-        )
     if not isinstance(h, BlaschkeProduct):
         raise TypeError(f"expected a BlaschkeProduct, got {type(h).__name__}")
     d = h.degree
@@ -142,35 +152,18 @@ def build_model_space(h: BlaschkeProduct, n_trunc: int | None = None) -> ModelSp
     if n_trunc > cap:
         raise ValueError(f"truncation {n_trunc} exceeds the ceiling {cap}")
 
+    shift, phi = _compressed_shift(h.zeros)
     n = n_trunc
+    power = np.linalg.matrix_power(shift, n)
     while True:
-        rows = _tm_expansions(h.zeros, n)
-        gram = rows @ rows.conj().T
-        residual = float(np.linalg.norm(gram - np.eye(d), 2))
+        residual = float(np.linalg.norm(power @ shift, 2)) ** 2
         if residual <= GRAM_TARGET:
             break
-        if 2 * n > cap:
-            if residual > GRAM_FAIL:
-                raise NumericalError(
-                    f"basis Gram residual {residual:.3e} at truncation {n} "
-                    f"(ceiling {cap}); zeros too close to the boundary for "
-                    f"this window"
-                )
-            break
+        power = power @ power
         n *= 2
-
-    # The pairing of shifted element j against element i vanishes
-    # identically for i < j (the later elements vanish at the earlier
-    # zeros), so only the lower triangle carries information; the upper
-    # residue is truncation noise and is dropped.
-    shift = np.conj(rows[:, 1:]) @ rows[:, :-1].T
-    shift = np.tril(shift)
-    phi = np.conj(rows[:, 0])
-    basis = tuple(CoeffVec(0, row) for row in rows)
     return ModelSpace(
         h=h,
         trunc_n=n,
-        basis=basis,
         shift_matrix=shift,
         phi=phi,
         gram_residual=residual,
@@ -178,8 +171,15 @@ def build_model_space(h: BlaschkeProduct, n_trunc: int | None = None) -> ModelSp
 
 
 def basis_coordinates(ms: ModelSpace, f: CoeffVec) -> np.ndarray:
-    """Coordinates ``<f, e_k>`` of a coefficient window in the stored basis."""
-    return np.array([cs.inner_product(f, e) for e in ms.basis])
+    """Coordinates ``<f, e_k>`` of a coefficient window in the basis.
+
+    Coefficient n of ``e_k`` is ``conj((A^n phi)_k)``, so the pairing is
+    exact on the whole support of ``f`` (negative indices pair with nothing).
+    """
+    f = cs.restrict(f, 0, None)
+    if len(f.coeffs) == 0:
+        return np.zeros(ms.dim, dtype=np.complex128)
+    return orbit_columns(ms.shift_matrix, ms.phi, f.hi)[:, f.lo :] @ f.coeffs
 
 
 def project_model(ms: ModelSpace, f: CoeffVec) -> CoeffVec:
@@ -188,8 +188,10 @@ def project_model(ms: ModelSpace, f: CoeffVec) -> CoeffVec:
     Computes ``h * P_minus(f * conj(h))`` and returns its window restricted
     to [0, trunc_n].  ``f`` must be supported on nonnegative indices.
     Internal expansions run past the stored window so the returned
-    coefficients match the basis-coordinate path to float accuracy.
+    coefficients match the basis-coordinate path to float accuracy.  This
+    series route is independent of the closed form and serves as its check.
     """
+    n = _window(ms)
     trimmed = cs.trim(f)
     if len(trimmed.coeffs) and trimmed.lo < 0:
         raise ValueError(
@@ -198,48 +200,38 @@ def project_model(ms: ModelSpace, f: CoeffVec) -> CoeffVec:
         )
     if len(trimmed.coeffs) == 0:
         return CoeffVec(0, [])
-    ext = ms.trunc_n + max(trimmed.hi, 0) + 8
+    ext = n + max(trimmed.hi, 0) + 8
     h_t = taylor_coeffs(ms.h, ext)
     g = cs.multiply(trimmed, cs.conj_reflect(h_t))
     inner = cs.project_minus(g)
     out = cs.multiply(h_t, inner)
-    return cs.restrict(out, 0, ms.trunc_n)
+    return cs.restrict(out, 0, n)
 
 
 def projected_monomial(ms: ModelSpace, m: int) -> np.ndarray:
-    """Coordinates of the projected monomial ``z^m`` in the stored basis.
+    """Coordinates of the projected monomial ``z^m`` in the basis.
 
     Uses the closed form: the projection of ``z^m`` equals
     ``z^m - sum_{n=0}^{m} conj(h_{m-n}) z^n h`` with ``h_k`` the Taylor
     coefficients of h.  Must agree with ``project_model`` on the monomial
     and with column m of the shift-orbit of phi.
     """
+    n = _window(ms)
     m = int(m)
-    if m < 0 or m > ms.trunc_n - ms.h.degree:
+    if m < 0 or m > n - ms.h.degree:
         raise ValueError(
-            f"monomial index {m} outside [0, {ms.trunc_n - ms.h.degree}] "
-            f"for truncation {ms.trunc_n}"
+            f"monomial index {m} outside [0, {n - ms.h.degree}] "
+            f"for truncation {n}"
         )
-    ext = ms.trunc_n + m
-    h_t = taylor_coeffs(ms.h, ext)
+    h_t = taylor_coeffs(ms.h, n + m)
     q = CoeffVec(0, np.conj(h_t.coeffs[m::-1]))
     proj = cs.add(cs.monomial(m), cs.scale(cs.multiply(q, h_t), -1.0))
-    rows = _tm_expansions(ms.h.zeros, proj.hi)
-    return np.conj(rows[:, : len(proj.coeffs)]) @ proj.coeffs
+    return basis_coordinates(ms, proj)
 
 
 def orbit(ms: ModelSpace, n_max: int) -> np.ndarray:
     """Coordinates of ``A^n phi`` for n = 0..n_max, shape (n_max + 1, dim)."""
-    n_max = int(n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    out = np.empty((n_max + 1, ms.dim), dtype=np.complex128)
-    v = ms.phi.astype(np.complex128)
-    for n in range(n_max + 1):
-        out[n] = v
-        if n < n_max:
-            v = ms.shift_matrix @ v
-    return out
+    return orbit_columns(ms.shift_matrix, ms.phi, n_max).T
 
 
 def decay_profile(ms: ModelSpace, f: np.ndarray, n_max: int) -> np.ndarray:
@@ -247,13 +239,7 @@ def decay_profile(ms: ModelSpace, f: np.ndarray, n_max: int) -> np.ndarray:
     f = np.asarray(f, dtype=np.complex128).reshape(-1)
     if f.shape != (ms.dim,):
         raise ValueError(f"expected a coordinate vector of length {ms.dim}")
-    out = np.empty(int(n_max) + 1)
-    v = f.copy()
-    for n in range(int(n_max) + 1):
-        out[n] = np.linalg.norm(v)
-        if n < n_max:
-            v = ms.shift_matrix @ v
-    return out
+    return np.linalg.norm(orbit_columns(ms.shift_matrix, f, n_max), axis=0)
 
 
 def minimal_polynomial_check(ms: ModelSpace) -> float:

@@ -36,6 +36,7 @@ PERIOD_TOL = 1e-10
 __all__ = [
     "OrbitSpec",
     "FrameReport",
+    "orbit_columns",
     "synthesis_matrix",
     "frame_bounds",
     "kernel_shift_invariance",
@@ -113,29 +114,34 @@ class FrameReport:
         }
 
 
+def orbit_columns(T: np.ndarray, v: np.ndarray, n_max: int) -> np.ndarray:
+    """Columns ``T^n v`` for n = 0..n_max, shape (len(v), n_max + 1).
+
+    The one power loop of the package: every orbit, synthesis matrix and
+    decay profile is read from it.
+    """
+    n_max = int(n_max)
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    v = np.array(v, dtype=np.complex128).reshape(-1)
+    out = np.empty((v.shape[0], n_max + 1), dtype=np.complex128)
+    out[:, 0] = v
+    for n in range(1, n_max + 1):
+        v = T @ v
+        out[:, n] = v
+    return out
+
+
 def synthesis_matrix(spec: OrbitSpec) -> np.ndarray:
     """Orbit columns in index order: n = 0..n_max, or -n_max..n_max.
 
     Raises ``NumericalError`` when any column norm exceeds the overflow
     ceiling (spectral radius above 1 on a one-sided orbit, typically).
     """
-    D = spec.dim
-    forward = np.empty((D, spec.n_max + 1), dtype=np.complex128)
-    v = spec.f0.copy()
-    for n in range(spec.n_max + 1):
-        forward[:, n] = v
-        if n < spec.n_max:
-            v = spec.T @ v
-    if spec.index_set == "N":
-        cols = forward
-    else:
-        T_inv = np.linalg.inv(spec.T)
-        backward = np.empty((D, spec.n_max), dtype=np.complex128)
-        v = spec.f0.copy()
-        for n in range(spec.n_max):
-            v = T_inv @ v
-            backward[:, n] = v
-        cols = np.concatenate([backward[:, ::-1], forward], axis=1)
+    cols = orbit_columns(spec.T, spec.f0, spec.n_max)
+    if spec.index_set == "Z":
+        backward = orbit_columns(np.linalg.inv(spec.T), spec.f0, spec.n_max)
+        cols = np.concatenate([backward[:, :0:-1], cols], axis=1)
     norms = np.linalg.norm(cols, axis=0)
     if np.any(norms > COLUMN_OVERFLOW) or not np.all(np.isfinite(norms)):
         worst = int(np.argmax(norms))
@@ -365,17 +371,16 @@ def lower_norm_check(spec: OrbitSpec, f: np.ndarray, n_range) -> tuple[float, fl
     if base == 0.0:
         raise ValueError("reference vector must be nonzero")
     ns = sorted(set(int(n) for n in n_range))
+    forward = [n for n in ns if n >= 0]
+    backward = [-n for n in ns if n < 0]
     mins = []
     for M in (spec.T, spec.T.conj().T):
-        M_inv = None
-        best = np.inf
-        for n in ns:
-            if n >= 0:
-                vec = np.linalg.matrix_power(M, n) @ f
-            else:
-                if M_inv is None:
-                    M_inv = np.linalg.inv(M)
-                vec = np.linalg.matrix_power(M_inv, -n) @ f
-            best = min(best, float(np.linalg.norm(vec)) / base)
-        mins.append(best)
+        norms = [np.inf]
+        if forward:
+            cols = orbit_columns(M, f, forward[-1])[:, forward]
+            norms.extend(np.linalg.norm(cols, axis=0))
+        if backward:
+            cols = orbit_columns(np.linalg.inv(M), f, backward[0])[:, backward]
+            norms.extend(np.linalg.norm(cols, axis=0))
+        mins.append(float(min(norms)) / base)
     return mins[0], mins[1]

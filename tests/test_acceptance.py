@@ -2,7 +2,7 @@
 
 Run with ``pytest -v tests/test_acceptance.py`` to see each criterion as
 its own pass/fail line; the printed details mirror what the CLI's
-``verify --level full`` emits.
+``verify`` emits.
 """
 
 import pytest
@@ -26,7 +26,7 @@ CRITERION_NAMES = {
 
 @pytest.fixture(scope="session")
 def battery():
-    results = run_battery(level="full", seed=0)
+    results = run_battery(seed=0)
     return {result.index: result for result in results}
 
 

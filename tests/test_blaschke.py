@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from orbitframes import (
     BlaschkeProduct,
     NumericalError,
-    ZERO_FUNCTION,
-    ZeroFunction,
     carleson_delta,
     delta_capacity,
     evaluate,
@@ -63,8 +61,12 @@ class TestValidation:
     def test_degree(self):
         assert BlaschkeProduct(zeros=[0.1, 0.2]).degree == 2
 
-    def test_zero_function_marker(self):
-        assert isinstance(ZERO_FUNCTION, ZeroFunction)
+    @pytest.mark.parametrize(
+        "bad", [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0)]
+    )
+    def test_rejects_non_finite_by_position(self, bad):
+        with pytest.raises(ValueError, match="zero 1 is .*finite"):
+            validate_zeros([0.2, bad, 0.3])
 
 
 class TestCarlesonDelta:
@@ -119,6 +121,14 @@ class TestDeltaCapacity:
             delta_capacity(-0.1)
         with pytest.raises(ValueError):
             delta_capacity(1.2)
+        with pytest.raises(ValueError, match="nan"):
+            delta_capacity(math.nan)
+
+    @pytest.mark.parametrize("delta", [1e-80, 1e-100])
+    def test_overflowing_capacity_is_numerical_error(self, delta):
+        # 1e-80 overflows the quotient to inf; 1e-100 underflows delta^4 to 0.
+        with pytest.raises(NumericalError, match="overflows"):
+            delta_capacity(delta)
 
     @given(st.floats(min_value=1e-3, max_value=0.999))
     def test_decreasing(self, delta):

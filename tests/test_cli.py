@@ -37,6 +37,13 @@ class TestCarleson:
         )
         assert "log" in report["certificates"]["capacity_formula"]
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_zero_exit_2(self, tmp_path, capsys, bad):
+        payload = {"kind": "carleson", "parameters": {"zeros": [[bad, 0.0]]}}
+        rc = main(["run", str(write_problem(tmp_path, payload))])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_duplicate_zeros_exit_2(self, tmp_path, capsys):
         payload = {
             "kind": "carleson",
@@ -57,6 +64,12 @@ class TestModelSpace:
         results = report["results"]
         assert results["dim"] == 2
         assert results["shift_matrix"][1][0] == [1.0, 0.0]
+        assert results["gram_residual"] <= 1e-10
+
+    def test_zero_near_boundary_uses_closed_form(self, tmp_path, capsys):
+        payload = {"kind": "model_space", "parameters": {"zeros": [[0.9999, 0.0]]}}
+        results = run_to_report(tmp_path, payload, capsys)["results"]
+        assert results["shift_matrix"] == [[[0.9999, 0.0]]]
         assert results["gram_residual"] <= 1e-10
 
     def test_decay_profile_and_csv(self, tmp_path, capsys):
@@ -359,8 +372,8 @@ class TestInputGate:
 
 class TestVerifyCommand:
     def test_quick_level_passes(self, capsys):
-        rc = main(["verify", "--level", "quick"])
+        rc = main(["verify"])
         captured = capsys.readouterr()
         assert rc == 0
-        assert "9/9 criteria passed (quick)" in captured.out
+        assert "11/11 criteria passed" in captured.out
         assert "FAIL" not in captured.out

@@ -374,6 +374,25 @@ class TestLowerNormCheck:
         assert fwd == pytest.approx(0.125, rel=1e-12)
         assert adj == pytest.approx(0.125, rel=1e-12)
 
+    def test_matches_matrix_powers(self):
+        rng = np.random.default_rng(7)
+        d = 4
+        T = np.eye(d) + 0.3 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        f = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        spec = OrbitSpec(T=T, f0=seed(d), index_set="Z", n_max=8)
+        ns = range(-6, 7)
+        mins = []
+        for M in (T, T.conj().T):
+            ratios = [
+                np.linalg.norm(np.linalg.matrix_power(M, n) @ f) / np.linalg.norm(f)
+                for n in ns
+            ]
+            mins.append(min(ratios))
+        fwd, adj = lower_norm_check(spec, f, ns)
+        assert fwd == pytest.approx(mins[0], rel=1e-12)
+        assert adj == pytest.approx(mins[1], rel=1e-12)
+        assert lower_norm_check(spec, f, []) == (np.inf, np.inf)
+
     def test_negative_indices_use_inverse(self):
         spec = OrbitSpec(
             T=np.array([[0.5]]), f0=np.array([1.0]), index_set="Z", n_max=8
