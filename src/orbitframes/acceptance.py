@@ -217,7 +217,8 @@ def _check_generator_reconstruction(rng) -> tuple[bool, str]:
     recovered = generator_closure(U)
     recovery_gap = float(np.linalg.norm(recovered - ms.shift_matrix, 2))
     # Reference frame with a non-invariant kernel: e0 repeated, then the rest
-    # of the basis; its single kernel direction maps to e0 - e1 under U.R.
+    # of the basis; its one unit kernel direction (e0 - e1) / sqrt(2) maps to
+    # (e0 - e1) / sqrt(2) under U R, so the residual is exactly 1.
     D = 10
     bad = np.zeros((D, D + 1), dtype=np.complex128)
     bad[0, 0] = 1.0
@@ -231,12 +232,12 @@ def _check_generator_reconstruction(rng) -> tuple[bool, str]:
     ok = (
         residual < 1e-10
         and recovery_gap <= 1e-8
-        and abs(bad_residual - math.sqrt(2.0)) <= 1e-10
+        and abs(bad_residual - 1.0) <= 1e-10
         and bad_rejected
     )
     return ok, (
         f"kernel residual {residual:.3e}, recovery gap {recovery_gap:.3e}, "
-        f"reference residual {bad_residual:.12f} vs sqrt(2), rejected: "
+        f"reference residual {bad_residual:.12f} vs 1, rejected: "
         f"{bad_rejected}"
     )
 

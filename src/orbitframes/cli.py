@@ -24,6 +24,7 @@ import numpy as np
 
 from .acceptance import format_line, run_battery
 from .biinfinite import (
+    SUPPORT_THRESHOLD_REL,
     ArcSet,
     build_grid,
     build_multiplication_pair,
@@ -33,6 +34,7 @@ from .biinfinite import (
 )
 from .blaschke import BlaschkeProduct, carleson_delta, delta_capacity
 from .constructions import (
+    EXCLUDED_TAU_RTOL,
     NormalOrbitSpec,
     build_normal_pair,
     certificate_bounds,
@@ -251,12 +253,9 @@ def _run_orbit_analysis(params: dict, tol: float) -> tuple[dict, dict, dict]:
         results["kernel_residual"] = kernel_shift_invariance(U, tol)
         if params.get("recover_generator"):
             recovered = generator_closure(U, tol)
-            gaps = [
-                float(np.linalg.norm(recovered @ U[:, n] - U[:, n + 1]))
-                for n in range(U.shape[1] - 1)
-            ]
+            gaps = np.linalg.norm(recovered @ U[:, :-1] - U[:, 1:], axis=0)
             results["generator"] = _pair_matrix(recovered)
-            results["generator_consistency"] = max(gaps) if gaps else 0.0
+            results["generator_consistency"] = float(gaps.max()) if gaps.size else 0.0
     else:
         results["unitarity_defect"] = unitarity_defect(spec)
     if "bounds_schedule" in params:
@@ -334,7 +333,7 @@ def _run_perturbation(params: dict, tol: float) -> tuple[dict, dict, dict]:
         "lower_formula": "alpha' / capacity * riesz_lower_block",
         "upper_formula": "beta' * capacity * riesz_upper_block",
     }
-    return results, certificates, {"excluded_tau_rtol": 1e-12}
+    return results, certificates, {"excluded_tau_rtol": EXCLUDED_TAU_RTOL}
 
 
 def _run_biinfinite(params: dict, tol: float) -> tuple[dict, dict, dict]:
@@ -383,7 +382,7 @@ def _run_translates(params: dict, tol: float) -> tuple[dict, dict, dict]:
             ["omega", "phi"],
             [(float(w), float(p)) for w, p in zip(prof.omegas, prof.phi)],
         )
-    return results, {}, {"support_threshold_rel": 1e-6}
+    return results, {}, {"support_threshold_rel": SUPPORT_THRESHOLD_REL}
 
 
 _HANDLERS = {

@@ -59,13 +59,16 @@ class OrbitSpec:
 
     def __post_init__(self) -> None:
         T = np.array(self.T, dtype=np.complex128)
-        if T.ndim != 2 or T.shape[0] != T.shape[1]:
-            raise ValueError(f"T must be square, got shape {T.shape}")
+        if T.ndim != 2 or T.shape[0] != T.shape[1] or T.shape[0] == 0:
+            raise ValueError(f"T must be nonempty and square, got shape {T.shape}")
         f0 = np.array(self.f0, dtype=np.complex128).reshape(-1)
         if f0.shape[0] != T.shape[0]:
             raise ValueError(
                 f"seed length {f0.shape[0]} does not match operator size {T.shape[0]}"
             )
+        for name, value in (("T", T), ("f0", f0)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         if self.index_set not in ("N", "Z"):
             raise ValueError(f"index_set must be 'N' or 'Z', got {self.index_set!r}")
         n_max = int(self.n_max)
@@ -188,68 +191,59 @@ def _tail_estimate(spec: OrbitSpec) -> float | None:
     return lead * r2 ** (spec.n_max + 1) / (1.0 - r2)
 
 
-def _kernel_basis(U: np.ndarray, tol: float) -> np.ndarray:
-    """Null directions of U (columns), each scaled to unit largest entry.
-
-    The scaling makes the reference kernels hand-checkable integer vectors
-    and is what the residual convention below is calibrated to.
-    """
-    L = U.shape[1]
-    _, svals, vh = np.linalg.svd(U, full_matrices=True)
-    padded = np.zeros(L)
-    padded[: len(svals)] = svals
-    smax = padded[0] if len(padded) else 0.0
-    mask = padded < tol * smax if smax > 0 else np.ones(L, dtype=bool)
-    K = vh[mask].conj().T
-    if K.shape[1] == 0:
-        return K
-    peaks = np.max(np.abs(K), axis=0)
-    return K / peaks
+def _finite_columns(frame_columns: np.ndarray) -> np.ndarray:
+    """Orbit columns as a nonempty, finite complex 2-D array."""
+    U = np.asarray(frame_columns, dtype=np.complex128)
+    if U.ndim != 2 or 0 in U.shape:
+        raise ValueError(
+            f"frame_columns must be a nonempty 2-D matrix, got shape {U.shape}"
+        )
+    if not np.all(np.isfinite(U)):
+        raise ValueError("frame_columns must be finite")
+    return U
 
 
 def kernel_shift_invariance(frame_columns: np.ndarray, tol: float = 1e-10) -> float:
     """Invariance defect of the synthesis kernel under the right shift.
 
-    Computes the null directions of the column matrix (singular values
-    below ``tol`` times the largest), shifts them one slot toward higher
-    index, and returns the spectral norm of the synthesized image.  Near
-    zero exactly when the truncated kernel is shift invariant, which is
-    the finite-window test for the columns being a single operator's
-    orbit.  Columns must be in one-sided index order.
+    Returns the spectral norm of U R on ker U,
+    ``||U R - (U R V_r*) V_r||_2``, where R is the right shift (column n
+    of U R is column n + 1 of U, the last is zero) and V_r holds the right
+    singular vectors of U whose singular values are at least ``tol`` times
+    the largest.  The value does not depend on a choice of kernel basis;
+    it is exactly 0.0 when the kernel is trivial and near zero exactly
+    when the truncated kernel is shift invariant, which is the
+    finite-window test for the columns being a single operator's orbit.
+    One thin SVD and a few D x L products: O(D^2 L), no L x L factor.
+    Columns must be in one-sided index order.
     """
-    U = np.asarray(frame_columns, dtype=np.complex128)
-    if U.ndim != 2:
-        raise ValueError("frame_columns must be a 2-D matrix")
+    U = _finite_columns(frame_columns)
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
-    K = _kernel_basis(U, tol)
-    if K.shape[1] == 0:
+    _, svals, vh = np.linalg.svd(U, full_matrices=False)
+    rank = int(np.count_nonzero(svals >= tol * svals[0]))
+    if rank == U.shape[1]:
         return 0.0
-    shifted = np.zeros_like(K)
-    shifted[1:, :] = K[:-1, :]
-    return float(np.linalg.norm(U @ shifted, 2))
+    V = vh[:rank]
+    UR = np.zeros_like(U)
+    UR[:, :-1] = U[:, 1:]
+    return float(np.linalg.norm(UR - (UR @ V.conj().T) @ V, 2))
 
 
-def generator_closure(
-    frame_columns: np.ndarray,
-    tol: float = 1e-10,
-    invariance_tol: float | None = None,
-) -> np.ndarray:
+def generator_closure(frame_columns: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Recover the generator as U R U^+ from one-sided orbit columns.
 
     ``U^+ = U* (U U*)^{-1}`` is the synthesis pseudoinverse; the formula
     returns the unique operator whose orbit reproduces the columns,
     provided the kernel is shift invariant.  Raises
-    ``ShiftInvarianceError`` when it is not, and ``NumericalError`` when
-    the columns do not span (frame not captured at this truncation).
+    ``ShiftInvarianceError`` when ``kernel_shift_invariance`` exceeds
+    ``tol``, and ``NumericalError`` when the columns do not span (frame
+    not captured at this truncation).
     """
-    U = np.asarray(frame_columns, dtype=np.complex128)
-    if U.ndim != 2:
-        raise ValueError("frame_columns must be a 2-D matrix")
-    threshold = tol if invariance_tol is None else invariance_tol
+    U = _finite_columns(frame_columns)
     residual = kernel_shift_invariance(U, tol)
-    if residual > threshold:
-        raise ShiftInvarianceError(residual, threshold)
+    if residual > tol:
+        raise ShiftInvarianceError(residual, tol)
     S = U @ U.conj().T
     eigs = np.linalg.eigvalsh(S)
     if eigs[0] <= tol * eigs[-1]:

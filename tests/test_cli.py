@@ -145,6 +145,20 @@ class TestOrbitAnalysis:
         assert lines[0] == "n_max,lower_bound,upper_bound,parseval_defect"
         assert len(lines) == 4
 
+    def test_non_finite_two_sided_operator_exit_2(self, tmp_path, capsys):
+        payload = {
+            "kind": "orbit_analysis",
+            "parameters": {
+                "T": [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+                "f0": [[1.0, 0.0], [0.0, 0.0]],
+                "index_set": "Z",
+                "n_max": 4,
+            },
+        }
+        rc = main(["run", str(write_problem(tmp_path, payload))])
+        assert rc == 2
+        assert "T must be finite" in capsys.readouterr().err
+
     def test_divergent_orbit_exit_3(self, tmp_path, capsys):
         payload = {
             "kind": "orbit_analysis",
