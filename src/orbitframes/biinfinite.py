@@ -227,7 +227,10 @@ def translates_phi(fhat_samples, period_count: int) -> TranslatesProfile:
             f"sample count {samples.size} does not tile {blocks} unit intervals"
         )
     m = samples.size // blocks
-    phi = samples.reshape(blocks, m).sum(axis=0)
+    with np.errstate(over="ignore"):
+        phi = samples.reshape(blocks, m).sum(axis=0)
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("samples must be finite and fold to a finite profile")
     peak = float(np.max(phi))
     if peak <= 0.0:
         raise ValueError("periodized profile is identically zero")

@@ -75,8 +75,10 @@ class BlaschkeProduct:
         arr.setflags(write=False)
         object.__setattr__(self, "zeros", arr)
         c = complex(self.constant)
-        if abs(abs(c) - 1.0) > 1e-12:
-            raise ValueError(f"constant must be unimodular, got |c| = {abs(c):.17g}")
+        # hypot gives inf where abs(c) raises OverflowError.
+        modulus = math.hypot(c.real, c.imag)
+        if not abs(modulus - 1.0) <= 1e-12:
+            raise ValueError(f"constant must be unimodular, got |c| = {modulus:.17g}")
         object.__setattr__(self, "constant", c)
 
     @property

@@ -1,8 +1,13 @@
 """Batch front end: declarative JSON problems in, JSON reports out.
 
 Problem files name a kind, kind-specific parameters, and optionally an
-output path.  Parameters are schema-validated before any computation;
-complex numbers travel as [re, im] pairs.  Reports are byte-stable for
+output path.  Before any computation, schemas compiled once at import
+check the structure (kind, required and extra keys, integers, enums,
+nonempty arrays), and each numeric payload is parsed in one bulk pass
+that checks its shape and that every entry is a finite JSON number.
+Complex numbers travel as [re, im] pairs.  The ``NaN``, ``Infinity`` and
+``-Infinity`` literals are rejected, and a report that would hold a
+non-finite number is a numerical error.  Reports are byte-stable for
 identical inputs (sorted keys, default float repr, no timestamps); wall
 time goes to stderr as a log line instead of into the report.  CSV side
 outputs (decay profiles, periodization profiles, bound-vs-truncation
@@ -21,6 +26,8 @@ import time
 
 import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .acceptance import format_line, run_battery
 from .biinfinite import (
@@ -54,39 +61,24 @@ from .orbits import (
 
 DEFAULT_TOL = 1e-10
 
-_COMPLEX = {
-    "type": "array",
-    "items": {"type": "number"},
-    "minItems": 2,
-    "maxItems": 2,
-}
-_COMPLEX_LIST = {"type": "array", "items": _COMPLEX, "minItems": 1}
-_COMPLEX_MATRIX = {
-    "type": "array",
-    "items": {"type": "array", "items": _COMPLEX, "minItems": 1},
-    "minItems": 1,
-}
-_ARC = {
-    "type": "array",
-    "items": {"type": "number"},
-    "minItems": 2,
-    "maxItems": 2,
-}
+#: A numeric payload: the schema checks only that it is a nonempty array;
+#: ``_numbers`` checks its shape and every number in one bulk pass.
+_ARRAY = {"type": "array", "minItems": 1}
 
 _PARAMETER_SCHEMAS = {
     "carleson": {
         "type": "object",
         "required": ["zeros"],
         "additionalProperties": False,
-        "properties": {"zeros": _COMPLEX_LIST},
+        "properties": {"zeros": _ARRAY},
     },
     "model_space": {
         "type": "object",
         "required": ["zeros"],
         "additionalProperties": False,
         "properties": {
-            "zeros": _COMPLEX_LIST,
-            "constant": _COMPLEX,
+            "zeros": _ARRAY,
+            "constant": _ARRAY,
             "trunc_n": {"type": "integer", "minimum": 1},
             "decay_n_max": {"type": "integer", "minimum": 0},
             "decay_csv": {"type": "string"},
@@ -97,8 +89,8 @@ _PARAMETER_SCHEMAS = {
         "required": ["T", "f0", "index_set", "n_max"],
         "additionalProperties": False,
         "properties": {
-            "T": _COMPLEX_MATRIX,
-            "f0": _COMPLEX_LIST,
+            "T": _ARRAY,
+            "f0": _ARRAY,
             "index_set": {"enum": ["N", "Z"]},
             "n_max": {"type": "integer", "minimum": 0},
             "recover_generator": {"type": "boolean"},
@@ -115,8 +107,8 @@ _PARAMETER_SCHEMAS = {
         "required": ["zeros", "coeffs"],
         "additionalProperties": False,
         "properties": {
-            "zeros": _COMPLEX_LIST,
-            "coeffs": _COMPLEX_LIST,
+            "zeros": _ARRAY,
+            "coeffs": _ARRAY,
             "n_max": {"type": "integer", "minimum": 0},
             "tail_energy": {"type": "number", "minimum": 0},
         },
@@ -126,11 +118,11 @@ _PARAMETER_SCHEMAS = {
         "required": ["zeros", "coeffs", "k", "l", "tau"],
         "additionalProperties": False,
         "properties": {
-            "zeros": _COMPLEX_LIST,
-            "coeffs": _COMPLEX_LIST,
+            "zeros": _ARRAY,
+            "coeffs": _ARRAY,
             "k": {"type": "integer", "minimum": 0},
             "l": {"type": "integer", "minimum": 0},
-            "tau": _COMPLEX,
+            "tau": _ARRAY,
             "n_max": {"type": "integer", "minimum": 0},
         },
     },
@@ -139,10 +131,10 @@ _PARAMETER_SCHEMAS = {
         "required": ["arcs", "M"],
         "additionalProperties": False,
         "properties": {
-            "arcs": {"type": "array", "items": _ARC, "minItems": 1},
+            "arcs": _ARRAY,
             "M": {"type": "integer", "minimum": 1},
             "n_max": {"type": "integer", "minimum": 0},
-            "psi": _COMPLEX_LIST,
+            "psi": _ARRAY,
         },
     },
     "translates": {
@@ -150,11 +142,7 @@ _PARAMETER_SCHEMAS = {
         "required": ["fhat_samples", "period_count"],
         "additionalProperties": False,
         "properties": {
-            "fhat_samples": {
-                "type": "array",
-                "items": {"type": "number"},
-                "minItems": 2,
-            },
+            "fhat_samples": {"type": "array", "minItems": 2},
             "period_count": {"type": "integer", "minimum": 1},
             "phi_csv": {"type": "string"},
         },
@@ -178,16 +166,67 @@ _SEPARATION_FORMULA = (
 _CAPACITY_FORMULA = "2/delta^4 * (1 - 2*log(delta))"
 
 
-def _c(pair) -> complex:
-    return complex(pair[0], pair[1])
+_PROBLEM_VALIDATOR = validator_for(_PROBLEM_SCHEMA)(_PROBLEM_SCHEMA)
+_PARAMETER_VALIDATORS = {
+    kind: validator_for(schema)(schema) for kind, schema in _PARAMETER_SCHEMAS.items()
+}
 
 
-def _clist(pairs) -> np.ndarray:
-    return np.array([_c(p) for p in pairs], dtype=np.complex128)
+class _Literal:
+    """A ``NaN``, ``Infinity`` or ``-Infinity`` token read from a problem file.
+
+    The loader keeps the token instead of a float, so the check that meets
+    it (a schema type or ``_numbers``) rejects it and names the token.
+    """
+
+    __slots__ = ("token",)
+
+    def __init__(self, token: str):
+        self.token = token
+
+    def __repr__(self) -> str:
+        return self.token
 
 
-def _cmatrix(rows) -> np.ndarray:
-    return np.array([[_c(p) for p in row] for row in rows], dtype=np.complex128)
+def _numbers(params: dict, name: str, shape: tuple) -> np.ndarray:
+    """Parse the numeric payload ``params[name]`` in one bulk pass.
+
+    ``shape`` gives the length of each axis, ``None`` for any length.  Every
+    leaf must be an ``int`` or a ``float`` (not a ``bool``) whose float64
+    value is finite.  Returns the float64 array; any failure is a
+    ``ValueError`` naming the parameter.
+    """
+    value = np.array(params[name], dtype=object)
+    if value.ndim != len(shape) or any(
+        want is not None and want != got for want, got in zip(shape, value.shape)
+    ):
+        dims = ", ".join("n" if want is None else str(want) for want in shape)
+        raise ValueError(f"{name} must be a nested list of numbers of shape ({dims})")
+    for leaf_type in set(map(type, value.flat)):
+        if leaf_type is _Literal:
+            token = next(x for x in value.flat if type(x) is _Literal)
+            raise ValueError(f"{name} must be finite, got {token}")
+        if not issubclass(leaf_type, (int, float)) or issubclass(leaf_type, bool):
+            raise ValueError(f"{name} must hold only numbers, got {leaf_type.__name__}")
+    try:
+        floats = value.astype(np.float64)
+    except OverflowError:
+        raise ValueError(
+            f"{name} holds an integer too large to be a finite float"
+        ) from None
+    if not np.isfinite(floats).all():
+        raise ValueError(f"{name} must be finite")
+    return floats
+
+
+def _complex(params: dict, name: str, ndim: int) -> np.ndarray:
+    """``ndim`` nested lists of [re, im] pairs, each read as complex(re, im).
+
+    The pairs are viewed as complex128 without arithmetic, so signed zeros
+    survive bit for bit.
+    """
+    pairs = _numbers(params, name, (None,) * ndim + (2,))
+    return pairs.view(np.complex128)[..., 0]
 
 
 def _pair(z) -> list:
@@ -212,7 +251,7 @@ def _write_csv(path: str, header: list, rows: list) -> None:
 
 
 def _run_carleson(params: dict, tol: float) -> tuple[dict, dict, dict]:
-    zeros = _clist(params["zeros"])
+    zeros = _complex(params, "zeros", 1)
     delta = carleson_delta(zeros)
     capacity = delta_capacity(delta)
     results = {"zero_count": len(zeros), "delta": delta, "capacity": capacity}
@@ -224,8 +263,8 @@ def _run_carleson(params: dict, tol: float) -> tuple[dict, dict, dict]:
 
 
 def _run_model_space(params: dict, tol: float) -> tuple[dict, dict, dict]:
-    constant = _c(params["constant"]) if "constant" in params else 1.0
-    h = BlaschkeProduct(zeros=_clist(params["zeros"]), constant=constant)
+    constant = complex(_complex(params, "constant", 0)) if "constant" in params else 1.0
+    h = BlaschkeProduct(zeros=_complex(params, "zeros", 1), constant=constant)
     ms = build_model_space(h, n_trunc=params.get("trunc_n"))
     results = ms.to_dict()
     if "decay_n_max" in params:
@@ -242,8 +281,8 @@ def _run_model_space(params: dict, tol: float) -> tuple[dict, dict, dict]:
 
 def _run_orbit_analysis(params: dict, tol: float) -> tuple[dict, dict, dict]:
     spec = OrbitSpec(
-        T=_cmatrix(params["T"]),
-        f0=_clist(params["f0"]),
+        T=_complex(params, "T", 2),
+        f0=_complex(params, "f0", 1),
         index_set=params["index_set"],
         n_max=params["n_max"],
     )
@@ -287,8 +326,8 @@ def _run_orbit_analysis(params: dict, tol: float) -> tuple[dict, dict, dict]:
 
 def _run_normal_construction(params: dict, tol: float) -> tuple[dict, dict, dict]:
     spec = NormalOrbitSpec(
-        zeros=_clist(params["zeros"]),
-        coeffs=_clist(params["coeffs"]),
+        zeros=_complex(params, "zeros", 1),
+        coeffs=_complex(params, "coeffs", 1),
         tail_energy=params.get("tail_energy"),
     )
     pair = build_normal_pair(spec, params.get("n_max"))
@@ -313,10 +352,11 @@ def _run_normal_construction(params: dict, tol: float) -> tuple[dict, dict, dict
 
 
 def _run_perturbation(params: dict, tol: float) -> tuple[dict, dict, dict]:
-    spec = NormalOrbitSpec(zeros=_clist(params["zeros"]), coeffs=_clist(params["coeffs"]))
-    pair = perturb_tau(
-        spec, params["k"], params["l"], _c(params["tau"]), params.get("n_max")
+    spec = NormalOrbitSpec(
+        zeros=_complex(params, "zeros", 1), coeffs=_complex(params, "coeffs", 1)
     )
+    tau = complex(_complex(params, "tau", 0))
+    pair = perturb_tau(spec, params["k"], params["l"], tau, params.get("n_max"))
     rep = frame_bounds(pair.orbit)
     T = pair.orbit.T
     comm = T @ T.conj().T - T.conj().T @ T
@@ -337,7 +377,7 @@ def _run_perturbation(params: dict, tol: float) -> tuple[dict, dict, dict]:
 
 
 def _run_biinfinite(params: dict, tol: float) -> tuple[dict, dict, dict]:
-    sigma = ArcSet(tuple(tuple(a) for a in params["arcs"]))
+    sigma = ArcSet(tuple(map(tuple, _numbers(params, "arcs", (None, 2)).tolist())))
     M = params["M"]
     n_max = params.get("n_max", M)
     grid = build_grid(sigma, M)
@@ -355,7 +395,7 @@ def _run_biinfinite(params: dict, tol: float) -> tuple[dict, dict, dict]:
         "frame_report": rep.to_dict(),
     }
     if "psi" in params:
-        psi = _clist(params["psi"])
+        psi = _complex(params, "psi", 1)
         reseeded = commutant_multiplier(sigma, M, psi, n_max=n_max)
         rep2 = frame_bounds(reseeded)
         mods2 = np.abs(psi) ** 2
@@ -368,7 +408,8 @@ def _run_biinfinite(params: dict, tol: float) -> tuple[dict, dict, dict]:
 
 
 def _run_translates(params: dict, tol: float) -> tuple[dict, dict, dict]:
-    prof = translates_phi(params["fhat_samples"], params["period_count"])
+    samples = _numbers(params, "fhat_samples", (None,))
+    prof = translates_phi(samples, params["period_count"])
     results = {
         "grid_size": int(prof.phi.shape[0]),
         "support_measure": prof.measure,
@@ -396,11 +437,24 @@ _HANDLERS = {
 }
 
 
+def _validate(validator, instance) -> None:
+    error = best_match(validator.iter_errors(instance))
+    if error is not None:
+        raise error
+
+
+def _report_text(report: dict) -> str:
+    try:
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError(f"the report holds a non-finite number ({exc})") from None
+
+
 def run_problem(problem: dict, tol: float = DEFAULT_TOL) -> dict:
     """Validate and execute one problem dict, returning the report dict."""
-    jsonschema.validate(problem, _PROBLEM_SCHEMA)
+    _validate(_PROBLEM_VALIDATOR, problem)
     kind = problem["kind"]
-    jsonschema.validate(problem["parameters"], _PARAMETER_SCHEMAS[kind])
+    _validate(_PARAMETER_VALIDATORS[kind], problem["parameters"])
     results, certificates, tolerances = _HANDLERS[kind](problem["parameters"], tol)
     tolerances["tol"] = tol
     return {
@@ -415,13 +469,15 @@ def run_problem(problem: dict, tol: float = DEFAULT_TOL) -> dict:
 def _cmd_run(args) -> int:
     try:
         with open(args.problem, "r", encoding="utf-8") as fh:
-            problem = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            problem = json.load(fh, parse_constant=_Literal)
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read problem file: {exc}", file=sys.stderr)
         return 2
     start = time.perf_counter()
     try:
         report = run_problem(problem, tol=args.tol)
+        elapsed = time.perf_counter() - start
+        text = _report_text(report)
     except jsonschema.ValidationError as exc:
         print(f"error: invalid problem file: {exc.message}", file=sys.stderr)
         return 2
@@ -431,8 +487,6 @@ def _cmd_run(args) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    elapsed = time.perf_counter() - start
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     out_path = args.out or problem.get("output")
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .blaschke import carleson_delta, delta_capacity, validate_zeros
 from .config import max_truncation
+from .errors import NumericalError
 from .orbits import OrbitSpec
 
 #: Condition ceiling for the Riesz-pair change of basis.
@@ -71,13 +72,18 @@ class NormalOrbitSpec:
             )
         if zeros.shape[0] == 0:
             raise ValueError("at least one zero is required")
-        weights = np.abs(coeffs) ** 2 / (1.0 - np.abs(zeros) ** 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = np.abs(coeffs) ** 2 / (1.0 - np.abs(zeros) ** 2)
         alpha = float(np.min(weights))
         beta = float(np.max(weights))
+        if not math.isfinite(beta):
+            raise ValueError(
+                "coeffs must give finite seed weights |c_j|^2 / (1 - |lambda_j|^2)"
+            )
         if alpha <= 0.0:
             raise ValueError("every seed weight must be nonzero")
-        if self.tail_energy is not None and not self.tail_energy >= 0.0:
-            raise ValueError("tail energy must be nonnegative")
+        if self.tail_energy is not None and not 0.0 <= self.tail_energy < math.inf:
+            raise ValueError("tail energy must be finite and nonnegative")
         delta = carleson_delta(zeros)
         capacity = delta_capacity(delta)
         zeros.setflags(write=False)
@@ -265,6 +271,19 @@ def perturb_tau(
     if d == 0:
         raise ValueError("the two selected zeros coincide; no eigenbasis splits them")
     tau = complex(tau)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _perturbed_pair(spec, k, l, tau, d, n_max)
+    except ArithmeticError as exc:
+        raise NumericalError(
+            f"tau = {tau} takes the perturbed pair out of the float range ({exc})"
+        ) from None
+
+
+def _perturbed_pair(
+    spec: NormalOrbitSpec, k: int, l: int, tau: complex, d: complex, n_max: int | None
+) -> PerturbedPair:
+    """The closed forms of ``perturb_tau`` for validated indices."""
     bad = excluded_tau(spec, k, l)
     if abs(tau - bad) <= EXCLUDED_TAU_RTOL * abs(bad):
         raise ValueError(
@@ -272,6 +291,7 @@ def perturb_tau(
             f"the perturbed orbit drops a spectral direction"
         )
 
+    J = spec.size
     T = np.diag(spec.zeros).astype(np.complex128)
     T[l, k] += tau
 
@@ -298,6 +318,11 @@ def perturb_tau(
     disc = math.sqrt(max(trace * trace - 4.0 * det, 0.0))
     block_hi = (trace + disc) / 2.0
     block_lo = (trace - disc) / 2.0
+    if not block_lo > 0.0:
+        raise NumericalError(
+            f"the Riesz block of tau = {tau} is singular in floating point "
+            f"(eigenvalues {block_lo:.3e} and {block_hi:.3e})"
+        )
     riesz_lower = 1.0 / block_hi
     riesz_upper = 1.0 / block_lo
 

@@ -141,11 +141,13 @@ def synthesis_matrix(spec: OrbitSpec) -> np.ndarray:
     Raises ``NumericalError`` when any column norm exceeds the overflow
     ceiling (spectral radius above 1 on a one-sided orbit, typically).
     """
-    cols = orbit_columns(spec.T, spec.f0, spec.n_max)
-    if spec.index_set == "Z":
-        backward = orbit_columns(np.linalg.inv(spec.T), spec.f0, spec.n_max)
-        cols = np.concatenate([backward[:, :0:-1], cols], axis=1)
-    norms = np.linalg.norm(cols, axis=0)
+    # A diverging orbit may overflow to inf or nan; the norm check rejects it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cols = orbit_columns(spec.T, spec.f0, spec.n_max)
+        if spec.index_set == "Z":
+            backward = orbit_columns(np.linalg.inv(spec.T), spec.f0, spec.n_max)
+            cols = np.concatenate([backward[:, :0:-1], cols], axis=1)
+        norms = np.linalg.norm(cols, axis=0)
     if np.any(norms > COLUMN_OVERFLOW) or not np.all(np.isfinite(norms)):
         worst = int(np.argmax(norms))
         raise NumericalError(

@@ -218,6 +218,13 @@ class TestTranslatesPhi:
         with pytest.raises(ValueError, match="identically zero"):
             translates_phi(np.zeros(64), 4)
 
+    @pytest.mark.parametrize("bad", [np.nan, 1.7e308])
+    def test_non_finite_fold_rejected(self, bad):
+        samples = np.ones(64)
+        samples[[3, 35]] = bad  # both land in folding slot 3
+        with pytest.raises(ValueError, match="finite profile"):
+            translates_phi(samples, 1)
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             translates_phi(np.full(64, -1.0), 4)

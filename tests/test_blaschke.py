@@ -58,6 +58,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             BlaschkeProduct(zeros=[0.1], constant=0.5)
 
+    def test_rejects_constant_past_float_range(self):
+        with pytest.raises(ValueError, match=r"\|c\| = inf"):
+            BlaschkeProduct(zeros=[0.1], constant=complex(1.7e308, 1.7e308))
+
     def test_degree(self):
         assert BlaschkeProduct(zeros=[0.1, 0.2]).degree == 2
 

@@ -1,10 +1,19 @@
 """End-to-end CLI checks: schema gate, reports, side files, exit codes."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema.validators import validator_for
 
+from orbitframes import cli
 from orbitframes.cli import main
 
 CAPACITY_HALF = 76.36141955583651
@@ -37,12 +46,16 @@ class TestCarleson:
         )
         assert "log" in report["certificates"]["capacity_formula"]
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "huge-int"]
+    )
     def test_non_finite_zero_exit_2(self, tmp_path, capsys, bad):
         payload = {"kind": "carleson", "parameters": {"zeros": [[bad, 0.0]]}}
         rc = main(["run", str(write_problem(tmp_path, payload))])
         assert rc == 2
-        assert "finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "finite" in err
+        assert "zeros" in err
 
     def test_duplicate_zeros_exit_2(self, tmp_path, capsys):
         payload = {
@@ -361,6 +374,14 @@ class TestInputGate:
         assert rc == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_deeply_nested_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        nested = "[" * 100_000 + "]" * 100_000
+        path.write_text(f'{{"kind": "carleson", "parameters": {{"zeros": {nested}}}}}')
+        rc = main(["run", str(path)])
+        assert rc == 2
+        assert "cannot read" in capsys.readouterr().err
+
     def test_unknown_kind_exit_2(self, tmp_path, capsys):
         rc = main(
             ["run", str(write_problem(tmp_path, {"kind": "mystery", "parameters": {}}))]
@@ -382,6 +403,209 @@ class TestInputGate:
         rc = main(["run", str(write_problem(tmp_path, payload))])
         assert rc == 2
         assert "invalid problem" in capsys.readouterr().err
+
+    NAN = float("nan")
+
+    @pytest.mark.parametrize(
+        "kind, parameters, name",
+        [
+            ("model_space", {"zeros": [[0.5, 0.0]], "constant": [NAN, 0.0]}, "constant"),
+            (
+                "perturbation",
+                {
+                    "zeros": [[0.5, 0.0], [0.75, 0.0]],
+                    "coeffs": [[1.0, 0.0], [1.0, 0.0]],
+                    "k": 0,
+                    "l": 1,
+                    "tau": [NAN, 0.0],
+                },
+                "tau",
+            ),
+            (
+                "translates",
+                {"fhat_samples": [0.0, 1.0, NAN, 0.0], "period_count": 1},
+                "fhat_samples",
+            ),
+            (
+                "biinfinite",
+                {"arcs": [[0.0, 3.141592653589793]], "M": 8, "psi": [[NAN, 0.0]] * 4},
+                "psi",
+            ),
+            ("biinfinite", {"arcs": [[0.0, 10**400]], "M": 8}, "arcs"),
+            ("carleson", {"zeros": [[True, 0.0]]}, "zeros"),
+            ("carleson", {"zeros": [[0.5, "0"]]}, "zeros"),
+            ("carleson", {"zeros": [[0.5, 0.0, 0.0]]}, "zeros"),
+            ("carleson", {"zeros": [[[0.5, 0.0]]]}, "zeros"),
+            (
+                "orbit_analysis",
+                {
+                    "T": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],
+                    "f0": [[1.0, 0.0], [0.0, 0.0]],
+                    "index_set": "N",
+                    "n_max": 4,
+                },
+                "T",
+            ),
+        ],
+    )
+    def test_bad_numeric_payload_names_parameter(
+        self, tmp_path, capsys, kind, parameters, name
+    ):
+        payload = {"kind": kind, "parameters": parameters}
+        rc = main(["run", str(write_problem(tmp_path, payload))])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {name} ")
+
+    @pytest.mark.parametrize(
+        "kind, parameters, expected",
+        [
+            (
+                "carleson",
+                '{"zeros": [[-Infinity, 0.0]]}',
+                "zeros must be finite, got -Infinity",
+            ),
+            ("carleson", '{"zeros": [[0.5, 0.0]], "extra": NaN}', "invalid problem file"),
+            ("carleson", '{"zeros": NaN}', "NaN is not of type 'array'"),
+            (
+                "normal_construction",
+                '{"zeros": [[0.5, 0.0]], "coeffs": [[1.0, 0.0]], "tail_energy": Infinity}',
+                "Infinity is not of type 'number'",
+            ),
+            (
+                "normal_construction",
+                '{"zeros": [[0.5, 0.0]], "coeffs": [[1.0, 0.0]], "tail_energy": 1e400}',
+                "tail energy must be finite",
+            ),
+        ],
+    )
+    def test_non_finite_json_number_exit_2(
+        self, tmp_path, capsys, kind, parameters, expected
+    ):
+        path = tmp_path / "problem.json"
+        path.write_text(f'{{"kind": "{kind}", "parameters": {parameters}}}')
+        rc = main(["run", str(path)])
+        assert rc == 2
+        assert expected in capsys.readouterr().err
+
+    def test_signed_zeros_survive_intake(self, tmp_path, capsys):
+        payload = {
+            "kind": "normal_construction",
+            "parameters": {
+                "zeros": [[-0.0, -0.0], [0.5, 0.0]],
+                "coeffs": [[1.0, -0.0], [-0.0, 1.0]],
+            },
+        }
+        spec = run_to_report(tmp_path, payload, capsys)["results"]["spec"]
+        pairs = spec["zeros"] + spec["coeffs"]
+        signs = [math.copysign(1.0, x) for pair in pairs for x in pair]
+        assert signs == [-1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0]
+
+    def test_non_finite_report_exit_3(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "report.json"
+        monkeypatch.setitem(
+            cli._HANDLERS, "carleson", lambda params, tol: ({"delta": math.nan}, {}, {})
+        )
+        payload = {"kind": "carleson", "parameters": {"zeros": [[0.5, 0.0]]}}
+        rc = main(["run", str(write_problem(tmp_path, payload)), "--out", str(out)])
+        assert rc == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "schema",
+        [cli._PROBLEM_SCHEMA, *cli._PARAMETER_SCHEMAS.values()],
+        ids=["problem", *cli._PARAMETER_SCHEMAS],
+    )
+    def test_schema_passes_its_metaschema(self, schema):
+        validator_for(schema).check_schema(schema)
+
+
+def _reject_constant(token):
+    raise ValueError(f"report holds {token}")
+
+
+def _same_shape(value, leaf):
+    """Strategy for ``value``'s nested list shape with every leaf drawn from ``leaf``."""
+    if isinstance(value, list):
+        return st.tuples(*(_same_shape(v, leaf) for v in value)).map(list)
+    return leaf
+
+
+class TestIntakeProperty:
+    """Any numeric payload, finite or not, ends in exit 0, 2 or 3."""
+
+    BASE = {
+        "carleson": {"zeros": [[0.5, 0.0], [-0.3, 0.2]]},
+        "model_space": {"zeros": [[0.5, 0.0]], "constant": [1.0, 0.0], "decay_n_max": 4},
+        "orbit_analysis": {
+            "T": [[[0.5, 0.0], [0.0, 0.0]], [[0.1, 0.0], [0.3, 0.0]]],
+            "f0": [[1.0, 0.0], [1.0, 0.0]],
+            "index_set": "N",
+            "n_max": 8,
+            "recover_generator": True,
+        },
+        "normal_construction": {
+            "zeros": [[0.0, 0.0], [0.5, 0.0]],
+            "coeffs": [[1.0, 0.0], [0.8, 0.0]],
+            "n_max": 16,
+        },
+        "perturbation": {
+            "zeros": [[0.5, 0.0], [0.75, 0.0]],
+            "coeffs": [[1.0, 0.0], [1.0, 0.0]],
+            "k": 0,
+            "l": 1,
+            "tau": [0.1, 0.0],
+            "n_max": 16,
+        },
+        "biinfinite": {
+            "arcs": [[0.0, 3.141592653589793]],
+            "M": 8,
+            "n_max": 8,
+            "psi": [[1.0, 0.0]] * 4,
+        },
+        "translates": {"fhat_samples": [0.0, 1.0, 1.0, 0.5], "period_count": 1},
+    }
+    NUMERIC = {
+        "carleson": ["zeros"],
+        "model_space": ["zeros", "constant"],
+        "orbit_analysis": ["T", "f0"],
+        "normal_construction": ["zeros", "coeffs"],
+        "perturbation": ["zeros", "coeffs", "tau"],
+        "biinfinite": ["arcs", "psi"],
+        "translates": ["fhat_samples"],
+    }
+    FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers())
+    LEAF = st.one_of(
+        FINITE,
+        st.floats(),
+        st.sampled_from([10**400, -(10**400), True, None, "1"]),
+    )
+    TREE = st.recursive(LEAF, lambda inner: st.lists(inner, max_size=3), max_leaves=8)
+
+    @pytest.mark.parametrize("kind", sorted(BASE))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_and_report(self, kind, data):
+        parameters = dict(self.BASE[kind])
+        for name in data.draw(st.sets(st.sampled_from(self.NUMERIC[kind]), min_size=1)):
+            parameters[name] = data.draw(
+                st.one_of(
+                    _same_shape(parameters[name], self.FINITE),
+                    _same_shape(parameters[name], self.LEAF),
+                    self.TREE,
+                ),
+                label=name,
+            )
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "problem.json"
+            path.write_text(json.dumps({"kind": kind, "parameters": parameters}))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["run", str(path)])
+        assert rc in (0, 2, 3), err.getvalue()
+        if rc == 0:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 class TestVerifyCommand:

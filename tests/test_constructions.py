@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from orbitframes import (
     NormalOrbitSpec,
+    NumericalError,
     build_normal_pair,
     build_riesz_pair,
     certificate_bounds,
@@ -61,6 +62,15 @@ class TestNormalOrbitSpec:
     def test_rejects_negative_tail_energy(self):
         with pytest.raises(ValueError, match="tail energy"):
             NormalOrbitSpec(zeros=[0.3], coeffs=[1.0], tail_energy=-0.5)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_tail_energy(self, bad):
+        with pytest.raises(ValueError, match="tail energy must be finite"):
+            NormalOrbitSpec(zeros=[0.3], coeffs=[1.0], tail_energy=bad)
+
+    def test_rejects_overflowing_weight(self):
+        with pytest.raises(ValueError, match="finite seed weights"):
+            NormalOrbitSpec(zeros=[0.3, 0.6], coeffs=[1.0, 1e200])
 
     def test_arrays_frozen(self):
         spec = NormalOrbitSpec(zeros=[0.3], coeffs=[1.0])
@@ -310,6 +320,16 @@ class TestPerturbTau:
             perturb_tau(spec, 0, 5, 0.1)
         with pytest.raises(ValueError, match="distinct"):
             perturb_tau(spec, 1, 1, 0.1)
+
+    @pytest.mark.parametrize(
+        "tau",
+        [3.4e16, 1e100, 1e200, complex(1.7e308, 1.7e308)],
+        ids=["block-lo-zero", "block-lo-inf", "square-overflows", "abs-overflows"],
+    )
+    def test_tau_past_float_range_is_numerical_error(self, tau):
+        spec = NormalOrbitSpec(zeros=[0.5, 0.75], coeffs=[1.0, 1.0])
+        with pytest.raises(NumericalError, match="tau = "):
+            perturb_tau(spec, 0, 1, tau)
 
     def test_to_dict_keys(self):
         spec = NormalOrbitSpec(zeros=[0.5, 0.75], coeffs=[1.0, 1.0])

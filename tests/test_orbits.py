@@ -143,6 +143,14 @@ class TestSynthesisMatrix:
         with pytest.raises(NumericalError, match="diverges"):
             synthesis_matrix(spec)
 
+    @pytest.mark.parametrize("T, f0", [(1e200, 1.0), (0.5, 1e200), (1e200, 1e-200)])
+    def test_float_overflow_is_numerical_error(self, T, f0):
+        # Under the suite's warning filter this also shows that no numpy
+        # overflow warning escapes the guard.
+        spec = OrbitSpec(T=np.array([[T]]), f0=np.array([f0]), index_set="N", n_max=4)
+        with pytest.raises(NumericalError, match="diverges"):
+            synthesis_matrix(spec)
+
     def test_contraction_norms_nonincreasing(self):
         T = np.diag([0.9, 0.5j])
         spec = OrbitSpec(T=T, f0=np.array([1.0, 1.0]), index_set="N", n_max=40)
