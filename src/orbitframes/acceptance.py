@@ -265,11 +265,12 @@ def _check_decay_dichotomy(rng) -> tuple[bool, str]:
 
 
 def _check_biinfinite_parseval() -> tuple[bool, str]:
-    exact = parseval_defect(full_circle(), 64, 63)
+    exact = parseval_defect(build_multiplication_pair(full_circle(), 64, n_max=63), 64)
     half = ArcSet(((0.0, math.pi),))
-    trend = [parseval_defect(half, 256, n) for n in (256, 512, 1024)]
+    pairs = [build_multiplication_pair(half, 256, n_max=n) for n in (256, 512, 1024)]
+    trend = [parseval_defect(pair, 256) for pair in pairs]
     decreasing = trend[0] > trend[1] > trend[2]
-    u_defect = unitarity_defect(build_multiplication_pair(half, 256, n_max=1024))
+    u_defect = unitarity_defect(pairs[-1])
     ok = exact < 1e-12 and decreasing and u_defect < 1e-8
     return ok, (
         f"full-circle defect {exact:.3e}, half-circle trend "

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orbits import OrbitSpec, synthesis_matrix
+# synthesis_matrix is unused here, but the module keeps the binding that
+# perfbench/test_tracer.py patches to check that tracing reaches every module.
+from .orbits import OrbitSpec, synthesis_matrix  # noqa: F401
 
 #: Default floor under which a multiplier sample counts as vanishing.
 MULTIPLIER_FLOOR = 1e-8
@@ -160,31 +162,22 @@ def build_multiplication_pair(
     return OrbitSpec(T=T, f0=f0, index_set="Z", n_max=int(n_max))
 
 
-def parseval_defect(sigma: ArcSet, M: int, n_max: int) -> float:
+def parseval_defect(pair: OrbitSpec, M: int) -> float:
     """Distance of the per-period averaged frame operator from the identity.
 
-    For the full circle with the window covering at least one period the
-    sum is taken over exactly one period, where it telescopes to the
-    identity (discrete Fourier orthogonality) and the defect is float
-    noise.  Otherwise the symmetric window sum is scaled by
-    M / (2 n_max + 1), the per-period average.
+    ``pair`` is the multiplication pair of an arc set on the M-th roots of
+    unity.  For the full circle (every grid point masked) with the window
+    covering at least one period the sum is taken over exactly one period,
+    where it telescopes to the identity (discrete Fourier orthogonality)
+    and the defect is float noise.  Otherwise the symmetric window sum is
+    scaled by M / (2 n_max + 1), the per-period average.
     """
-    n_max = int(n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    grid = build_grid(sigma, M)
-    full = grid.count == grid.M
-    if full and n_max >= grid.M - 1:
-        base = build_multiplication_pair(sigma, M)
-        period = OrbitSpec(T=base.T, f0=base.f0, index_set="N", n_max=grid.M - 1)
-        U = synthesis_matrix(period)
-        S = U @ U.conj().T
+    if pair.dim == M and pair.n_max >= M - 1:
+        period = OrbitSpec(T=pair.T, f0=pair.f0, index_set="N", n_max=M - 1)
+        S = period.frame_operator
     else:
-        spec = build_multiplication_pair(sigma, M, n_max=n_max)
-        U = synthesis_matrix(spec)
-        S = (grid.M / (2.0 * n_max + 1.0)) * (U @ U.conj().T)
-    D = S.shape[0]
-    return float(np.linalg.norm(S - np.eye(D), 2))
+        S = (M / (2.0 * pair.n_max + 1.0)) * pair.frame_operator
+    return float(np.linalg.norm(S - np.eye(pair.dim), 2))
 
 
 @dataclass(frozen=True)
@@ -252,36 +245,28 @@ def translates_phi(fhat_samples, period_count: int) -> TranslatesProfile:
 
 
 def commutant_multiplier(
-    sigma: ArcSet,
-    M: int,
-    psi_samples,
-    floor: float = MULTIPLIER_FLOOR,
-    n_max: int | None = None,
+    pair: OrbitSpec, psi_samples, floor: float = MULTIPLIER_FLOOR
 ) -> OrbitSpec:
     """Reseed the grid pair with psi times the constant function.
 
-    ``psi_samples`` gives the multiplier on the masked grid points (in
-    mask order).  Bounded invertibility is what keeps the orbit a frame,
-    so any sample with modulus at or below ``floor`` is rejected, with
-    the offending grid point reported.  The accepted orbit's frame
-    bounds sit inside [A min|psi|^2, B max|psi|^2] for the original
-    bounds A, B.
+    ``psi_samples`` gives the multiplier on the masked grid points of
+    ``pair`` (in mask order).  Bounded invertibility is what keeps the
+    orbit a frame, so any sample with modulus at or below ``floor`` is
+    rejected, with the offending grid point reported.  The accepted
+    orbit's frame bounds sit inside [A min|psi|^2, B max|psi|^2] for the
+    original bounds A, B.
     """
-    base = build_multiplication_pair(sigma, M, n_max=n_max)
     psi = np.asarray(psi_samples, dtype=np.complex128).reshape(-1)
-    if psi.shape[0] != base.dim:
+    if psi.shape[0] != pair.dim:
         raise ValueError(
-            f"{psi.shape[0]} multiplier samples for {base.dim} masked grid points"
+            f"{psi.shape[0]} multiplier samples for {pair.dim} masked grid points"
         )
     mods = np.abs(psi)
     worst = int(np.argmin(mods))
     if mods[worst] <= floor:
-        grid = build_grid(sigma, M)
-        angle = float(grid.angles[grid.mask][worst])
+        angle = float(np.angle(pair.T[worst, worst])) % TWO_PI
         raise ValueError(
             f"multiplier vanishes at masked point {worst} "
             f"(angle {angle:.6f} rad): |psi| = {mods[worst]:.3e} <= floor {floor:.0e}"
         )
-    return OrbitSpec(
-        T=base.T, f0=psi * base.f0, index_set="Z", n_max=base.n_max
-    )
+    return OrbitSpec(T=pair.T, f0=psi * pair.f0, index_set="Z", n_max=pair.n_max)

@@ -33,7 +33,6 @@ from .acceptance import format_line, run_battery
 from .biinfinite import (
     SUPPORT_THRESHOLD_REL,
     ArcSet,
-    build_grid,
     build_multiplication_pair,
     commutant_multiplier,
     parseval_defect,
@@ -55,7 +54,6 @@ from .orbits import (
     frame_bounds,
     generator_closure,
     kernel_shift_invariance,
-    synthesis_matrix,
     unitarity_defect,
 )
 
@@ -110,7 +108,6 @@ _PARAMETER_SCHEMAS = {
             "zeros": _ARRAY,
             "coeffs": _ARRAY,
             "n_max": {"type": "integer", "minimum": 0},
-            "tail_energy": {"type": "number", "minimum": 0},
         },
     },
     "perturbation": {
@@ -288,7 +285,7 @@ def _run_orbit_analysis(params: dict, tol: float) -> tuple[dict, dict, dict]:
     )
     results = {"frame_report": frame_bounds(spec).to_dict()}
     if spec.index_set == "N":
-        U = synthesis_matrix(spec)
+        U = spec.columns
         results["kernel_residual"] = kernel_shift_invariance(U, tol)
         if params.get("recover_generator"):
             recovered = generator_closure(U, tol)
@@ -326,9 +323,7 @@ def _run_orbit_analysis(params: dict, tol: float) -> tuple[dict, dict, dict]:
 
 def _run_normal_construction(params: dict, tol: float) -> tuple[dict, dict, dict]:
     spec = NormalOrbitSpec(
-        zeros=_complex(params, "zeros", 1),
-        coeffs=_complex(params, "coeffs", 1),
-        tail_energy=params.get("tail_energy"),
+        zeros=_complex(params, "zeros", 1), coeffs=_complex(params, "coeffs", 1)
     )
     pair = build_normal_pair(spec, params.get("n_max"))
     rep = frame_bounds(pair)
@@ -380,23 +375,22 @@ def _run_biinfinite(params: dict, tol: float) -> tuple[dict, dict, dict]:
     sigma = ArcSet(tuple(map(tuple, _numbers(params, "arcs", (None, 2)).tolist())))
     M = params["M"]
     n_max = params.get("n_max", M)
-    grid = build_grid(sigma, M)
     pair = build_multiplication_pair(sigma, M, n_max=n_max)
     rep = frame_bounds(pair)
     results = {
         "arcs": sigma.to_json(),
         "M": M,
         "n_max": n_max,
-        "mask_count": grid.count,
-        "mask_measure": grid.count / M,
+        "mask_count": pair.dim,
+        "mask_measure": pair.dim / M,
         "arc_measure": sigma.measure,
-        "parseval_defect": parseval_defect(sigma, M, n_max),
+        "parseval_defect": parseval_defect(pair, M),
         "unitarity_defect": unitarity_defect(pair),
         "frame_report": rep.to_dict(),
     }
     if "psi" in params:
         psi = _complex(params, "psi", 1)
-        reseeded = commutant_multiplier(sigma, M, psi, n_max=n_max)
+        reseeded = commutant_multiplier(pair, psi)
         rep2 = frame_bounds(reseeded)
         mods2 = np.abs(psi) ** 2
         results["reseeded_report"] = rep2.to_dict()

@@ -50,14 +50,10 @@ class NormalOrbitSpec:
     alpha and beta are the exact comparability constants of the finite
     data, inf and sup of |c_j|^2 / (1 - |lambda_j|^2); delta is the
     separation of the zeros and capacity its certificate factor.
-    ``tail_energy`` optionally records the seed energy beyond the finite
-    block when the caller has a closed form for it; ``None`` means the
-    model is taken as genuinely finite.
     """
 
     zeros: np.ndarray
     coeffs: np.ndarray
-    tail_energy: float | None = None
     alpha: float = field(init=False)
     beta: float = field(init=False)
     delta: float = field(init=False)
@@ -82,8 +78,6 @@ class NormalOrbitSpec:
             )
         if alpha <= 0.0:
             raise ValueError("every seed weight must be nonzero")
-        if self.tail_energy is not None and not 0.0 <= self.tail_energy < math.inf:
-            raise ValueError("tail energy must be finite and nonnegative")
         delta = carleson_delta(zeros)
         capacity = delta_capacity(delta)
         zeros.setflags(write=False)
@@ -107,8 +101,6 @@ class NormalOrbitSpec:
             "beta": self.beta,
             "delta": self.delta,
             "capacity": self.capacity,
-            "tail_energy": self.tail_energy,
-            "finite_model": self.tail_energy is None,
         }
 
 
@@ -312,19 +304,16 @@ def _perturbed_pair(
     )
 
     # Gram of the dual system deviates from identity only on a 2x2 block
-    # whose inverse spectrum has the closed form below.
+    # whose inverse spectrum has the closed form below.  Its eigenvalues
+    # multiply to det, so the small one is det / block_hi; the textbook
+    # (trace - disc) / 2 cancels as |tau| grows.
     trace = 1.0 + abs(tau) ** 2 + abs(d) ** 2
     det = abs(d) ** 2
     disc = math.sqrt(max(trace * trace - 4.0 * det, 0.0))
     block_hi = (trace + disc) / 2.0
-    block_lo = (trace - disc) / 2.0
-    if not block_lo > 0.0:
-        raise NumericalError(
-            f"the Riesz block of tau = {tau} is singular in floating point "
-            f"(eigenvalues {block_lo:.3e} and {block_hi:.3e})"
-        )
+    block_lo = det / block_hi
     riesz_lower = 1.0 / block_hi
-    riesz_upper = 1.0 / block_lo
+    riesz_upper = block_hi / det
 
     # Seed components along the dual system; the perturbed pair is the
     # h-basis transport of the diagonal model with these weights.
@@ -333,6 +322,12 @@ def _perturbed_pair(
     lo, hi = certificate_bounds(dual_spec)
     cert_lower = lo * block_lo
     cert_upper = hi * block_hi
+    if not all(map(math.isfinite, (riesz_upper, cert_lower, cert_upper))):
+        raise NumericalError(
+            f"tau = {tau} gives a non-finite Riesz bound or certificate "
+            f"(riesz_upper {riesz_upper:.3e}, certificate "
+            f"[{cert_lower:.3e}, {cert_upper:.3e}])"
+        )
 
     if n_max is None:
         rho = float(np.max(np.abs(spec.zeros)))

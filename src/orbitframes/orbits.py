@@ -16,6 +16,7 @@ numerical scope here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +51,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OrbitSpec:
-    """Operator, seed vector, index set ("N" or "Z"), and truncation."""
+    """Operator, seed vector, index set ("N" or "Z"), and truncation.
+
+    The spec owns its orbit: ``columns`` (the synthesis matrix) and
+    ``frame_operator`` (U U*) are built on first use and kept, read-only,
+    for as long as the spec lives, so every property of one orbit reads
+    the same D x L array (16 D L bytes) instead of rebuilding it.
+    """
 
     T: np.ndarray
     f0: np.ndarray
@@ -90,6 +97,19 @@ class OrbitSpec:
     @property
     def dim(self) -> int:
         return self.T.shape[0]
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """The synthesis matrix ``synthesis_matrix(self)``."""
+        return synthesis_matrix(self)
+
+    @cached_property
+    def frame_operator(self) -> np.ndarray:
+        """The truncated frame operator S = U U* of ``columns``."""
+        U = self.columns
+        S = U @ U.conj().T
+        S.setflags(write=False)
+        return S
 
 
 @dataclass(frozen=True)
@@ -154,14 +174,13 @@ def synthesis_matrix(spec: OrbitSpec) -> np.ndarray:
             f"orbit column {worst} has norm {norms[worst]:.3e}; the orbit "
             f"diverges past {COLUMN_OVERFLOW:.0e} at this truncation"
         )
+    cols.setflags(write=False)
     return cols
 
 
 def frame_bounds(spec: OrbitSpec) -> FrameReport:
     """Extreme eigenvalues of S = U U* for the truncated orbit."""
-    U = synthesis_matrix(spec)
-    S = U @ U.conj().T
-    eigs = np.linalg.eigvalsh(S)
+    eigs = np.linalg.eigvalsh(spec.frame_operator)
     lower = max(float(eigs[0]), 0.0)
     upper = float(eigs[-1])
     defect = float(max(abs(eigs - 1.0)))
@@ -338,10 +357,9 @@ def unitarity_defect(spec: OrbitSpec) -> float:
     """
     if spec.index_set != "Z":
         raise ValueError("unitarity defect is defined for two-sided orbits")
-    U = synthesis_matrix(spec)
+    U = spec.columns
     p = _orbit_period(U)
-    block = U[:, :p] if p is not None else U
-    S = block @ block.conj().T
+    S = spec.frame_operator if p is None else U[:, :p] @ U[:, :p].conj().T
     w, Q = np.linalg.eigh(S)
     if w[0] <= 0.0 or w[0] < 1e-14 * w[-1]:
         raise NumericalError(

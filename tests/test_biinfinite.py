@@ -118,13 +118,15 @@ class TestMultiplicationPair:
 
 class TestParsevalDefect:
     def test_full_circle_exact(self):
-        assert grid_parseval_defect(full_circle(), 8, 7) < EXACT_PERIOD_TOL
-        assert grid_parseval_defect(full_circle(), 8, 40) < EXACT_PERIOD_TOL
+        for n in (7, 40):
+            pair = build_multiplication_pair(full_circle(), 8, n_max=n)
+            assert grid_parseval_defect(pair, 8) < EXACT_PERIOD_TOL
 
     def test_masked_one_period_window_exact(self):
         # Odd M lets the symmetric window hold exactly one period, where
         # the root-of-unity sum cancels off the diagonal for any mask.
-        defect = grid_parseval_defect(ArcSet(((0.0, math.pi),)), 9, 4)
+        pair = build_multiplication_pair(ArcSet(((0.0, math.pi),)), 9, n_max=4)
+        defect = grid_parseval_defect(pair, 9)
         assert defect < 1e-13
 
     def test_dirichlet_kernel_oracle(self):
@@ -139,18 +141,22 @@ class TestParsevalDefect:
             (2 * n + 1) * np.sin(diff[off] / 2.0)
         )
         expected = float(np.linalg.norm(K - np.eye(len(theta)), 2))
-        assert grid_parseval_defect(sigma, M, n) == pytest.approx(
+        pair = build_multiplication_pair(sigma, M, n_max=n)
+        assert grid_parseval_defect(pair, M) == pytest.approx(
             expected, abs=ORACLE_TOL
         )
 
     def test_window_doubling_shrinks_defect(self):
         sigma = ArcSet(((0.0, math.pi),))
-        defects = [grid_parseval_defect(sigma, 64, n) for n in (64, 128, 256, 512)]
+        defects = [
+            grid_parseval_defect(build_multiplication_pair(sigma, 64, n_max=n), 64)
+            for n in (64, 128, 256, 512)
+        ]
         assert all(b < a for a, b in zip(defects, defects[1:]))
 
     def test_rejects_negative_window(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            grid_parseval_defect(full_circle(), 8, -1)
+            build_multiplication_pair(full_circle(), 8, n_max=-1)
 
 
 class TestUnitarityOnGrid:
@@ -242,14 +248,15 @@ class TestCommutantMultiplier:
     def test_unit_multiplier_is_noop(self):
         sigma = ArcSet(((0.0, math.pi),))
         base = build_multiplication_pair(sigma, 16, n_max=16)
-        reseeded = commutant_multiplier(sigma, 16, np.ones(base.dim), n_max=16)
+        reseeded = commutant_multiplier(base, np.ones(base.dim))
         assert np.array_equal(reseeded.T, base.T)
         assert np.array_equal(reseeded.f0, base.f0)
 
     def test_constant_two_scales_bounds(self):
         sigma = ArcSet(((0.0, math.pi),))
-        base = frame_bounds(build_multiplication_pair(sigma, 16, n_max=16))
-        moved = frame_bounds(commutant_multiplier(sigma, 16, 2.0 * np.ones(8), n_max=16))
+        pair = build_multiplication_pair(sigma, 16, n_max=16)
+        base = frame_bounds(pair)
+        moved = frame_bounds(commutant_multiplier(pair, 2.0 * np.ones(8)))
         assert moved.lower_bound == pytest.approx(4.0 * base.lower_bound, rel=1e-12)
         assert moved.upper_bound == pytest.approx(4.0 * base.upper_bound, rel=1e-12)
 
@@ -257,8 +264,9 @@ class TestCommutantMultiplier:
         sigma = ArcSet(((0.0, math.pi),))
         rng = np.random.default_rng(21)
         psi = rng.uniform(0.5, 2.0, 8) * np.exp(2j * np.pi * rng.uniform(size=8))
-        base = frame_bounds(build_multiplication_pair(sigma, 16, n_max=16))
-        moved = frame_bounds(commutant_multiplier(sigma, 16, psi, n_max=16))
+        pair = build_multiplication_pair(sigma, 16, n_max=16)
+        base = frame_bounds(pair)
+        moved = frame_bounds(commutant_multiplier(pair, psi))
         lo, hi = np.min(np.abs(psi)) ** 2, np.max(np.abs(psi)) ** 2
         assert moved.lower_bound >= base.lower_bound * lo * (1 - 1e-12)
         assert moved.upper_bound <= base.upper_bound * hi * (1 + 1e-12)
@@ -267,9 +275,13 @@ class TestCommutantMultiplier:
         sigma = ArcSet(((0.0, math.pi),))
         psi = np.ones(8)
         psi[3] = 1e-9
-        with pytest.raises(ValueError, match="vanishes at masked point 3"):
-            commutant_multiplier(sigma, 16, psi)
+        pair = build_multiplication_pair(sigma, 16)
+        # Point 3 of the masked half circle is the grid angle 2 pi * 3 / 16.
+        with pytest.raises(ValueError, match=r"masked point 3 \(angle 1\.178097 rad\)"):
+            commutant_multiplier(pair, psi)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="multiplier samples"):
-            commutant_multiplier(ArcSet(((0.0, math.pi),)), 16, np.ones(5))
+            commutant_multiplier(
+                build_multiplication_pair(ArcSet(((0.0, math.pi),)), 16), np.ones(5)
+            )

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
-from orbitframes import cli
+from orbitframes import cli, orbits
 from orbitframes.cli import main
 
 CAPACITY_HALF = 76.36141955583651
@@ -30,6 +30,20 @@ def run_to_report(tmp_path, payload, capsys):
     captured = capsys.readouterr()
     assert rc == 0, captured.err
     return json.loads(captured.out)
+
+
+@pytest.fixture
+def power_loops(monkeypatch):
+    """Records the window length of every run of the orbit power loop."""
+    calls = []
+    real = orbits.orbit_columns
+
+    def counted(T, v, n_max):
+        calls.append(n_max)
+        return real(T, v, n_max)
+
+    monkeypatch.setattr(orbits, "orbit_columns", counted)
+    return calls
 
 
 class TestCarleson:
@@ -122,6 +136,20 @@ class TestOrbitAnalysis:
         assert results["generator"][0][0][0] == pytest.approx(0.5, abs=1e-10)
         assert results["generator_consistency"] < 1e-10
         assert results["frame_report"]["tail_estimate"] is not None
+
+    def test_one_orbit_build(self, tmp_path, capsys, power_loops):
+        payload = {
+            "kind": "orbit_analysis",
+            "parameters": {
+                "T": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.25, 0.0]]],
+                "f0": [[1.0, 0.0], [1.0, 0.0]],
+                "index_set": "N",
+                "n_max": 40,
+                "recover_generator": True,
+            },
+        }
+        run_to_report(tmp_path, payload, capsys)
+        assert power_loops == [40]
 
     def test_two_sided_unitarity(self, tmp_path, capsys):
         payload = {
@@ -242,6 +270,24 @@ class TestPerturbation:
         assert rc == 2
         assert "excluded" in captured.err
 
+    def test_tau_past_float_range_diverges_exit_3(self, tmp_path, capsys):
+        # The Riesz block stays resolved at this tau (its small eigenvalue
+        # no longer cancels to 0), so the orbit itself is what fails.
+        payload = {
+            "kind": "perturbation",
+            "parameters": {
+                "zeros": [[0.5, 0.0], [0.75, 0.0]],
+                "coeffs": [[1.0, 0.0], [1.0, 0.0]],
+                "k": 0,
+                "l": 1,
+                "tau": [3.4e16, 0.0],
+            },
+        }
+        rc = main(["run", str(write_problem(tmp_path, payload))])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "diverges" in captured.err
+
 
 class TestBiinfinite:
     def test_full_circle(self, tmp_path, capsys):
@@ -286,6 +332,21 @@ class TestBiinfinite:
         captured = capsys.readouterr()
         assert rc == 2
         assert "vanishes" in captured.err
+
+    def test_one_orbit_build_per_pair(self, tmp_path, capsys, power_loops):
+        # Forward and backward loops for the pair and for the reseeded
+        # orbit; the defects and bounds reuse the pair's columns.
+        payload = {
+            "kind": "biinfinite",
+            "parameters": {
+                "arcs": [[0.0, 3.141592653589793]],
+                "M": 8,
+                "n_max": 12,
+                "psi": [[2.0, 0.0]] * 4,
+            },
+        }
+        run_to_report(tmp_path, payload, capsys)
+        assert power_loops == [12] * 4
 
 
 class TestTranslates:
@@ -469,13 +530,8 @@ class TestInputGate:
             ("carleson", '{"zeros": NaN}', "NaN is not of type 'array'"),
             (
                 "normal_construction",
-                '{"zeros": [[0.5, 0.0]], "coeffs": [[1.0, 0.0]], "tail_energy": Infinity}',
-                "Infinity is not of type 'number'",
-            ),
-            (
-                "normal_construction",
-                '{"zeros": [[0.5, 0.0]], "coeffs": [[1.0, 0.0]], "tail_energy": 1e400}',
-                "tail energy must be finite",
+                '{"zeros": [[0.5, 0.0]], "coeffs": [[1.0, 0.0]], "n_max": Infinity}',
+                "Infinity is not of type 'integer'",
             ),
         ],
     )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitframes import orbits
 from orbitframes import (
     BlaschkeProduct,
     CommutatorError,
@@ -116,6 +117,30 @@ class TestOrbitSpec:
             spec.T[0, 0] = 5.0
         with pytest.raises(ValueError):
             spec.f0[0] = 5.0
+
+    @pytest.mark.parametrize("index_set, loops", [("N", 1), ("Z", 2)])
+    def test_orbit_built_once(self, monkeypatch, index_set, loops):
+        calls = []
+        real = orbits.orbit_columns
+        monkeypatch.setattr(
+            orbits, "orbit_columns", lambda *args: calls.append(1) or real(*args)
+        )
+        spec = OrbitSpec(T=np.diag([0.5, 0.8]), f0=np.ones(2), index_set=index_set, n_max=6)
+        assert spec.columns is spec.columns
+        assert spec.frame_operator is spec.frame_operator
+        assert len(calls) == loops
+        assert np.array_equal(spec.columns, synthesis_matrix(spec))
+        U = spec.columns
+        assert np.array_equal(spec.frame_operator, U @ U.conj().T)
+        for array in (spec.columns, spec.frame_operator):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 5.0
+        calls.clear()
+        frame_bounds(spec)
+        if index_set == "Z":
+            unitarity_defect(spec)
+        assert calls == []
 
 
 class TestSynthesisMatrix:
