@@ -21,15 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MULTIPLIER_FLOOR, SUPPORT_THRESHOLD_REL, check_size
+
 # synthesis_matrix is unused here, but the module keeps the binding that
 # perfbench/test_tracer.py patches to check that tracing reaches every module.
 from .orbits import OrbitSpec, synthesis_matrix  # noqa: F401
-
-#: Default floor under which a multiplier sample counts as vanishing.
-MULTIPLIER_FLOOR = 1e-8
-
-#: Fraction of the peak below which a periodized profile counts as zero.
-SUPPORT_THRESHOLD_REL = 1e-6
 
 TWO_PI = 2.0 * math.pi
 
@@ -132,6 +128,7 @@ def build_grid(sigma: ArcSet, M: int) -> GridModel:
     M = int(M)
     if M < 1:
         raise ValueError("grid size must be at least 1")
+    check_size("grid size M", M)
     angles = TWO_PI * np.arange(M) / M
     mask = sigma.contains(angles)
     angles.setflags(write=False)
@@ -206,7 +203,7 @@ def translates_phi(fhat_samples, period_count: int) -> TranslatesProfile:
     ``fhat_samples`` are values of |fhat|^2 on the uniform grid of
     [-period_count, period_count) whose length must be divisible by
     2 * period_count; the sample at -period_count + (b + i/m) lands in
-    folding slot i.  Support is thresholded at 1e-6 of the peak.
+    slot i.  Support is thresholded at ``SUPPORT_THRESHOLD_REL`` * peak.
     """
     period_count = int(period_count)
     if period_count < 1:
@@ -244,17 +241,15 @@ def translates_phi(fhat_samples, period_count: int) -> TranslatesProfile:
     )
 
 
-def commutant_multiplier(
-    pair: OrbitSpec, psi_samples, floor: float = MULTIPLIER_FLOOR
-) -> OrbitSpec:
+def commutant_multiplier(pair: OrbitSpec, psi_samples) -> OrbitSpec:
     """Reseed the grid pair with psi times the constant function.
 
     ``psi_samples`` gives the multiplier on the masked grid points of
     ``pair`` (in mask order).  Bounded invertibility is what keeps the
-    orbit a frame, so any sample with modulus at or below ``floor`` is
-    rejected, with the offending grid point reported.  The accepted
-    orbit's frame bounds sit inside [A min|psi|^2, B max|psi|^2] for the
-    original bounds A, B.
+    orbit a frame, so any sample with modulus at or below
+    ``MULTIPLIER_FLOOR`` is rejected, with the offending grid point
+    reported.  The accepted orbit's frame bounds sit inside
+    [A min|psi|^2, B max|psi|^2] for the original bounds A, B.
     """
     psi = np.asarray(psi_samples, dtype=np.complex128).reshape(-1)
     if psi.shape[0] != pair.dim:
@@ -263,10 +258,10 @@ def commutant_multiplier(
         )
     mods = np.abs(psi)
     worst = int(np.argmin(mods))
-    if mods[worst] <= floor:
+    if mods[worst] <= MULTIPLIER_FLOOR:
         angle = float(np.angle(pair.T[worst, worst])) % TWO_PI
         raise ValueError(
-            f"multiplier vanishes at masked point {worst} "
-            f"(angle {angle:.6f} rad): |psi| = {mods[worst]:.3e} <= floor {floor:.0e}"
+            f"multiplier vanishes at masked point {worst} (angle {angle:.6f} "
+            f"rad): |psi| = {mods[worst]:.3e} <= floor {MULTIPLIER_FLOOR:.0e}"
         )
     return OrbitSpec(T=pair.T, f0=psi * pair.f0, index_set="Z", n_max=pair.n_max)

@@ -15,17 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import CoeffVec
+from .config import EPS_DISK, POLE_TOL, UNIMODULAR_TOL
 from .errors import NumericalError
 
-#: Margin inside the open unit disk required of every zero.
-EPS_DISK = 1e-10
-
-#: Distance to a factor pole below which evaluation refuses to proceed.
-POLE_TOL = 1e-12
-
 __all__ = [
-    "EPS_DISK",
-    "POLE_TOL",
     "validate_zeros",
     "BlaschkeProduct",
     "carleson_delta",
@@ -35,10 +28,10 @@ __all__ = [
 ]
 
 
-def validate_zeros(zeros, eps_disk: float = EPS_DISK) -> np.ndarray:
+def validate_zeros(zeros) -> np.ndarray:
     """Return the zeros as a complex array, all strictly inside the disk.
 
-    Points with ``|l| > 1 - eps_disk`` are rejected: the factor expansions
+    Points with ``|l| > 1 - EPS_DISK`` are rejected: the factor expansions
     scale like ``1 / (1 - |l|^2)`` and lose all accuracy at the boundary.
     NaN and infinite entries are rejected by position.
     """
@@ -50,10 +43,10 @@ def validate_zeros(zeros, eps_disk: float = EPS_DISK) -> np.ndarray:
         raise ValueError(f"zero {bad[0]} is {arr[bad[0]]}; zeros must be finite")
     radii = np.abs(arr)
     worst = int(np.argmax(radii))
-    if radii[worst] > 1.0 - eps_disk:
+    if radii[worst] > 1.0 - EPS_DISK:
         raise ValueError(
             f"zero {arr[worst]} has modulus {radii[worst]:.17g}; "
-            f"all zeros must satisfy |l| <= {1.0 - eps_disk:.12g}"
+            f"all zeros must satisfy |l| <= {1.0 - EPS_DISK:.12g}"
         )
     return arr
 
@@ -77,7 +70,7 @@ class BlaschkeProduct:
         c = complex(self.constant)
         # hypot gives inf where abs(c) raises OverflowError.
         modulus = math.hypot(c.real, c.imag)
-        if not abs(modulus - 1.0) <= 1e-12:
+        if not abs(modulus - 1.0) <= UNIMODULAR_TOL:
             raise ValueError(f"constant must be unimodular, got |c| = {modulus:.17g}")
         object.__setattr__(self, "constant", c)
 

@@ -11,7 +11,9 @@ non-finite number is a numerical error.  Reports are byte-stable for
 identical inputs (sorted keys, default float repr, no timestamps); wall
 time goes to stderr as a log line instead of into the report.  CSV side
 outputs (decay profiles, periodization profiles, bound-vs-truncation
-curves) are written when the problem asks for them.
+curves) are written when the problem asks for them.  Thresholds are not
+options: a report's ``tolerances`` lists the ``config`` constants its kind
+compares against, and a size past the truncation ceiling is an input error.
 
 Exit codes: 0 success, 1 failed verification criteria, 2 input or
 validation error, 3 numerical error from an inner module.
@@ -29,9 +31,9 @@ import numpy as np
 from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
+from . import config
 from .acceptance import format_line, run_battery
 from .biinfinite import (
-    SUPPORT_THRESHOLD_REL,
     ArcSet,
     build_multiplication_pair,
     commutant_multiplier,
@@ -40,7 +42,6 @@ from .biinfinite import (
 )
 from .blaschke import BlaschkeProduct, carleson_delta, delta_capacity
 from .constructions import (
-    EXCLUDED_TAU_RTOL,
     NormalOrbitSpec,
     build_normal_pair,
     certificate_bounds,
@@ -48,7 +49,7 @@ from .constructions import (
     perturb_tau,
 )
 from .errors import NumericalError
-from .model_space import GRAM_TARGET, build_model_space, decay_profile
+from .model_space import build_model_space, decay_profile
 from .orbits import (
     OrbitSpec,
     frame_bounds,
@@ -56,8 +57,6 @@ from .orbits import (
     kernel_shift_invariance,
     unitarity_defect,
 )
-
-DEFAULT_TOL = 1e-10
 
 #: A numeric payload: the schema checks only that it is a nonempty array;
 #: ``_numbers`` checks its shape and every number in one bulk pass.
@@ -247,7 +246,7 @@ def _write_csv(path: str, header: list, rows: list) -> None:
             fh.write("\n")
 
 
-def _run_carleson(params: dict, tol: float) -> tuple[dict, dict, dict]:
+def _run_carleson(params: dict) -> tuple[dict, dict, dict]:
     zeros = _complex(params, "zeros", 1)
     delta = carleson_delta(zeros)
     capacity = delta_capacity(delta)
@@ -259,7 +258,7 @@ def _run_carleson(params: dict, tol: float) -> tuple[dict, dict, dict]:
     return results, certificates, {}
 
 
-def _run_model_space(params: dict, tol: float) -> tuple[dict, dict, dict]:
+def _run_model_space(params: dict) -> tuple[dict, dict, dict]:
     constant = complex(_complex(params, "constant", 0)) if "constant" in params else 1.0
     h = BlaschkeProduct(zeros=_complex(params, "zeros", 1), constant=constant)
     ms = build_model_space(h, n_trunc=params.get("trunc_n"))
@@ -273,10 +272,10 @@ def _run_model_space(params: dict, tol: float) -> tuple[dict, dict, dict]:
                 ["n", "orbit_norm"],
                 [(n, float(x)) for n, x in enumerate(profile)],
             )
-    return results, {}, {"gram_target": GRAM_TARGET}
+    return results, {}, {"gram_target": config.GRAM_TARGET}
 
 
-def _run_orbit_analysis(params: dict, tol: float) -> tuple[dict, dict, dict]:
+def _run_orbit_analysis(params: dict) -> tuple[dict, dict, dict]:
     spec = OrbitSpec(
         T=_complex(params, "T", 2),
         f0=_complex(params, "f0", 1),
@@ -286,9 +285,9 @@ def _run_orbit_analysis(params: dict, tol: float) -> tuple[dict, dict, dict]:
     results = {"frame_report": frame_bounds(spec).to_dict()}
     if spec.index_set == "N":
         U = spec.columns
-        results["kernel_residual"] = kernel_shift_invariance(U, tol)
+        results["kernel_residual"] = kernel_shift_invariance(U)
         if params.get("recover_generator"):
-            recovered = generator_closure(U, tol)
+            recovered = generator_closure(U)
             gaps = np.linalg.norm(recovered @ U[:, :-1] - U[:, 1:], axis=0)
             results["generator"] = _pair_matrix(recovered)
             results["generator_consistency"] = float(gaps.max()) if gaps.size else 0.0
@@ -318,10 +317,10 @@ def _run_orbit_analysis(params: dict, tol: float) -> tuple[dict, dict, dict]:
                     for r in rows
                 ],
             )
-    return results, {}, {"kernel_tol": tol}
+    return results, {}, {"kernel_tol": config.KERNEL_TOL}
 
 
-def _run_normal_construction(params: dict, tol: float) -> tuple[dict, dict, dict]:
+def _run_normal_construction(params: dict) -> tuple[dict, dict, dict]:
     spec = NormalOrbitSpec(
         zeros=_complex(params, "zeros", 1), coeffs=_complex(params, "coeffs", 1)
     )
@@ -329,7 +328,8 @@ def _run_normal_construction(params: dict, tol: float) -> tuple[dict, dict, dict
     rep = frame_bounds(pair)
     lo, hi = certificate_bounds(spec)
     tail = rep.tail_estimate or 0.0
-    contained = rep.lower_bound >= lo - tail - tol and rep.upper_bound <= hi + tol
+    slack = config.CONTAINMENT_SLACK
+    contained = rep.lower_bound >= lo - tail - slack and rep.upper_bound <= hi + slack
     results = {
         "spec": spec.to_dict(),
         "n_max": pair.n_max,
@@ -343,10 +343,10 @@ def _run_normal_construction(params: dict, tol: float) -> tuple[dict, dict, dict
         "upper_formula": "beta * capacity",
         "capacity_formula": _CAPACITY_FORMULA,
     }
-    return results, certificates, {"containment_slack": tol}
+    return results, certificates, {"containment_slack": slack}
 
 
-def _run_perturbation(params: dict, tol: float) -> tuple[dict, dict, dict]:
+def _run_perturbation(params: dict) -> tuple[dict, dict, dict]:
     spec = NormalOrbitSpec(
         zeros=_complex(params, "zeros", 1), coeffs=_complex(params, "coeffs", 1)
     )
@@ -368,15 +368,16 @@ def _run_perturbation(params: dict, tol: float) -> tuple[dict, dict, dict]:
         "lower_formula": "alpha' / capacity * riesz_lower_block",
         "upper_formula": "beta' * capacity * riesz_upper_block",
     }
-    return results, certificates, {"excluded_tau_rtol": EXCLUDED_TAU_RTOL}
+    return results, certificates, {"excluded_tau_rtol": config.EXCLUDED_TAU_RTOL}
 
 
-def _run_biinfinite(params: dict, tol: float) -> tuple[dict, dict, dict]:
+def _run_biinfinite(params: dict) -> tuple[dict, dict, dict]:
     sigma = ArcSet(tuple(map(tuple, _numbers(params, "arcs", (None, 2)).tolist())))
     M = params["M"]
     n_max = params.get("n_max", M)
     pair = build_multiplication_pair(sigma, M, n_max=n_max)
     rep = frame_bounds(pair)
+    slack = config.CONTAINMENT_SLACK
     results = {
         "arcs": sigma.to_json(),
         "M": M,
@@ -395,13 +396,14 @@ def _run_biinfinite(params: dict, tol: float) -> tuple[dict, dict, dict]:
         mods2 = np.abs(psi) ** 2
         results["reseeded_report"] = rep2.to_dict()
         results["reseeded_within_multiplier_bounds"] = bool(
-            rep2.lower_bound >= rep.lower_bound * float(np.min(mods2)) - tol
-            and rep2.upper_bound <= rep.upper_bound * float(np.max(mods2)) + tol
+            rep2.lower_bound >= rep.lower_bound * float(np.min(mods2)) - slack
+            and rep2.upper_bound <= rep.upper_bound * float(np.max(mods2)) + slack
         )
-    return results, {}, {"window_normalization": "M / (2*n_max + 1)"}
+    window = "M / (2*n_max + 1)"
+    return results, {}, {"containment_slack": slack, "window_normalization": window}
 
 
-def _run_translates(params: dict, tol: float) -> tuple[dict, dict, dict]:
+def _run_translates(params: dict) -> tuple[dict, dict, dict]:
     samples = _numbers(params, "fhat_samples", (None,))
     prof = translates_phi(samples, params["period_count"])
     results = {
@@ -417,7 +419,7 @@ def _run_translates(params: dict, tol: float) -> tuple[dict, dict, dict]:
             ["omega", "phi"],
             [(float(w), float(p)) for w, p in zip(prof.omegas, prof.phi)],
         )
-    return results, {}, {"support_threshold_rel": SUPPORT_THRESHOLD_REL}
+    return results, {}, {"support_threshold_rel": config.SUPPORT_THRESHOLD_REL}
 
 
 _HANDLERS = {
@@ -444,13 +446,12 @@ def _report_text(report: dict) -> str:
         raise NumericalError(f"the report holds a non-finite number ({exc})") from None
 
 
-def run_problem(problem: dict, tol: float = DEFAULT_TOL) -> dict:
+def run_problem(problem: dict) -> dict:
     """Validate and execute one problem dict, returning the report dict."""
     _validate(_PROBLEM_VALIDATOR, problem)
     kind = problem["kind"]
     _validate(_PARAMETER_VALIDATORS[kind], problem["parameters"])
-    results, certificates, tolerances = _HANDLERS[kind](problem["parameters"], tol)
-    tolerances["tol"] = tol
+    results, certificates, tolerances = _HANDLERS[kind](problem["parameters"])
     return {
         "kind": kind,
         "inputs": problem["parameters"],
@@ -469,7 +470,7 @@ def _cmd_run(args) -> int:
         return 2
     start = time.perf_counter()
     try:
-        report = run_problem(problem, tol=args.tol)
+        report = run_problem(problem)
         elapsed = time.perf_counter() - start
         text = _report_text(report)
     except jsonschema.ValidationError as exc:
@@ -510,7 +511,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a JSON problem file")
     p_run.add_argument("problem", help="path to the problem JSON")
     p_run.add_argument("--out", help="report path (overrides the file's 'output')")
-    p_run.add_argument("--tol", type=float, default=DEFAULT_TOL, help="residual tolerance")
 
     p_verify = sub.add_parser("verify", help="run the acceptance battery")
     p_verify.add_argument("--seed", type=int, default=0)

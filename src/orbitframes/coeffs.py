@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Default absolute tolerance for index-wise coefficient comparison.
-EQUAL_TOL = 1e-12
+from .config import EQUAL_TOL
 
 __all__ = [
-    "EQUAL_TOL",
     "CoeffVec",
     "monomial",
     "inner_product",

@@ -1,4 +1,6 @@
-"""Environment-driven limits."""
+"""The registry of limits and thresholds: every gate of the package reads
+its threshold here.  Only the ceiling moves, via ``ORBITFRAMES_MAX_TRUNC``.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +8,42 @@ import os
 
 #: Hard ceiling on any truncation window when the env var is unset.
 DEFAULT_MAX_TRUNC = 16384
+#: Margin inside the open unit disk required of every zero.
+EPS_DISK = 1e-10
+#: Largest ||c| - 1| accepted for the constant of a Blaschke product.
+UNIMODULAR_TOL = 1e-12
+#: Distance to a factor pole below which evaluation refuses to proceed.
+POLE_TOL = 1e-12
+#: Default absolute tolerance of ``coeffs_equal``.
+EQUAL_TOL = 1e-12
+#: Basis Gram residual the model-space window doubling aims for.
+GRAM_TARGET = 1e-10
+#: Column norm past which an orbit is declared numerically divergent.
+COLUMN_OVERFLOW = 1e12
+#: Condition ceiling for generators on two-sided index sets.
+TWO_SIDED_COND_MAX = 1e12
+#: Condition ceiling for similarity transports and commutant multipliers.
+SIMILARITY_COND_MAX = 1e10
+#: Condition ceiling for the Riesz-pair change of basis.
+RIESZ_COND_MAX = 1e6
+#: Relative tolerance for detecting an exactly periodic orbit column sequence.
+PERIOD_TOL = 1e-10
+#: Relative kernel rank cut, and generator_closure's residual and frame-capture limits.
+KERNEL_TOL = 1e-10
+#: Commutator ceiling of ``commutant_transport``, relative to ||T|| ||V||.
+COMMUTATOR_RTOL = 1e-10
+#: Smallest frame eigenvalue ratio ``unitarity_defect`` accepts as invertible.
+SINGULAR_RTOL = 1e-14
+#: Relative distance to the excluded perturbation value that is rejected.
+EXCLUDED_TAU_RTOL = 1e-12
+#: Relative tail target used when a truncation depth is chosen automatically.
+AUTO_TAIL_REL = 1e-13
+#: Absolute slack of the report flags that compare measured and certified bounds.
+CONTAINMENT_SLACK = 1e-10
+#: Modulus at or below which a commutant multiplier sample counts as vanishing.
+MULTIPLIER_FLOOR = 1e-8
+#: Fraction of the peak below which a periodized profile counts as zero.
+SUPPORT_THRESHOLD_REL = 1e-6
 
 
 def max_truncation() -> int:
@@ -22,3 +60,10 @@ def max_truncation() -> int:
     if value < 1:
         raise ValueError(f"ORBITFRAMES_MAX_TRUNC must be positive, got {value}")
     return value
+
+
+def check_size(name: str, value: int) -> None:
+    """Raise a ``ValueError`` naming ``value`` when it passes the ceiling."""
+    cap = max_truncation()
+    if value > cap:
+        raise ValueError(f"{name} = {value} exceeds the ceiling {cap}")

@@ -18,18 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blaschke import carleson_delta, delta_capacity, validate_zeros
-from .config import max_truncation
+from .config import AUTO_TAIL_REL, EXCLUDED_TAU_RTOL, RIESZ_COND_MAX, max_truncation
 from .errors import NumericalError
-from .orbits import OrbitSpec
-
-#: Condition ceiling for the Riesz-pair change of basis.
-RIESZ_COND_MAX = 1e6
-
-#: Relative distance to the excluded perturbation value that is rejected.
-EXCLUDED_TAU_RTOL = 1e-12
-
-#: Relative tail target used when a truncation depth is chosen automatically.
-AUTO_TAIL_REL = 1e-13
+from .orbits import OrbitSpec, check_condition
 
 __all__ = [
     "NormalOrbitSpec",
@@ -153,12 +144,7 @@ def build_riesz_pair(
         raise ValueError(
             f"change of basis must be {spec.size}x{spec.size}, got {W.shape}"
         )
-    cond = float(np.linalg.cond(W))
-    if not np.isfinite(cond) or cond > RIESZ_COND_MAX:
-        raise ValueError(
-            f"change of basis needs condition below {RIESZ_COND_MAX:.0e}, "
-            f"got {cond:.3e}"
-        )
+    cond = check_condition(W, RIESZ_COND_MAX, "change of basis")
     W_inv = np.linalg.solve(W, np.eye(spec.size))
     T = W @ np.diag(spec.zeros) @ W_inv
     f0 = W @ spec.coeffs
@@ -251,8 +237,8 @@ def perturb_tau(
         h_l = e_l                      g_l = e_l - conj(tau)/conj(d) e_k
         h_k = tau e_l + d e_k          g_k = e_k / conj(d)
 
-    Rejects tau at the excluded value (relative distance below 1e-12),
-    where the seed loses its l-th spectral component.
+    Rejects tau at the excluded value (relative distance at most
+    ``EXCLUDED_TAU_RTOL``), where the seed loses its l-th spectral component.
     """
     J = spec.size
     if not 0 <= k < J or not 0 <= l < J:

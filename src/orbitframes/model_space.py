@@ -18,16 +18,12 @@ import numpy as np
 
 from . import coeffs as cs
 from .blaschke import BlaschkeProduct, taylor_coeffs
-from .config import max_truncation
+from .config import GRAM_TARGET, check_size, max_truncation
 from .coeffs import CoeffVec
 from .errors import NumericalError
 from .orbits import orbit_columns
 
-#: Basis Gram residual the truncation doubling aims for.
-GRAM_TARGET = 1e-10
-
 __all__ = [
-    "GRAM_TARGET",
     "ModelSpace",
     "build_model_space",
     "basis_coordinates",
@@ -148,9 +144,7 @@ def build_model_space(h: BlaschkeProduct, n_trunc: int | None = None) -> ModelSp
             raise ValueError(
                 f"truncation {n_trunc} is below the floor {floor} for degree {d}"
             )
-    cap = max_truncation()
-    if n_trunc > cap:
-        raise ValueError(f"truncation {n_trunc} exceeds the ceiling {cap}")
+    check_size("truncation n_trunc", n_trunc)
 
     shift, phi = _compressed_shift(h.zeros)
     n = n_trunc
@@ -187,8 +181,8 @@ def project_model(ms: ModelSpace, f: CoeffVec) -> CoeffVec:
 
     Computes ``h * P_minus(f * conj(h))`` and returns its window restricted
     to [0, trunc_n].  ``f`` must be supported on nonnegative indices.
-    Internal expansions run past the stored window so the returned
-    coefficients match the basis-coordinate path to float accuracy.  This
+    h is expanded trunc_n past the window and deg f: the dropped terms
+    h_(j+k) * inner_(-k), k > trunc_n, are then below float accuracy.  This
     series route is independent of the closed form and serves as its check.
     """
     n = _window(ms)
@@ -200,7 +194,7 @@ def project_model(ms: ModelSpace, f: CoeffVec) -> CoeffVec:
         )
     if len(trimmed.coeffs) == 0:
         return CoeffVec(0, [])
-    ext = n + max(trimmed.hi, 0) + 8
+    ext = n + max(trimmed.hi, 0) + n
     h_t = taylor_coeffs(ms.h, ext)
     g = cs.multiply(trimmed, cs.conj_reflect(h_t))
     inner = cs.project_minus(g)

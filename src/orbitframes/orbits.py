@@ -20,19 +20,17 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import (
+    COLUMN_OVERFLOW,
+    COMMUTATOR_RTOL,
+    KERNEL_TOL,
+    PERIOD_TOL,
+    SIMILARITY_COND_MAX,
+    SINGULAR_RTOL,
+    TWO_SIDED_COND_MAX,
+    check_size,
+)
 from .errors import CommutatorError, NumericalError, ShiftInvarianceError
-
-#: Column norm past which an orbit is declared numerically divergent.
-COLUMN_OVERFLOW = 1e12
-
-#: Condition ceiling for generators on two-sided index sets.
-TWO_SIDED_COND_MAX = 1e12
-
-#: Condition ceiling for similarity transports.
-SIMILARITY_COND_MAX = 1e10
-
-#: Tolerance for detecting an exactly periodic orbit column sequence.
-PERIOD_TOL = 1e-10
 
 __all__ = [
     "OrbitSpec",
@@ -82,12 +80,7 @@ class OrbitSpec:
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")
         if self.index_set == "Z":
-            cond = float(np.linalg.cond(T))
-            if not np.isfinite(cond) or cond > TWO_SIDED_COND_MAX:
-                raise ValueError(
-                    f"two-sided orbits need an invertible generator with "
-                    f"condition below {TWO_SIDED_COND_MAX:.0e}, got {cond:.3e}"
-                )
+            check_condition(T, TWO_SIDED_COND_MAX, "invertible two-sided generator")
         T.setflags(write=False)
         f0.setflags(write=False)
         object.__setattr__(self, "T", T)
@@ -137,15 +130,24 @@ class FrameReport:
         }
 
 
+def check_condition(M: np.ndarray, ceiling: float, what: str) -> float:
+    """Condition number of ``M``, a ``ValueError`` unless it is below ``ceiling``."""
+    cond = float(np.linalg.cond(M))
+    if not np.isfinite(cond) or cond > ceiling:
+        raise ValueError(f"{what} needs condition below {ceiling:.0e}, got {cond:.3e}")
+    return cond
+
+
 def orbit_columns(T: np.ndarray, v: np.ndarray, n_max: int) -> np.ndarray:
     """Columns ``T^n v`` for n = 0..n_max, shape (len(v), n_max + 1).
 
     The one power loop of the package: every orbit, synthesis matrix and
-    decay profile is read from it.
+    decay profile is read from it, and it refuses windows past the ceiling.
     """
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    check_size("orbit window n_max", n_max)
     v = np.array(v, dtype=np.complex128).reshape(-1)
     out = np.empty((v.shape[0], n_max + 1), dtype=np.complex128)
     out[:, 0] = v
@@ -224,7 +226,7 @@ def _finite_columns(frame_columns: np.ndarray) -> np.ndarray:
     return U
 
 
-def kernel_shift_invariance(frame_columns: np.ndarray, tol: float = 1e-10) -> float:
+def kernel_shift_invariance(frame_columns: np.ndarray, tol: float = KERNEL_TOL) -> float:
     """Invariance defect of the synthesis kernel under the right shift.
 
     Returns the spectral norm of U R on ker U,
@@ -251,23 +253,23 @@ def kernel_shift_invariance(frame_columns: np.ndarray, tol: float = 1e-10) -> fl
     return float(np.linalg.norm(UR - (UR @ V.conj().T) @ V, 2))
 
 
-def generator_closure(frame_columns: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def generator_closure(frame_columns: np.ndarray) -> np.ndarray:
     """Recover the generator as U R U^+ from one-sided orbit columns.
 
     ``U^+ = U* (U U*)^{-1}`` is the synthesis pseudoinverse; the formula
     returns the unique operator whose orbit reproduces the columns,
     provided the kernel is shift invariant.  Raises
     ``ShiftInvarianceError`` when ``kernel_shift_invariance`` exceeds
-    ``tol``, and ``NumericalError`` when the columns do not span (frame
-    not captured at this truncation).
+    ``KERNEL_TOL``, and ``NumericalError`` when the columns do not span
+    (frame not captured at this truncation).
     """
     U = _finite_columns(frame_columns)
-    residual = kernel_shift_invariance(U, tol)
-    if residual > tol:
-        raise ShiftInvarianceError(residual, tol)
+    residual = kernel_shift_invariance(U)
+    if residual > KERNEL_TOL:
+        raise ShiftInvarianceError(residual, KERNEL_TOL)
     S = U @ U.conj().T
     eigs = np.linalg.eigvalsh(S)
-    if eigs[0] <= tol * eigs[-1]:
+    if eigs[0] <= KERNEL_TOL * eigs[-1]:
         raise NumericalError(
             f"frame not captured at this truncation: smallest frame "
             f"eigenvalue {eigs[0]:.3e} against largest {eigs[-1]:.3e}"
@@ -281,12 +283,7 @@ def generator_closure(frame_columns: np.ndarray, tol: float = 1e-10) -> np.ndarr
 def similarity_transport(spec: OrbitSpec, V: np.ndarray) -> OrbitSpec:
     """Orbit of (V T V^{-1}, V f0); V must be well conditioned."""
     V = np.asarray(V, dtype=np.complex128)
-    cond = float(np.linalg.cond(V))
-    if not np.isfinite(cond) or cond > SIMILARITY_COND_MAX:
-        raise ValueError(
-            f"similarity needs condition below {SIMILARITY_COND_MAX:.0e}, "
-            f"got {cond:.3e}"
-        )
+    check_condition(V, SIMILARITY_COND_MAX, "similarity")
     V_inv = np.linalg.solve(V, np.eye(V.shape[0]))
     return OrbitSpec(
         T=V @ spec.T @ V_inv,
@@ -296,26 +293,20 @@ def similarity_transport(spec: OrbitSpec, V: np.ndarray) -> OrbitSpec:
     )
 
 
-def commutant_transport(
-    spec: OrbitSpec, V: np.ndarray, tol: float = 1e-10
-) -> OrbitSpec:
+def commutant_transport(spec: OrbitSpec, V: np.ndarray) -> OrbitSpec:
     """Replace the seed by V f0 for V in the generator's commutant.
 
     Rejects with ``CommutatorError`` (carrying the measured norm) when
-    ``||VT - TV||`` exceeds ``tol * ||T|| * ||V||``, and rejects
-    non-invertible V.
+    ``||VT - TV||`` exceeds ``COMMUTATOR_RTOL * ||T|| * ||V||``, and
+    rejects V whose condition is not below ``SIMILARITY_COND_MAX``.
     """
     V = np.asarray(V, dtype=np.complex128)
     comm = float(np.linalg.norm(V @ spec.T - spec.T @ V, 2))
-    bound = tol * float(np.linalg.norm(spec.T, 2)) * float(np.linalg.norm(V, 2))
+    bound = COMMUTATOR_RTOL * float(np.linalg.norm(spec.T, 2))
+    bound *= float(np.linalg.norm(V, 2))
     if comm > bound:
         raise CommutatorError(comm, bound)
-    cond = float(np.linalg.cond(V))
-    if not np.isfinite(cond) or cond > SIMILARITY_COND_MAX:
-        raise ValueError(
-            f"commutant transport needs an invertible multiplier, "
-            f"condition {cond:.3e}"
-        )
+    check_condition(V, SIMILARITY_COND_MAX, "invertible commutant multiplier")
     return OrbitSpec(
         T=spec.T, f0=V @ spec.f0, index_set=spec.index_set, n_max=spec.n_max
     )
@@ -352,8 +343,7 @@ def unitarity_defect(spec: OrbitSpec) -> float:
     the frame operator is accumulated over one period, for which the
     shift invariance T S T* = S holds exactly (the window sum merely adds
     whole copies plus a boundary remainder); aperiodic orbits use the full
-    symmetric window.  S^{+-1/2} come from the eigendecomposition with
-    eigenvalues floored at a hundredth of the measured lower bound.
+    symmetric window.  S^{+-1/2} come from the eigendecomposition.
     """
     if spec.index_set != "Z":
         raise ValueError("unitarity defect is defined for two-sided orbits")
@@ -361,12 +351,11 @@ def unitarity_defect(spec: OrbitSpec) -> float:
     p = _orbit_period(U)
     S = spec.frame_operator if p is None else U[:, :p] @ U[:, :p].conj().T
     w, Q = np.linalg.eigh(S)
-    if w[0] <= 0.0 or w[0] < 1e-14 * w[-1]:
+    if w[0] <= 0.0 or w[0] < SINGULAR_RTOL * w[-1]:
         raise NumericalError(
             f"frame operator numerically singular: eigenvalue range "
             f"[{w[0]:.3e}, {w[-1]:.3e}]"
         )
-    w = np.maximum(w, w[0] / 100.0)
     root = Q @ np.diag(np.sqrt(w)) @ Q.conj().T
     inv_root = Q @ np.diag(1.0 / np.sqrt(w)) @ Q.conj().T
     W = inv_root @ spec.T @ root

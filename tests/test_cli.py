@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
-from orbitframes import cli, orbits
+from orbitframes import cli, config, orbits
 from orbitframes.cli import main
 
 CAPACITY_HALF = 76.36141955583651
@@ -557,10 +557,18 @@ class TestInputGate:
         signs = [math.copysign(1.0, x) for pair in pairs for x in pair]
         assert signs == [-1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0]
 
+    def test_removed_tol_flag_exit_2(self, tmp_path, capsys):
+        payload = {"kind": "carleson", "parameters": {"zeros": [[0.5, 0.0]]}}
+        path = write_problem(tmp_path, payload)
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", str(path), "--tol", "1e-8"])
+        assert exc_info.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
     def test_non_finite_report_exit_3(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "report.json"
         monkeypatch.setitem(
-            cli._HANDLERS, "carleson", lambda params, tol: ({"delta": math.nan}, {}, {})
+            cli._HANDLERS, "carleson", lambda params: ({"delta": math.nan}, {}, {})
         )
         payload = {"kind": "carleson", "parameters": {"zeros": [[0.5, 0.0]]}}
         rc = main(["run", str(write_problem(tmp_path, payload)), "--out", str(out)])
@@ -577,6 +585,12 @@ class TestInputGate:
         validator_for(schema).check_schema(schema)
 
 
+def _without_recovery(parameters):
+    """The parameters without ``recover_generator``: the base orbit is too short
+    for its kernel to pass the invariance test, which would end the run early."""
+    return {key: v for key, v in parameters.items() if key != "recover_generator"}
+
+
 def _reject_constant(token):
     raise ValueError(f"report holds {token}")
 
@@ -589,7 +603,8 @@ def _same_shape(value, leaf):
 
 
 class TestIntakeProperty:
-    """Any numeric payload, finite or not, ends in exit 0, 2 or 3."""
+    """Any numeric payload, finite or not, ends in exit 0, 2 or 3, and any
+    size past the truncation ceiling in exit 2."""
 
     BASE = {
         "carleson": {"zeros": [[0.5, 0.0], [-0.3, 0.2]]},
@@ -662,6 +677,42 @@ class TestIntakeProperty:
         assert rc in (0, 2, 3), err.getvalue()
         if rc == 0:
             json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+    CEILING = 64
+    SIZES = [
+        ("model_space", "trunc_n"),
+        ("model_space", "decay_n_max"),
+        ("orbit_analysis", "n_max"),
+        ("orbit_analysis", "bounds_schedule"),
+        ("normal_construction", "n_max"),
+        ("perturbation", "n_max"),
+        ("biinfinite", "M"),
+        ("biinfinite", "n_max"),
+    ]
+
+    @pytest.mark.parametrize("value", [CEILING + 1, 10**12, 10**30])
+    @pytest.mark.parametrize("kind, name", SIZES)
+    def test_oversized_size_exit_2(
+        self, kind, name, value, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("ORBITFRAMES_MAX_TRUNC", str(self.CEILING))
+        parameters = _without_recovery(self.BASE[kind])
+        parameters[name] = [4, value] if name == "bounds_schedule" else value
+        payload = {"kind": kind, "parameters": parameters}
+        rc = main(["run", str(write_problem(tmp_path, payload))])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"= {value} exceeds the ceiling {self.CEILING}" in err
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("kind", sorted(TestIntakeProperty.BASE))
+    def test_block_holds_registry_constants(self, kind):
+        parameters = _without_recovery(TestIntakeProperty.BASE[kind])
+        report = cli.run_problem({"kind": kind, "parameters": parameters})
+        tolerances = report["tolerances"]
+        numeric = {key: v for key, v in tolerances.items() if not isinstance(v, str)}
+        assert numeric == {key: getattr(config, key.upper()) for key in numeric}
 
 
 class TestVerifyCommand:

@@ -208,7 +208,7 @@ class TestRieszPair:
 
     def test_rejects_ill_conditioned(self):
         spec = random_spec(0, size=2)
-        with pytest.raises(ValueError, match="condition"):
+        with pytest.raises(ValueError, match=r"condition below 1e\+06"):
             build_riesz_pair(spec, np.diag([1.0, 2e6]))
 
 

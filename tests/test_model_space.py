@@ -279,6 +279,20 @@ class TestProjection:
         diff = add(once, scale(twice, -1.0))
         assert float(np.max(np.abs(diff.coeffs))) < 1e-10
 
+    def test_float_accurate_up_to_window_end(self):
+        # Degree 20 with zeros out to radius 0.9: the coefficients near the
+        # window end need terms of h far past trunc_n + deg f.
+        radii = np.linspace(0.1, 0.9, 20)
+        h = BlaschkeProduct(zeros=radii * np.exp(2.399963j * np.arange(20)))
+        ms = build_model_space(h)
+        rng = np.random.default_rng(20)
+        f = CoeffVec(0, rng.standard_normal(17) + 1j * rng.standard_normal(17))
+        direct = project_model(ms, f)
+        basis = np.array([e.coeffs for e in ms.basis])
+        exact = basis_coordinates(ms, f) @ basis
+        assert direct.lo == 0 and len(direct.coeffs) == ms.trunc_n + 1
+        assert np.max(np.abs(direct.coeffs - exact)) <= 1e-13
+
 
 class TestProjectedMonomial:
     def test_h_z_m1_cancels(self):
