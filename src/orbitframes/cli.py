@@ -1,19 +1,20 @@
 """Batch front end: declarative JSON problems in, JSON reports out.
 
-Problem files name a kind, kind-specific parameters, and optionally an
-output path.  Before any computation, schemas compiled once at import
-check the structure (kind, required and extra keys, integers, enums,
-nonempty arrays), and each numeric payload is parsed in one bulk pass
-that checks its shape and that every entry is a finite JSON number.
-Complex numbers travel as [re, im] pairs.  The ``NaN``, ``Infinity`` and
-``-Infinity`` literals are rejected, and a report that would hold a
-non-finite number is a numerical error.  Reports are byte-stable for
-identical inputs (sorted keys, default float repr, no timestamps); wall
-time goes to stderr as a log line instead of into the report.  CSV side
-outputs (decay profiles, periodization profiles, bound-vs-truncation
-curves) are written when the problem asks for them.  Thresholds are not
-options: a report's ``tolerances`` lists the ``config`` constants its kind
-compares against, and a size past the truncation ceiling is an input error.
+A problem names a kind, its parameters and optionally an output path.
+This module alone decides what a valid problem is, before any
+computation: each kind's handler takes its parameters as keyword
+arguments, so a missing or unknown key is one its signature does not
+bind; each value then meets one type rule keyed by its name (sizes and
+indices are JSON integers, so ``8.0`` or ``true`` is rejected); and each
+numeric payload is parsed in one bulk pass that checks its shape and
+that every entry is a finite JSON number.  Ranges are checked by the
+library.  Complex numbers travel as [re, im] pairs.  The ``NaN``,
+``Infinity`` and ``-Infinity`` literals are rejected, and a report that
+would hold a non-finite number is a numerical error.  Reports are byte-stable
+for identical inputs (sorted keys, default float repr, no timestamps);
+wall time goes to stderr.  CSV side outputs are written when the problem
+asks for them.  A report's ``tolerances`` lists the ``config`` constants
+its kind compares against.
 
 Exit codes: 0 success, 1 failed verification criteria, 2 input or
 validation error, 3 numerical error from an inner module.
@@ -22,14 +23,13 @@ validation error, 3 numerical error from an inner module.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
+import reprlib
 import sys
 import time
 
-import jsonschema
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from . import config
 from .acceptance import format_line, run_battery
@@ -58,121 +58,22 @@ from .orbits import (
     unitarity_defect,
 )
 
-#: A numeric payload: the schema checks only that it is a nonempty array;
-#: ``_numbers`` checks its shape and every number in one bulk pass.
-_ARRAY = {"type": "array", "minItems": 1}
-
-_PARAMETER_SCHEMAS = {
-    "carleson": {
-        "type": "object",
-        "required": ["zeros"],
-        "additionalProperties": False,
-        "properties": {"zeros": _ARRAY},
-    },
-    "model_space": {
-        "type": "object",
-        "required": ["zeros"],
-        "additionalProperties": False,
-        "properties": {
-            "zeros": _ARRAY,
-            "constant": _ARRAY,
-            "trunc_n": {"type": "integer", "minimum": 1},
-            "decay_n_max": {"type": "integer", "minimum": 0},
-            "decay_csv": {"type": "string"},
-        },
-    },
-    "orbit_analysis": {
-        "type": "object",
-        "required": ["T", "f0", "index_set", "n_max"],
-        "additionalProperties": False,
-        "properties": {
-            "T": _ARRAY,
-            "f0": _ARRAY,
-            "index_set": {"enum": ["N", "Z"]},
-            "n_max": {"type": "integer", "minimum": 0},
-            "recover_generator": {"type": "boolean"},
-            "bounds_schedule": {
-                "type": "array",
-                "items": {"type": "integer", "minimum": 0},
-                "minItems": 1,
-            },
-            "bounds_csv": {"type": "string"},
-        },
-    },
-    "normal_construction": {
-        "type": "object",
-        "required": ["zeros", "coeffs"],
-        "additionalProperties": False,
-        "properties": {
-            "zeros": _ARRAY,
-            "coeffs": _ARRAY,
-            "n_max": {"type": "integer", "minimum": 0},
-        },
-    },
-    "perturbation": {
-        "type": "object",
-        "required": ["zeros", "coeffs", "k", "l", "tau"],
-        "additionalProperties": False,
-        "properties": {
-            "zeros": _ARRAY,
-            "coeffs": _ARRAY,
-            "k": {"type": "integer", "minimum": 0},
-            "l": {"type": "integer", "minimum": 0},
-            "tau": _ARRAY,
-            "n_max": {"type": "integer", "minimum": 0},
-        },
-    },
-    "biinfinite": {
-        "type": "object",
-        "required": ["arcs", "M"],
-        "additionalProperties": False,
-        "properties": {
-            "arcs": _ARRAY,
-            "M": {"type": "integer", "minimum": 1},
-            "n_max": {"type": "integer", "minimum": 0},
-            "psi": _ARRAY,
-        },
-    },
-    "translates": {
-        "type": "object",
-        "required": ["fhat_samples", "period_count"],
-        "additionalProperties": False,
-        "properties": {
-            "fhat_samples": {"type": "array", "minItems": 2},
-            "period_count": {"type": "integer", "minimum": 1},
-            "phi_csv": {"type": "string"},
-        },
-    },
-}
-
-_PROBLEM_SCHEMA = {
-    "type": "object",
-    "required": ["kind", "parameters"],
-    "additionalProperties": False,
-    "properties": {
-        "kind": {"enum": sorted(_PARAMETER_SCHEMAS)},
-        "parameters": {"type": "object"},
-        "output": {"type": "string"},
-    },
-}
-
 _SEPARATION_FORMULA = (
     "inf_j prod_{k != j} |(lambda_j - lambda_k) / (1 - conj(lambda_j) lambda_k)|"
 )
 _CAPACITY_FORMULA = "2/delta^4 * (1 - 2*log(delta))"
 
 
-_PROBLEM_VALIDATOR = validator_for(_PROBLEM_SCHEMA)(_PROBLEM_SCHEMA)
-_PARAMETER_VALIDATORS = {
-    kind: validator_for(schema)(schema) for kind, schema in _PARAMETER_SCHEMAS.items()
-}
+#: Names the type rule of ``_check_type`` reads as integers and as strings.
+_INTEGERS = frozenset({"n_max", "trunc_n", "decay_n_max", "k", "l", "M", "period_count"})
+_STRINGS = frozenset({"index_set", "decay_csv", "bounds_csv", "phi_csv", "output"})
 
 
 class _Literal:
     """A ``NaN``, ``Infinity`` or ``-Infinity`` token read from a problem file.
 
     The loader keeps the token instead of a float, so the check that meets
-    it (a schema type or ``_numbers``) rejects it and names the token.
+    it (the type rule or ``_numbers``) rejects it and names the token.
     """
 
     __slots__ = ("token",)
@@ -184,15 +85,58 @@ class _Literal:
         return self.token
 
 
-def _numbers(params: dict, name: str, shape: tuple) -> np.ndarray:
-    """Parse the numeric payload ``params[name]`` in one bulk pass.
+def _check_type(name: str, value) -> None:
+    """Raise a ``ValueError`` naming ``name`` when ``value`` breaks the type rule.
+
+    Sizes and indices must be ``int`` (not ``bool`` or ``float``); a name no
+    rule lists is a numeric payload, which must not be null (``_numbers``
+    parses it).
+    """
+    if name in _INTEGERS:
+        ok, want = type(value) is int, "an integer"
+    elif name == "bounds_schedule":
+        ok = type(value) is list and value != [] and all(type(m) is int for m in value)
+        want = "a nonempty list of integers"
+    elif name == "recover_generator":
+        ok, want = type(value) is bool, "a boolean"
+    elif name in _STRINGS:
+        ok, want = type(value) is str, "a string"
+    elif name in ("problem", "parameters"):
+        ok, want = type(value) is dict, "an object"
+    elif name == "kind":
+        ok = type(value) is str and value in _HANDLERS
+        want = "one of " + ", ".join(sorted(_HANDLERS))
+    else:
+        ok, want = value is not None, "a nested list of numbers"
+    if not ok:
+        raise ValueError(
+            f"invalid problem file: {name} must be {want}, got {reprlib.repr(value)}"
+        )
+
+
+def _bind(function, mapping: dict, what: str) -> dict:
+    """``mapping`` bound to ``function``'s keywords, each value type-checked.
+
+    A missing or unknown key is a ``ValueError`` that names the key.
+    """
+    try:
+        arguments = inspect.signature(function).bind(**mapping).arguments
+    except TypeError as exc:
+        raise ValueError(f"invalid problem file: {what}: {exc}") from None
+    for name, value in arguments.items():
+        _check_type(name, value)
+    return arguments
+
+
+def _numbers(value, name: str, shape: tuple) -> np.ndarray:
+    """Parse the numeric payload ``value`` of parameter ``name`` in one bulk pass.
 
     ``shape`` gives the length of each axis, ``None`` for any length.  Every
     leaf must be an ``int`` or a ``float`` (not a ``bool``) whose float64
     value is finite.  Returns the float64 array; any failure is a
     ``ValueError`` naming the parameter.
     """
-    value = np.array(params[name], dtype=object)
+    value = np.array(value, dtype=object)
     if value.ndim != len(shape) or any(
         want is not None and want != got for want, got in zip(shape, value.shape)
     ):
@@ -215,23 +159,19 @@ def _numbers(params: dict, name: str, shape: tuple) -> np.ndarray:
     return floats
 
 
-def _complex(params: dict, name: str, ndim: int) -> np.ndarray:
+def _complex(value, name: str, ndim: int) -> np.ndarray:
     """``ndim`` nested lists of [re, im] pairs, each read as complex(re, im).
 
     The pairs are viewed as complex128 without arithmetic, so signed zeros
     survive bit for bit.
     """
-    pairs = _numbers(params, name, (None,) * ndim + (2,))
+    pairs = _numbers(value, name, (None,) * ndim + (2,))
     return pairs.view(np.complex128)[..., 0]
 
 
 def _pair(z) -> list:
     z = complex(z)
     return [z.real, z.imag]
-
-
-def _pairs(vec) -> list:
-    return [_pair(z) for z in np.asarray(vec).reshape(-1)]
 
 
 def _pair_matrix(mat) -> list:
@@ -246,8 +186,8 @@ def _write_csv(path: str, header: list, rows: list) -> None:
             fh.write("\n")
 
 
-def _run_carleson(params: dict) -> tuple[dict, dict, dict]:
-    zeros = _complex(params, "zeros", 1)
+def _run_carleson(zeros) -> tuple[dict, dict, dict]:
+    zeros = _complex(zeros, "zeros", 1)
     delta = carleson_delta(zeros)
     capacity = delta_capacity(delta)
     results = {"zero_count": len(zeros), "delta": delta, "capacity": capacity}
@@ -258,44 +198,54 @@ def _run_carleson(params: dict) -> tuple[dict, dict, dict]:
     return results, certificates, {}
 
 
-def _run_model_space(params: dict) -> tuple[dict, dict, dict]:
-    constant = complex(_complex(params, "constant", 0)) if "constant" in params else 1.0
-    h = BlaschkeProduct(zeros=_complex(params, "zeros", 1), constant=constant)
-    ms = build_model_space(h, n_trunc=params.get("trunc_n"))
+def _run_model_space(
+    zeros, constant=None, trunc_n=None, decay_n_max=None, decay_csv=None
+) -> tuple[dict, dict, dict]:
+    constant = 1.0 if constant is None else complex(_complex(constant, "constant", 0))
+    h = BlaschkeProduct(zeros=_complex(zeros, "zeros", 1), constant=constant)
+    ms = build_model_space(h, n_trunc=trunc_n)
     results = ms.to_dict()
-    if "decay_n_max" in params:
-        profile = decay_profile(ms, ms.phi, params["decay_n_max"])
+    if decay_n_max is not None:
+        profile = decay_profile(ms, ms.phi, decay_n_max)
         results["decay_profile"] = [float(x) for x in profile]
-        if "decay_csv" in params:
+        if decay_csv is not None:
             _write_csv(
-                params["decay_csv"],
+                decay_csv,
                 ["n", "orbit_norm"],
                 [(n, float(x)) for n, x in enumerate(profile)],
             )
     return results, {}, {"gram_target": config.GRAM_TARGET}
 
 
-def _run_orbit_analysis(params: dict) -> tuple[dict, dict, dict]:
+def _run_orbit_analysis(
+    T,
+    f0,
+    index_set,
+    n_max,
+    recover_generator=False,
+    bounds_schedule=None,
+    bounds_csv=None,
+) -> tuple[dict, dict, dict]:
     spec = OrbitSpec(
-        T=_complex(params, "T", 2),
-        f0=_complex(params, "f0", 1),
-        index_set=params["index_set"],
-        n_max=params["n_max"],
+        T=_complex(T, "T", 2),
+        f0=_complex(f0, "f0", 1),
+        index_set=index_set,
+        n_max=n_max,
     )
     results = {"frame_report": frame_bounds(spec).to_dict()}
     if spec.index_set == "N":
         U = spec.columns
         results["kernel_residual"] = kernel_shift_invariance(U)
-        if params.get("recover_generator"):
+        if recover_generator:
             recovered = generator_closure(U)
             gaps = np.linalg.norm(recovered @ U[:, :-1] - U[:, 1:], axis=0)
             results["generator"] = _pair_matrix(recovered)
             results["generator_consistency"] = float(gaps.max()) if gaps.size else 0.0
     else:
         results["unitarity_defect"] = unitarity_defect(spec)
-    if "bounds_schedule" in params:
+    if bounds_schedule is not None:
         rows = []
-        for m in params["bounds_schedule"]:
+        for m in bounds_schedule:
             rep = frame_bounds(
                 OrbitSpec(T=spec.T, f0=spec.f0, index_set=spec.index_set, n_max=m)
             )
@@ -308,9 +258,9 @@ def _run_orbit_analysis(params: dict) -> tuple[dict, dict, dict]:
                 }
             )
         results["bounds_schedule"] = rows
-        if "bounds_csv" in params:
+        if bounds_csv is not None:
             _write_csv(
-                params["bounds_csv"],
+                bounds_csv,
                 ["n_max", "lower_bound", "upper_bound", "parseval_defect"],
                 [
                     (r["n_max"], r["lower_bound"], r["upper_bound"], r["parseval_defect"])
@@ -320,11 +270,11 @@ def _run_orbit_analysis(params: dict) -> tuple[dict, dict, dict]:
     return results, {}, {"kernel_tol": config.KERNEL_TOL}
 
 
-def _run_normal_construction(params: dict) -> tuple[dict, dict, dict]:
+def _run_normal_construction(zeros, coeffs, n_max=None) -> tuple[dict, dict, dict]:
     spec = NormalOrbitSpec(
-        zeros=_complex(params, "zeros", 1), coeffs=_complex(params, "coeffs", 1)
+        zeros=_complex(zeros, "zeros", 1), coeffs=_complex(coeffs, "coeffs", 1)
     )
-    pair = build_normal_pair(spec, params.get("n_max"))
+    pair = build_normal_pair(spec, n_max)
     rep = frame_bounds(pair)
     lo, hi = certificate_bounds(spec)
     tail = rep.tail_estimate or 0.0
@@ -346,12 +296,12 @@ def _run_normal_construction(params: dict) -> tuple[dict, dict, dict]:
     return results, certificates, {"containment_slack": slack}
 
 
-def _run_perturbation(params: dict) -> tuple[dict, dict, dict]:
+def _run_perturbation(zeros, coeffs, k, l, tau, n_max=None) -> tuple[dict, dict, dict]:
     spec = NormalOrbitSpec(
-        zeros=_complex(params, "zeros", 1), coeffs=_complex(params, "coeffs", 1)
+        zeros=_complex(zeros, "zeros", 1), coeffs=_complex(coeffs, "coeffs", 1)
     )
-    tau = complex(_complex(params, "tau", 0))
-    pair = perturb_tau(spec, params["k"], params["l"], tau, params.get("n_max"))
+    tau = complex(_complex(tau, "tau", 0))
+    pair = perturb_tau(spec, k, l, tau, n_max)
     rep = frame_bounds(pair.orbit)
     T = pair.orbit.T
     comm = T @ T.conj().T - T.conj().T @ T
@@ -359,8 +309,8 @@ def _run_perturbation(params: dict) -> tuple[dict, dict, dict]:
         "perturbed": pair.to_dict(),
         "n_max": pair.orbit.n_max,
         "frame_report": rep.to_dict(),
-        "excluded_tau": _pair(excluded_tau(spec, params["k"], params["l"])),
-        "commutator_kk": abs(comm[params["k"], params["k"]]),
+        "excluded_tau": _pair(excluded_tau(spec, k, l)),
+        "commutator_kk": abs(comm[k, k]),
     }
     certificates = {
         "lower": pair.certificate_lower,
@@ -371,17 +321,15 @@ def _run_perturbation(params: dict) -> tuple[dict, dict, dict]:
     return results, certificates, {"excluded_tau_rtol": config.EXCLUDED_TAU_RTOL}
 
 
-def _run_biinfinite(params: dict) -> tuple[dict, dict, dict]:
-    sigma = ArcSet(tuple(map(tuple, _numbers(params, "arcs", (None, 2)).tolist())))
-    M = params["M"]
-    n_max = params.get("n_max", M)
+def _run_biinfinite(arcs, M, n_max=None, psi=None) -> tuple[dict, dict, dict]:
+    sigma = ArcSet(tuple(map(tuple, _numbers(arcs, "arcs", (None, 2)).tolist())))
     pair = build_multiplication_pair(sigma, M, n_max=n_max)
     rep = frame_bounds(pair)
     slack = config.CONTAINMENT_SLACK
     results = {
         "arcs": sigma.to_json(),
         "M": M,
-        "n_max": n_max,
+        "n_max": pair.n_max,
         "mask_count": pair.dim,
         "mask_measure": pair.dim / M,
         "arc_measure": sigma.measure,
@@ -389,8 +337,8 @@ def _run_biinfinite(params: dict) -> tuple[dict, dict, dict]:
         "unitarity_defect": unitarity_defect(pair),
         "frame_report": rep.to_dict(),
     }
-    if "psi" in params:
-        psi = _complex(params, "psi", 1)
+    if psi is not None:
+        psi = _complex(psi, "psi", 1)
         reseeded = commutant_multiplier(pair, psi)
         rep2 = frame_bounds(reseeded)
         mods2 = np.abs(psi) ** 2
@@ -403,9 +351,11 @@ def _run_biinfinite(params: dict) -> tuple[dict, dict, dict]:
     return results, {}, {"containment_slack": slack, "window_normalization": window}
 
 
-def _run_translates(params: dict) -> tuple[dict, dict, dict]:
-    samples = _numbers(params, "fhat_samples", (None,))
-    prof = translates_phi(samples, params["period_count"])
+def _run_translates(
+    fhat_samples, period_count, phi_csv=None
+) -> tuple[dict, dict, dict]:
+    samples = _numbers(fhat_samples, "fhat_samples", (None,))
+    prof = translates_phi(samples, period_count)
     results = {
         "grid_size": int(prof.phi.shape[0]),
         "support_measure": prof.measure,
@@ -413,9 +363,9 @@ def _run_translates(params: dict) -> tuple[dict, dict, dict]:
         "ess_sup": prof.ess_sup,
         "threshold": prof.threshold,
     }
-    if "phi_csv" in params:
+    if phi_csv is not None:
         _write_csv(
-            params["phi_csv"],
+            phi_csv,
             ["omega", "phi"],
             [(float(w), float(p)) for w, p in zip(prof.omegas, prof.phi)],
         )
@@ -433,10 +383,9 @@ _HANDLERS = {
 }
 
 
-def _validate(validator, instance) -> None:
-    error = best_match(validator.iter_errors(instance))
-    if error is not None:
-        raise error
+def _problem_keys(kind, parameters, output=None) -> None:
+    """The keys of a problem object: ``_bind`` checks a problem against this
+    signature, and the function is never called."""
 
 
 def _report_text(report: dict) -> str:
@@ -448,10 +397,13 @@ def _report_text(report: dict) -> str:
 
 def run_problem(problem: dict) -> dict:
     """Validate and execute one problem dict, returning the report dict."""
-    _validate(_PROBLEM_VALIDATOR, problem)
+    _check_type("problem", problem)
+    _bind(_problem_keys, problem, "problem")
     kind = problem["kind"]
-    _validate(_PARAMETER_VALIDATORS[kind], problem["parameters"])
-    results, certificates, tolerances = _HANDLERS[kind](problem["parameters"])
+    handler = _HANDLERS[kind]
+    results, certificates, tolerances = handler(
+        **_bind(handler, problem["parameters"], f"{kind} parameters")
+    )
     return {
         "kind": kind,
         "inputs": problem["parameters"],
@@ -473,9 +425,6 @@ def _cmd_run(args) -> int:
         report = run_problem(problem)
         elapsed = time.perf_counter() - start
         text = _report_text(report)
-    except jsonschema.ValidationError as exc:
-        print(f"error: invalid problem file: {exc.message}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

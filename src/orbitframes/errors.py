@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Input problems (bad shapes, values outside documented domains, schema
-violations) raise plain ``ValueError`` or a subclass carrying the measured
-quantity that triggered the rejection.  Failures of the numerics themselves
+Input problems (bad shapes, values outside documented domains, keys or
+types the batch intake rejects) raise plain ``ValueError`` or a subclass
+carrying the measured quantity that triggered the rejection.  Failures of the numerics themselves
 (ill conditioning, truncation caps, singular operators) raise
 ``NumericalError`` so callers can tell the two apart.
 """

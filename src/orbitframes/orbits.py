@@ -260,15 +260,17 @@ def generator_closure(frame_columns: np.ndarray) -> np.ndarray:
     returns the unique operator whose orbit reproduces the columns,
     provided the kernel is shift invariant.  Raises
     ``ShiftInvarianceError`` when ``kernel_shift_invariance`` exceeds
-    ``KERNEL_TOL``, and ``NumericalError`` when the columns do not span
-    (frame not captured at this truncation).
+    ``KERNEL_TOL * ||U||_2`` (the residual scales with the columns, so the
+    verdict does not depend on the seed's scale), and ``NumericalError``
+    when the columns do not span (frame not captured at this truncation).
     """
     U = _finite_columns(frame_columns)
-    residual = kernel_shift_invariance(U)
-    if residual > KERNEL_TOL:
-        raise ShiftInvarianceError(residual, KERNEL_TOL)
     S = U @ U.conj().T
     eigs = np.linalg.eigvalsh(S)
+    residual = kernel_shift_invariance(U)
+    ceiling = KERNEL_TOL * float(np.sqrt(max(eigs[-1], 0.0)))
+    if residual > ceiling:
+        raise ShiftInvarianceError(residual, ceiling)
     if eigs[0] <= KERNEL_TOL * eigs[-1]:
         raise NumericalError(
             f"frame not captured at this truncation: smallest frame "

@@ -1,9 +1,12 @@
-"""End-to-end CLI checks: schema gate, reports, side files, exit codes."""
+"""End-to-end CLI checks: intake rule, reports, side files, exit codes."""
 
 import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,8 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from jsonschema.validators import validator_for
 
+import orbitframes
 from orbitframes import cli, config, orbits
 from orbitframes.cli import main
 
@@ -527,11 +530,15 @@ class TestInputGate:
                 "zeros must be finite, got -Infinity",
             ),
             ("carleson", '{"zeros": [[0.5, 0.0]], "extra": NaN}', "invalid problem file"),
-            ("carleson", '{"zeros": NaN}', "NaN is not of type 'array'"),
+            (
+                "carleson",
+                '{"zeros": NaN}',
+                "zeros must be a nested list of numbers of shape (n, 2)",
+            ),
             (
                 "normal_construction",
                 '{"zeros": [[0.5, 0.0]], "coeffs": [[1.0, 0.0]], "n_max": Infinity}',
-                "Infinity is not of type 'integer'",
+                "n_max must be an integer, got Infinity",
             ),
         ],
     )
@@ -565,30 +572,29 @@ class TestInputGate:
         assert exc_info.value.code == 2
         assert "--tol" in capsys.readouterr().err
 
+    def test_import_loads_no_schema_library(self):
+        src = str(Path(orbitframes.__file__).parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        code = "import sys, orbitframes.cli; print('jsonschema' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
+
     def test_non_finite_report_exit_3(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "report.json"
         monkeypatch.setitem(
-            cli._HANDLERS, "carleson", lambda params: ({"delta": math.nan}, {}, {})
+            cli._HANDLERS, "carleson", lambda zeros: ({"delta": math.nan}, {}, {})
         )
         payload = {"kind": "carleson", "parameters": {"zeros": [[0.5, 0.0]]}}
         rc = main(["run", str(write_problem(tmp_path, payload)), "--out", str(out)])
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "schema",
-        [cli._PROBLEM_SCHEMA, *cli._PARAMETER_SCHEMAS.values()],
-        ids=["problem", *cli._PARAMETER_SCHEMAS],
-    )
-    def test_schema_passes_its_metaschema(self, schema):
-        validator_for(schema).check_schema(schema)
-
-
-def _without_recovery(parameters):
-    """The parameters without ``recover_generator``: the base orbit is too short
-    for its kernel to pass the invariance test, which would end the run early."""
-    return {key: v for key, v in parameters.items() if key != "recover_generator"}
 
 
 def _reject_constant(token):
@@ -603,8 +609,9 @@ def _same_shape(value, leaf):
 
 
 class TestIntakeProperty:
-    """Any numeric payload, finite or not, ends in exit 0, 2 or 3, and any
-    size past the truncation ceiling in exit 2."""
+    """Any numeric payload, finite or not, and any value of an integer, flag
+    or path parameter ends in exit 0, 2 or 3; any size past the truncation
+    ceiling or integer given as another JSON type ends in exit 2."""
 
     BASE = {
         "carleson": {"zeros": [[0.5, 0.0], [-0.3, 0.2]]},
@@ -613,7 +620,7 @@ class TestIntakeProperty:
             "T": [[[0.5, 0.0], [0.0, 0.0]], [[0.1, 0.0], [0.3, 0.0]]],
             "f0": [[1.0, 0.0], [1.0, 0.0]],
             "index_set": "N",
-            "n_max": 8,
+            "n_max": 40,
             "recover_generator": True,
         },
         "normal_construction": {
@@ -646,6 +653,22 @@ class TestIntakeProperty:
         "biinfinite": ["arcs", "psi"],
         "translates": ["fhat_samples"],
     }
+    #: The integer, flag and path parameters of each kind.
+    OTHER = {
+        "carleson": [],
+        "model_space": ["trunc_n", "decay_n_max", "decay_csv"],
+        "orbit_analysis": [
+            "index_set",
+            "n_max",
+            "recover_generator",
+            "bounds_schedule",
+            "bounds_csv",
+        ],
+        "normal_construction": ["n_max"],
+        "perturbation": ["k", "l", "n_max"],
+        "biinfinite": ["M", "n_max"],
+        "translates": ["period_count", "phi_csv"],
+    }
     FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers())
     LEAF = st.one_of(
         FINITE,
@@ -653,23 +676,32 @@ class TestIntakeProperty:
         st.sampled_from([10**400, -(10**400), True, None, "1"]),
     )
     TREE = st.recursive(LEAF, lambda inner: st.lists(inner, max_size=3), max_leaves=8)
+    SCALAR = st.one_of(
+        st.sampled_from([1.0, True, None, "1", -1, 10**400]), st.integers(0, 48)
+    )
 
     @pytest.mark.parametrize("kind", sorted(BASE))
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_exit_code_and_report(self, kind, data):
         parameters = dict(self.BASE[kind])
-        for name in data.draw(st.sets(st.sampled_from(self.NUMERIC[kind]), min_size=1)):
-            parameters[name] = data.draw(
-                st.one_of(
-                    _same_shape(parameters[name], self.FINITE),
-                    _same_shape(parameters[name], self.LEAF),
-                    self.TREE,
-                ),
-                label=name,
-            )
+        names = st.sampled_from(self.NUMERIC[kind] + self.OTHER[kind])
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
+            for name in data.draw(st.sets(names, min_size=1)):
+                if name in self.NUMERIC[kind]:
+                    value = st.one_of(
+                        _same_shape(parameters[name], self.FINITE),
+                        _same_shape(parameters[name], self.LEAF),
+                        self.TREE,
+                    )
+                elif name == "bounds_schedule":
+                    value = st.one_of(self.SCALAR, st.lists(self.SCALAR, max_size=3))
+                else:
+                    value = self.SCALAR
+                parameters[name] = data.draw(value, label=name)
+                if name.endswith("_csv") and isinstance(parameters[name], str):
+                    parameters[name] = str(Path(tmp) / parameters[name])
             path = Path(tmp) / "problem.json"
             path.write_text(json.dumps({"kind": kind, "parameters": parameters}))
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -696,7 +728,7 @@ class TestIntakeProperty:
         self, kind, name, value, tmp_path, capsys, monkeypatch
     ):
         monkeypatch.setenv("ORBITFRAMES_MAX_TRUNC", str(self.CEILING))
-        parameters = _without_recovery(self.BASE[kind])
+        parameters = dict(self.BASE[kind])
         parameters[name] = [4, value] if name == "bounds_schedule" else value
         payload = {"kind": kind, "parameters": parameters}
         rc = main(["run", str(write_problem(tmp_path, payload))])
@@ -704,11 +736,34 @@ class TestIntakeProperty:
         assert rc == 2
         assert f"= {value} exceeds the ceiling {self.CEILING}" in err
 
+    @pytest.mark.parametrize("value", [8.0, True, "8", None])
+    @pytest.mark.parametrize(
+        "kind, name",
+        SIZES
+        + [("perturbation", "k"), ("perturbation", "l"), ("translates", "period_count")],
+    )
+    def test_non_integer_exit_2(self, kind, name, value, tmp_path, capsys):
+        parameters = dict(self.BASE[kind])
+        parameters[name] = [4, value] if name == "bounds_schedule" else value
+        payload = {"kind": kind, "parameters": parameters}
+        rc = main(["run", str(write_problem(tmp_path, payload))])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"invalid problem file: {name} must be " in err
+
+    def test_float_index_names_it(self, tmp_path, capsys):
+        parameters = dict(self.BASE["perturbation"], k=1.0, l=0)
+        payload = {"kind": "perturbation", "parameters": parameters}
+        rc = main(["run", str(write_problem(tmp_path, payload))])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "k must be an integer, got 1.0" in err
+
 
 class TestTolerances:
     @pytest.mark.parametrize("kind", sorted(TestIntakeProperty.BASE))
     def test_block_holds_registry_constants(self, kind):
-        parameters = _without_recovery(TestIntakeProperty.BASE[kind])
+        parameters = TestIntakeProperty.BASE[kind]
         report = cli.run_problem({"kind": kind, "parameters": parameters})
         tolerances = report["tolerances"]
         numeric = {key: v for key, v in tolerances.items() if not isinstance(v, str)}

@@ -335,6 +335,15 @@ class TestGeneratorClosure:
             generator_closure(U)
         assert abs(exc_info.value.residual - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("scale", [1.0, 1e9])
+    def test_verdict_does_not_depend_on_seed_scale(self, scale):
+        # The residual grows with the seed (4.5e-13 at scale 1, 4.5e-4 at
+        # 1e9); the ceiling grows with ||U||_2, so both seeds recover T.
+        T = np.diag([0.5, 0.3])
+        spec = OrbitSpec(T=T, f0=scale * np.ones(2), index_set="N", n_max=40)
+        T_hat = generator_closure(synthesis_matrix(spec))
+        assert np.linalg.norm(T_hat - T, 2) < RECOVERY_TOL
+
     def test_rejects_empty_rows(self):
         with pytest.raises(ValueError, match="frame_columns must be a nonempty"):
             generator_closure(np.zeros((0, 3)))
