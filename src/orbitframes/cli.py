@@ -8,13 +8,14 @@ bind; each value then meets one type rule keyed by its name (sizes and
 indices are JSON integers, so ``8.0`` or ``true`` is rejected); and each
 numeric payload is parsed in one bulk pass that checks its shape and
 that every entry is a finite JSON number.  Ranges are checked by the
-library.  Complex numbers travel as [re, im] pairs.  The ``NaN``,
-``Infinity`` and ``-Infinity`` literals are rejected, and a report that
-would hold a non-finite number is a numerical error.  Reports are byte-stable
-for identical inputs (sorted keys, default float repr, no timestamps);
-wall time goes to stderr.  CSV side outputs are written when the problem
-asks for them.  A report's ``tolerances`` lists the ``config`` constants
-its kind compares against.
+library, but ``decay_n_max`` and ``bounds_schedule`` entries here, so the
+message names them.  Complex numbers travel as [re, im] pairs.  The
+``NaN``, ``Infinity`` and ``-Infinity`` literals are rejected, and a
+report that would hold a non-finite number is a numerical error.  Reports
+are byte-stable for identical inputs (sorted keys, default float repr, no
+timestamps); wall time goes to stderr.  CSV side outputs are written when
+the problem asks for them.  A report's ``tolerances`` lists the ``config``
+constants its kind compares against.
 
 Exit codes: 0 success, 1 failed verification criteria, 2 input or
 validation error, 3 numerical error from an inner module.
@@ -206,6 +207,7 @@ def _run_model_space(
     ms = build_model_space(h, n_trunc=trunc_n)
     results = ms.to_dict()
     if decay_n_max is not None:
+        config.check_size("decay_n_max", decay_n_max)
         profile = decay_profile(ms, ms.phi, decay_n_max)
         results["decay_profile"] = [float(x) for x in profile]
         if decay_csv is not None:
@@ -244,29 +246,15 @@ def _run_orbit_analysis(
     else:
         results["unitarity_defect"] = unitarity_defect(spec)
     if bounds_schedule is not None:
+        keys = ["n_max", "lower_bound", "upper_bound", "parseval_defect"]
         rows = []
         for m in bounds_schedule:
-            rep = frame_bounds(
-                OrbitSpec(T=spec.T, f0=spec.f0, index_set=spec.index_set, n_max=m)
-            )
-            rows.append(
-                {
-                    "n_max": m,
-                    "lower_bound": rep.lower_bound,
-                    "upper_bound": rep.upper_bound,
-                    "parseval_defect": rep.parseval_defect,
-                }
-            )
+            config.check_size("bounds_schedule entry", m)
+            rep = frame_bounds(spec.window(m)).to_dict()
+            rows.append({key: rep[key] for key in keys})
         results["bounds_schedule"] = rows
         if bounds_csv is not None:
-            _write_csv(
-                bounds_csv,
-                ["n_max", "lower_bound", "upper_bound", "parseval_defect"],
-                [
-                    (r["n_max"], r["lower_bound"], r["upper_bound"], r["parseval_defect"])
-                    for r in rows
-                ],
-            )
+            _write_csv(bounds_csv, keys, [[row[key] for key in keys] for row in rows])
     return results, {}, {"kernel_tol": config.KERNEL_TOL}
 
 

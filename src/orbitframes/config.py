@@ -20,6 +20,10 @@ EQUAL_TOL = 1e-12
 GRAM_TARGET = 1e-10
 #: Column norm past which an orbit is declared numerically divergent.
 COLUMN_OVERFLOW = 1e12
+#: ns per orbit column beyond D^2 in ``frame_bounds``' route rule (one BLAS thread).
+FACTOR_COLUMN_NS = 2500
+#: ns per doubling step beyond D^3 in the same rule, timed alongside the above.
+FACTOR_STEP_NS = 40000
 #: Condition ceiling for generators on two-sided index sets.
 TWO_SIDED_COND_MAX = 1e12
 #: Condition ceiling for similarity transports and commutant multipliers.
@@ -63,7 +67,9 @@ def max_truncation() -> int:
 
 
 def check_size(name: str, value: int) -> None:
-    """Raise a ``ValueError`` naming ``value`` when it passes the ceiling."""
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is in [0, ceiling]."""
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
     cap = max_truncation()
     if value > cap:
         raise ValueError(f"{name} = {value} exceeds the ceiling {cap}")

@@ -1,12 +1,13 @@
 """Frame analysis of operator orbits at finite truncation.
 
 An orbit specification is a matrix T, a seed vector f0, an index set
-(one-sided or two-sided), and a truncation.  The synthesis matrix stacks
-the orbit as columns; its singular structure carries the frame bounds,
-and the kernel's behavior under the coordinate right shift decides
-whether the columns are the orbit of any single bounded operator (the
-kernel must be shift invariant, in which case the generator is recovered
-in closed form from the shifted pseudoinverse).
+(one-sided or two-sided), and a truncation.  The synthesis matrix U stacks
+the orbit as columns; its singular structure carries the frame bounds
+(long one-sided windows read them from a D x D factor F, F F* = U U*, by
+square-root doubling), and the kernel's behavior under the coordinate
+right shift decides whether the columns are the orbit of any single
+bounded operator (the kernel must be shift invariant, in which case the
+generator is recovered in closed form from the shifted pseudoinverse).
 
 Only the bounded-generator criterion is implemented; the closable,
 unbounded middle ground has no finite-truncation surrogate and is out of
@@ -15,7 +16,7 @@ numerical scope here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -23,6 +24,8 @@ import numpy as np
 from .config import (
     COLUMN_OVERFLOW,
     COMMUTATOR_RTOL,
+    FACTOR_COLUMN_NS,
+    FACTOR_STEP_NS,
     KERNEL_TOL,
     PERIOD_TOL,
     SIMILARITY_COND_MAX,
@@ -54,7 +57,8 @@ class OrbitSpec:
     The spec owns its orbit: ``columns`` (the synthesis matrix) and
     ``frame_operator`` (U U*) are built on first use and kept, read-only,
     for as long as the spec lives, so every property of one orbit reads
-    the same D x L array (16 D L bytes) instead of rebuilding it.
+    the same D x L array (16 D L bytes) instead of rebuilding it.  Frame
+    bounds of a long one-sided window build neither (see ``frame_bounds``).
     """
 
     T: np.ndarray
@@ -77,8 +81,7 @@ class OrbitSpec:
         if self.index_set not in ("N", "Z"):
             raise ValueError(f"index_set must be 'N' or 'Z', got {self.index_set!r}")
         n_max = int(self.n_max)
-        if n_max < 0:
-            raise ValueError("n_max must be nonnegative")
+        check_size("n_max", n_max)
         if self.index_set == "Z":
             check_condition(T, TWO_SIDED_COND_MAX, "invertible two-sided generator")
         T.setflags(write=False)
@@ -90,6 +93,14 @@ class OrbitSpec:
     @property
     def dim(self) -> int:
         return self.T.shape[0]
+
+    def window(self, n_max: int) -> OrbitSpec:
+        """The same orbit cut at ``n_max``, one-sided windows sharing built columns."""
+        spec = OrbitSpec(T=self.T, f0=self.f0, index_set=self.index_set, n_max=n_max)
+        built = self.__dict__.get("columns")
+        if built is not None and self.index_set == "N" and spec.n_max <= self.n_max:
+            spec.__dict__["columns"] = built[:, : spec.n_max + 1]
+        return spec
 
     @cached_property
     def columns(self) -> np.ndarray:
@@ -109,9 +120,11 @@ class OrbitSpec:
 class FrameReport:
     """Eigenvalue extremes of the truncated frame operator plus tail data.
 
-    ``tail_estimate`` bounds the orbit energy past the truncation when the
-    spectral radius allows one (one-sided orbits with radius < 1); ``None``
-    means unknown.
+    ``lower_bound_floor`` is the absolute floor of ``lower_bound``: eps *
+    upper from the eigenvalues of U U*, about (eps ||F||_2)^2 times the error
+    growth of the block powers from the factor F.  ``tail_estimate`` bounds
+    the orbit energy past the truncation when the spectral radius allows
+    one (one-sided orbits with radius < 1); ``None`` means unknown.
     """
 
     lower_bound: float
@@ -119,15 +132,10 @@ class FrameReport:
     parseval_defect: float
     n_max: int
     tail_estimate: float | None
+    lower_bound_floor: float
 
     def to_dict(self) -> dict:
-        return {
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "parseval_defect": self.parseval_defect,
-            "n_max": self.n_max,
-            "tail_estimate": self.tail_estimate,
-        }
+        return asdict(self)
 
 
 def check_condition(M: np.ndarray, ceiling: float, what: str) -> float:
@@ -145,8 +153,6 @@ def orbit_columns(T: np.ndarray, v: np.ndarray, n_max: int) -> np.ndarray:
     decay profile is read from it, and it refuses windows past the ceiling.
     """
     n_max = int(n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
     check_size("orbit window n_max", n_max)
     v = np.array(v, dtype=np.complex128).reshape(-1)
     out = np.empty((v.shape[0], n_max + 1), dtype=np.complex128)
@@ -181,19 +187,58 @@ def synthesis_matrix(spec: OrbitSpec) -> np.ndarray:
 
 
 def frame_bounds(spec: OrbitSpec) -> FrameReport:
-    """Extreme eigenvalues of S = U U* for the truncated orbit."""
-    eigs = np.linalg.eigvalsh(spec.frame_operator)
-    lower = max(float(eigs[0]), 0.0)
-    upper = float(eigs[-1])
-    defect = float(max(abs(eigs - 1.0)))
-    tail = _tail_estimate(spec)
+    """Extreme eigenvalues of S = U U* for the truncated orbit.
+
+    Long one-sided windows read them from a factor and build no columns;
+    the rest clamp the lower bound of ``eigvalsh(spec.frame_operator)`` at
+    0.  The route depends on the spec alone (see ``_spectrum``).
+    """
+    eigs, floor = _spectrum(spec)
     return FrameReport(
-        lower_bound=lower,
-        upper_bound=upper,
-        parseval_defect=defect,
+        lower_bound=max(float(eigs[0]), 0.0),
+        upper_bound=float(eigs[-1]),
+        parseval_defect=float(max(abs(eigs - 1.0))),
         n_max=spec.n_max,
-        tail_estimate=tail,
+        tail_estimate=_tail_estimate(spec),
+        lower_bound_floor=floor,
     )
+
+
+def _spectrum(spec: OrbitSpec) -> tuple[np.ndarray, float]:
+    """Ascending eigenvalues of S = U U* and the absolute floor of the least.
+
+    A one-sided window whose L columns at D^2 + ``FACTOR_COLUMN_NS`` ns each
+    cost more than max(log2 L, 1) doubling steps at D^3 + ``FACTOR_STEP_NS``
+    reads them from a D x D factor, F F* = S, unless F is not finite, passes
+    ``COLUMN_OVERFLOW`` (||F||_2 >= every column norm) or is less precise
+    than U U*; the rest take ``eigvalsh`` of U U*, floor eps * upper.
+    Doubling (Smith 1968, Hammarling 1982): G factors the first 2^k terms,
+    P = T^(2^k), each set digit of L prepends that block (S <- G G* +
+    P S P*); each squaring doubles the error of P and adds eps ||P||^2.
+    """
+
+    def merge(A, B):  # R* from the QR of [A, B]*, a factor of A A* + B B*
+        return np.linalg.qr(np.hstack([A, B]).conj().T, mode="r").conj().T
+
+    D, L, eps = spec.dim, spec.n_max + 1, np.finfo(float).eps
+    doubling = max(np.log2(L), 1.0) * (D**3 + FACTOR_STEP_NS)
+    if spec.index_set == "N" and L * (D * D + FACTOR_COLUMN_NS) > doubling:
+        p_err, f_err, G, P, F = 0.0, 1.0, spec.f0.reshape(-1, 1), spec.T, None
+        with np.errstate(over="ignore", invalid="ignore"):
+            while L:
+                p_norm = np.sqrt(np.linalg.norm(P, 1) * np.linalg.norm(P, np.inf))
+                f_err += 1.0 + 2.0 * (p_err + p_norm)
+                if L & 1:
+                    F = G if F is None else merge(G, P @ F)
+                if L := L >> 1:
+                    G, P = merge(G, P @ G), P @ P
+                    p_err = 2.0 * p_norm * p_err + p_norm * p_norm
+            s = np.linalg.svd(F, compute_uv=False) if np.isfinite(F).all() else [np.inf]
+            floor = (eps * f_err * s[0]) ** 2  # float64: inf past the range, no raise
+        if s[0] <= COLUMN_OVERFLOW and floor < eps * s[0] ** 2:
+            return np.pad(s[::-1] ** 2, (D - len(s), 0)), float(floor)
+    eigs = np.linalg.eigvalsh(spec.frame_operator)
+    return eigs, float(eps * eigs[-1])
 
 
 def _tail_estimate(spec: OrbitSpec) -> float | None:

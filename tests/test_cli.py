@@ -35,6 +35,12 @@ def run_to_report(tmp_path, payload, capsys):
     return json.loads(captured.out)
 
 
+def frame_bounds_by_columns(T, f0, n_max):
+    """Ascending eigenvalues of U U* from an explicit power loop."""
+    U = orbits.orbit_columns(np.array(T, dtype=complex), np.array(f0), n_max)
+    return np.linalg.eigvalsh(U @ U.conj().T)
+
+
 @pytest.fixture
 def power_loops(monkeypatch):
     """Records the window length of every run of the orbit power loop."""
@@ -154,6 +160,46 @@ class TestOrbitAnalysis:
         run_to_report(tmp_path, payload, capsys)
         assert power_loops == [40]
 
+    def test_schedule_windows_build_no_columns(self, tmp_path, capsys, power_loops):
+        # Windows inside n_max read a prefix of the built columns; the long
+        # one past it takes the doubling factor.
+        payload = {
+            "kind": "orbit_analysis",
+            "parameters": {
+                "T": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.25, 0.0]]],
+                "f0": [[1.0, 0.0], [1.0, 0.0]],
+                "index_set": "N",
+                "n_max": 40,
+                "recover_generator": True,
+                "bounds_schedule": [8, 40, 4096],
+            },
+        }
+        report = run_to_report(tmp_path, payload, capsys)
+        assert power_loops == [40]
+        results = report["results"]
+        rows = results["bounds_schedule"]
+        assert rows[1]["upper_bound"] == results["frame_report"]["upper_bound"]
+        expected = frame_bounds_by_columns([[0.5, 0.0], [0.0, 0.25]], [1.0, 1.0], 4096)
+        assert rows[2]["upper_bound"] == pytest.approx(expected[-1], rel=1e-13)
+        assert rows[2]["lower_bound"] == pytest.approx(expected[0], rel=1e-13)
+
+    def test_overflowing_block_powers_exit_0(self, tmp_path, capsys):
+        # diag(0.5, 2)^(2^k) overflows while the orbit of (1, 0) decays; the
+        # 16384 window then takes the columns route, with no inf or nan.
+        payload = {
+            "kind": "orbit_analysis",
+            "parameters": {
+                "T": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]],
+                "f0": [[1.0, 0.0], [0.0, 0.0]],
+                "index_set": "N",
+                "n_max": 8,
+                "bounds_schedule": [16384],
+            },
+        }
+        row = run_to_report(tmp_path, payload, capsys)["results"]["bounds_schedule"][0]
+        assert row["lower_bound"] == 0.0
+        assert row["upper_bound"] == pytest.approx(4 / 3, rel=1e-15)
+
     def test_two_sided_unitarity(self, tmp_path, capsys):
         payload = {
             "kind": "orbit_analysis",
@@ -217,6 +263,24 @@ class TestOrbitAnalysis:
         captured = capsys.readouterr()
         assert rc == 3
         assert "numerical error" in captured.err
+
+    def test_divergent_schedule_window_exit_3(self, tmp_path, capsys):
+        # 1.05^8000 stays finite in the doubling, but its factor's floor
+        # would pass the float range; the window must still end in exit 3.
+        payload = {
+            "kind": "orbit_analysis",
+            "parameters": {
+                "T": [[[1.05, 0.0]]],
+                "f0": [[1.0, 0.0]],
+                "index_set": "N",
+                "n_max": 8,
+                "bounds_schedule": [8000],
+            },
+        }
+        rc = main(["run", str(write_problem(tmp_path, payload))])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "diverges" in captured.err
 
 
 class TestNormalConstruction:
@@ -445,6 +509,32 @@ class TestInputGate:
         rc = main(["run", str(path)])
         assert rc == 2
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, name, value, message",
+        [
+            (
+                "model_space",
+                "decay_n_max",
+                -1,
+                "decay_n_max must be nonnegative, got -1",
+            ),
+            (
+                "orbit_analysis",
+                "bounds_schedule",
+                [4, -3],
+                "bounds_schedule entry must be nonnegative, got -3",
+            ),
+        ],
+    )
+    def test_negative_window_names_parameter(
+        self, kind, name, value, message, tmp_path, capsys
+    ):
+        parameters = dict(TestIntakeProperty.BASE[kind], **{name: value})
+        payload = {"kind": kind, "parameters": parameters}
+        rc = main(["run", str(write_problem(tmp_path, payload))])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     def test_unknown_kind_exit_2(self, tmp_path, capsys):
         rc = main(

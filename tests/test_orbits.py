@@ -240,6 +240,122 @@ class TestFrameBounds:
         assert tail >= measured
 
 
+@st.composite
+def contracting_orbits(draw):
+    """One-sided orbits with D <= 6 and ||T||_2 <= 1, windows short enough
+    for the columns route or long enough for the doubling factor."""
+    D = draw(st.integers(min_value=1, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    T = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    T *= draw(st.floats(min_value=0.2, max_value=1.0)) / np.linalg.norm(T, 2)
+    f0 = rng.standard_normal(D) + 1j * rng.standard_normal(D)
+    n_max = draw(st.one_of(st.integers(0, 40), st.integers(600, 3000)))
+    return OrbitSpec(T=T, f0=f0, index_set="N", n_max=n_max)
+
+
+class TestFactorRoute:
+    EPS = np.finfo(np.float64).eps
+
+    def test_diagonal_ladder_lower_bound_matches_mpmath(self):
+        # T = diag(linspace(0, 0.9, 16)), f0 = sqrt(1 - lambda^2), N = 2000:
+        # lambda_min(S_N) is 1.176e-18, below eps * upper, so only the
+        # factor resolves it (eigvalsh of U U* reported 1.568e-16).
+        import mpmath
+
+        lam = np.linspace(0.0, 0.9, 16)
+        f0 = np.sqrt(1.0 - lam**2)
+        n_max = 2000
+        spec = OrbitSpec(T=np.diag(lam), f0=f0, index_set="N", n_max=n_max)
+        report = frame_bounds(spec)
+        with mpmath.workdps(60):
+            x, f = [mpmath.mpf(v) for v in lam], [mpmath.mpf(v) for v in f0]
+            S = mpmath.matrix(16, 16)
+            for i in range(16):
+                for j in range(16):
+                    q = x[i] * x[j]
+                    S[i, j] = f[i] * f[j] * (1 - q ** (n_max + 1)) / (1 - q)
+            exact = float(min(mpmath.eigsy(S, eigvals_only=True)))
+        assert exact == pytest.approx(1.176e-18, rel=1e-3)
+        assert report.lower_bound == pytest.approx(exact, rel=1e-6)
+        assert report.lower_bound_floor < 1e-6 * exact
+
+    @given(spec=contracting_orbits())
+    @settings(max_examples=60, deadline=None)
+    def test_routes_agree_with_thin_svd(self, spec):
+        # The floor bounds the square of the absolute error of the singular
+        # values whose squares are the bounds, on either route.
+        report = frame_bounds(spec)
+        svals = np.linalg.svd(synthesis_matrix(spec), compute_uv=False)
+        sigma = np.zeros(spec.dim)
+        sigma[: svals.size] = svals
+        slack = 4.0 * np.sqrt(report.lower_bound_floor)
+        assert abs(np.sqrt(report.upper_bound) - sigma[0]) <= slack
+        assert abs(np.sqrt(report.lower_bound) - sigma[-1]) <= slack
+        if spec.n_max >= 600:  # the factor route ran: its floor is below eps * upper
+            assert report.lower_bound_floor < self.EPS * report.upper_bound
+
+    def test_long_window_holds_no_columns(self):
+        rng = np.random.default_rng(5)
+        D, n_max = 50, 16384
+        T = np.diag(0.95 * np.exp(2j * np.pi * rng.random(D)))
+        spec = OrbitSpec(T=T, f0=np.ones(D), index_set="N", n_max=n_max)
+        tracemalloc.start()
+        try:
+            frame_bounds(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * D * (n_max + 1) / 10  # the columns take 13 MB
+        assert "columns" not in spec.__dict__
+
+    @pytest.mark.parametrize(
+        "rate, n_max", [(2.0, 60), (2.0, 2000), (1.01, 16384), (1.05, 8000)]
+    )
+    def test_diverging_orbit_is_numerical_error(self, rate, n_max):
+        # At 2000 the doubling overflows to inf; at 16384 its factor is
+        # finite but past the overflow ceiling, and at 1.05 / 8000 so far
+        # past it that its floor leaves the float range.  Either way the
+        # columns decide.
+        spec = OrbitSpec(T=[[rate]], f0=[1.0], index_set="N", n_max=n_max)
+        with pytest.raises(NumericalError, match="diverges"):
+            frame_bounds(spec)
+
+    def test_overflowing_block_powers_fall_back_to_columns(self):
+        # T^(2^k) overflows in its second entry, the orbit (1, 0) never does.
+        T, f0 = np.diag([0.5, 2.0]), np.array([1.0, 0.0])
+        spec = OrbitSpec(T=T, f0=f0, index_set="N", n_max=16384)
+        report = frame_bounds(spec)
+        by_columns = OrbitSpec(T=T, f0=f0, index_set="N", n_max=16384)
+        by_columns.columns
+        assert report == frame_bounds(by_columns)
+        assert (report.lower_bound, report.upper_bound) == (0.0, pytest.approx(4 / 3))
+
+    def test_single_column_window_takes_columns(self):
+        spec = OrbitSpec(T=[[0.5]], f0=[2.0], index_set="N", n_max=0)
+        report = frame_bounds(spec)
+        assert (report.lower_bound, report.upper_bound) == (4.0, 4.0)
+        assert report.lower_bound_floor == 4.0 * self.EPS
+        assert "columns" in spec.__dict__
+
+    def test_route_ignores_built_columns(self):
+        # The report is a function of the spec: building its columns first
+        # changes neither the route nor the floor.
+        spec = OrbitSpec(T=np.diag([0.9, 0.5]), f0=[1.0, 1.0], index_set="N", n_max=3000)
+        fresh = frame_bounds(spec)
+        spec.columns
+        assert frame_bounds(spec) == fresh
+        assert fresh.lower_bound_floor < self.EPS * fresh.upper_bound
+
+    def test_window_shares_built_prefix(self):
+        spec = OrbitSpec(T=np.diag([0.5, 0.25]), f0=[1.0, 1.0], index_set="N", n_max=20)
+        assert "columns" not in spec.window(8).__dict__
+        U = spec.columns
+        window = spec.window(8)
+        assert np.shares_memory(window.columns, U)
+        np.testing.assert_array_equal(window.columns, synthesis_matrix(window))
+        assert "columns" not in spec.window(21).__dict__
+
+
 class TestKernelInvariance:
     def test_trivial_kernel(self):
         assert kernel_shift_invariance(np.eye(3)) == 0.0
