@@ -237,12 +237,13 @@ def _run_orbit_analysis(
     results = {"frame_report": frame_bounds(spec).to_dict()}
     if spec.index_set == "N":
         U = spec.columns
-        results["kernel_residual"] = kernel_shift_invariance(U)
         if recover_generator:
-            recovered = generator_closure(U)
+            recovered, results["kernel_residual"] = generator_closure(U)
             gaps = np.linalg.norm(recovered @ U[:, :-1] - U[:, 1:], axis=0)
             results["generator"] = _pair_matrix(recovered)
             results["generator_consistency"] = float(gaps.max()) if gaps.size else 0.0
+        else:
+            results["kernel_residual"] = kernel_shift_invariance(U)
     else:
         results["unitarity_defect"] = unitarity_defect(spec)
     if bounds_schedule is not None:

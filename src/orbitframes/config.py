@@ -40,8 +40,6 @@ COMMUTATOR_RTOL = 1e-10
 SINGULAR_RTOL = 1e-14
 #: Relative distance to the excluded perturbation value that is rejected.
 EXCLUDED_TAU_RTOL = 1e-12
-#: Relative tail target used when a truncation depth is chosen automatically.
-AUTO_TAIL_REL = 1e-13
 #: Absolute slack of the report flags that compare measured and certified bounds.
 CONTAINMENT_SLACK = 1e-10
 #: Modulus at or below which a commutant multiplier sample counts as vanishing.

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blaschke import carleson_delta, delta_capacity, validate_zeros
-from .config import AUTO_TAIL_REL, EXCLUDED_TAU_RTOL, RIESZ_COND_MAX, max_truncation
+from .config import EXCLUDED_TAU_RTOL, RIESZ_COND_MAX
 from .errors import NumericalError
-from .orbits import OrbitSpec, check_condition
+from .orbits import OrbitSpec, check_condition, converged_depth
 
 __all__ = [
     "NormalOrbitSpec",
@@ -95,34 +95,16 @@ class NormalOrbitSpec:
         }
 
 
-def _auto_n_max(rho: float, lead: float, target: float) -> int:
-    """Smallest depth whose geometric tail bound drops below target."""
-    cap = max_truncation()
-    if rho <= 0.0 or lead <= 0.0:
-        return 64
-    r2 = rho * rho
-    tail0 = lead * r2 / (1.0 - r2)
-    if tail0 <= target:
-        return 64
-    need = math.log(target / tail0) / math.log(r2)
-    return int(min(cap, max(64, math.ceil(need) + 1)))
-
-
 def build_normal_pair(spec: NormalOrbitSpec, n_max: int | None = None) -> OrbitSpec:
     """One-sided orbit of (diag(zeros), coeffs).
 
-    When ``n_max`` is omitted a depth is chosen so the geometric tail
-    bound falls below a small fraction of the lower certificate (capped
-    at the configured truncation ceiling).
+    When ``n_max`` is omitted it is the window at which the orbit's
+    doubling walk converged (``converged_depth``); so are the depths of
+    ``build_riesz_pair`` and ``perturb_tau``.
     """
-    if n_max is None:
-        lo, _ = certificate_bounds(spec)
-        rho = float(np.max(np.abs(spec.zeros)))
-        lead = float(np.linalg.norm(spec.coeffs)) ** 2
-        n_max = _auto_n_max(rho, lead, AUTO_TAIL_REL * lo)
-    return OrbitSpec(
-        T=np.diag(spec.zeros), f0=spec.coeffs, index_set="N", n_max=int(n_max)
-    )
+    T = np.diag(spec.zeros)
+    n_max = converged_depth(T, spec.coeffs) if n_max is None else n_max
+    return OrbitSpec(T=T, f0=spec.coeffs, index_set="N", n_max=int(n_max))
 
 
 def certificate_bounds(spec: NormalOrbitSpec) -> tuple[float, float]:
@@ -144,15 +126,11 @@ def build_riesz_pair(
         raise ValueError(
             f"change of basis must be {spec.size}x{spec.size}, got {W.shape}"
         )
-    cond = check_condition(W, RIESZ_COND_MAX, "change of basis")
+    check_condition(W, RIESZ_COND_MAX, "change of basis")
     W_inv = np.linalg.solve(W, np.eye(spec.size))
     T = W @ np.diag(spec.zeros) @ W_inv
     f0 = W @ spec.coeffs
-    if n_max is None:
-        lo, _ = riesz_certificate_bounds(spec, W)
-        rho = float(np.max(np.abs(spec.zeros)))
-        lead = cond * cond * float(np.linalg.norm(f0)) ** 2
-        n_max = _auto_n_max(rho, lead, AUTO_TAIL_REL * lo)
+    n_max = converged_depth(T, f0) if n_max is None else n_max
     return OrbitSpec(T=T, f0=f0, index_set="N", n_max=int(n_max))
 
 
@@ -315,10 +293,7 @@ def _perturbed_pair(
             f"[{cert_lower:.3e}, {cert_upper:.3e}])"
         )
 
-    if n_max is None:
-        rho = float(np.max(np.abs(spec.zeros)))
-        lead = (block_hi / block_lo) * float(np.linalg.norm(spec.coeffs)) ** 2
-        n_max = _auto_n_max(rho, lead, AUTO_TAIL_REL * cert_lower)
+    n_max = converged_depth(T, spec.coeffs) if n_max is None else n_max
     orbit = OrbitSpec(T=T, f0=spec.coeffs, index_set="N", n_max=int(n_max))
 
     return PerturbedPair(

@@ -32,6 +32,7 @@ from .config import (
     SINGULAR_RTOL,
     TWO_SIDED_COND_MAX,
     check_size,
+    max_truncation,
 )
 from .errors import CommutatorError, NumericalError, ShiftInvarianceError
 
@@ -41,6 +42,7 @@ __all__ = [
     "orbit_columns",
     "synthesis_matrix",
     "frame_bounds",
+    "converged_depth",
     "kernel_shift_invariance",
     "generator_closure",
     "similarity_transport",
@@ -95,11 +97,13 @@ class OrbitSpec:
         return self.T.shape[0]
 
     def window(self, n_max: int) -> OrbitSpec:
-        """The same orbit cut at ``n_max``, one-sided windows sharing built columns."""
+        """The same orbit cut at ``n_max``; a shorter cut shares the built columns'
+        prefix (one-sided) or centred slice (two-sided)."""
         spec = OrbitSpec(T=self.T, f0=self.f0, index_set=self.index_set, n_max=n_max)
-        built = self.__dict__.get("columns")
-        if built is not None and self.index_set == "N" and spec.n_max <= self.n_max:
-            spec.__dict__["columns"] = built[:, : spec.n_max + 1]
+        built, m, n = self.__dict__.get("columns"), spec.n_max, self.n_max
+        if built is not None and m <= n:
+            cut = slice(n - m, n + m + 1) if self.index_set == "Z" else slice(m + 1)
+            spec.__dict__["columns"] = built[:, cut]
         return spec
 
     @cached_property
@@ -122,9 +126,10 @@ class FrameReport:
 
     ``lower_bound_floor`` is the absolute floor of ``lower_bound``: eps *
     upper from the eigenvalues of U U*, about (eps ||F||_2)^2 times the error
-    growth of the block powers from the factor F.  ``tail_estimate`` bounds
-    the orbit energy past the truncation when the spectral radius allows
-    one (one-sided orbits with radius < 1); ``None`` means unknown.
+    growth of the block powers from the factor F.  ``tail_estimate`` is the
+    exact energy sum_{n > n_max} ||T^n f0||^2 past the window, rounded up
+    (see ``_doubling``); ``None`` for two-sided orbits and when the block
+    powers stop shrinking (spectral radius 1 or more).
     """
 
     lower_bound: float
@@ -138,12 +143,11 @@ class FrameReport:
         return asdict(self)
 
 
-def check_condition(M: np.ndarray, ceiling: float, what: str) -> float:
-    """Condition number of ``M``, a ``ValueError`` unless it is below ``ceiling``."""
+def check_condition(M: np.ndarray, ceiling: float, what: str) -> None:
+    """Raise a ``ValueError`` unless the condition number of ``M`` is below ``ceiling``."""
     cond = float(np.linalg.cond(M))
     if not np.isfinite(cond) or cond > ceiling:
         raise ValueError(f"{what} needs condition below {ceiling:.0e}, got {cond:.3e}")
-    return cond
 
 
 def orbit_columns(T: np.ndarray, v: np.ndarray, n_max: int) -> np.ndarray:
@@ -187,76 +191,101 @@ def synthesis_matrix(spec: OrbitSpec) -> np.ndarray:
 
 
 def frame_bounds(spec: OrbitSpec) -> FrameReport:
-    """Extreme eigenvalues of S = U U* for the truncated orbit.
+    """Extreme eigenvalues of S = U U* for the truncated orbit, and its tail.
 
     Long one-sided windows read them from a factor and build no columns;
     the rest clamp the lower bound of ``eigvalsh(spec.frame_operator)`` at
-    0.  The route depends on the spec alone (see ``_spectrum``).
+    0.  The route depends on the spec alone (see ``_spectrum``).  One-sided
+    windows take their exact tail from the same walk (see ``_doubling``).
     """
-    eigs, floor = _spectrum(spec)
+    eigs, floor, tail = _spectrum(spec)
     return FrameReport(
         lower_bound=max(float(eigs[0]), 0.0),
         upper_bound=float(eigs[-1]),
         parseval_defect=float(max(abs(eigs - 1.0))),
         n_max=spec.n_max,
-        tail_estimate=_tail_estimate(spec),
+        tail_estimate=tail,
         lower_bound_floor=floor,
     )
 
 
-def _spectrum(spec: OrbitSpec) -> tuple[np.ndarray, float]:
-    """Ascending eigenvalues of S = U U* and the absolute floor of the least.
+def converged_depth(T: np.ndarray, f0: np.ndarray) -> int:
+    """Window 2^k_inf - 1 of ``_doubling`` over the ceiling's window, clamped to
+    [64, ceiling]; the ceiling when the walk gave up."""
+    cap = max_truncation()
+    k = _doubling(np.asarray(T), np.asarray(f0), cap + 1, factor=False)[3]
+    return cap if k is None else min(cap, max(64, 2**k - 1))
+
+
+def _spectrum(spec: OrbitSpec) -> tuple[np.ndarray, float, float | None]:
+    """Ascending eigenvalues of S = U U*, the floor of the least, the one-sided tail.
 
     A one-sided window whose L columns at D^2 + ``FACTOR_COLUMN_NS`` ns each
     cost more than max(log2 L, 1) doubling steps at D^3 + ``FACTOR_STEP_NS``
-    reads them from a D x D factor, F F* = S, unless F is not finite, passes
-    ``COLUMN_OVERFLOW`` (||F||_2 >= every column norm) or is less precise
-    than U U*; the rest take ``eigvalsh`` of U U*, floor eps * upper.
-    Doubling (Smith 1968, Hammarling 1982): G factors the first 2^k terms,
-    P = T^(2^k), each set digit of L prepends that block (S <- G G* +
-    P S P*); each squaring doubles the error of P and adds eps ||P||^2.
+    reads them from the walk's D x D factor, F F* = S, unless F is not
+    finite, passes ``COLUMN_OVERFLOW`` (||F||_2 >= every column norm) or is
+    less precise than U U*; the rest take ``eigvalsh`` of U U*, floor eps upper.
+    """
+    D, L, eps = spec.dim, spec.n_max + 1, np.finfo(float).eps
+    factor = L * (D * D + FACTOR_COLUMN_NS) > max(np.log2(L), 1.0) * (D**3 + FACTOR_STEP_NS)
+    walk = _doubling(spec.T, spec.f0, L, factor) if spec.index_set == "N" else None
+    F, f_err, tail, _ = walk or (None, 0.0, None, None)
+    if F is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = np.linalg.svd(F, compute_uv=False) if np.isfinite(F).all() else [np.inf]
+            floor = (eps * f_err * s[0]) ** 2  # float64: inf past the range, no raise
+        if s[0] <= COLUMN_OVERFLOW and floor < eps * s[0] ** 2:
+            return np.pad(s[::-1] ** 2, (D - len(s), 0)), float(floor), tail
+    eigs = np.linalg.eigvalsh(spec.frame_operator)
+    return eigs, float(eps * eigs[-1]), tail
+
+
+def _doubling(T: np.ndarray, f0: np.ndarray, L: int, factor: bool) -> tuple:
+    """One doubling walk of (T, f0) over L terms: F, its error growth, the tail, k_inf.
+
+    Smith 1968 in Hammarling's square-root form (1982): G factors the first
+    2^k terms, P = T^(2^k), p = sqrt(||P||_1 ||P||_inf) >= ||P||_2 and each
+    squaring doubles the error of P and adds eps p^2.  A set digit of L
+    multiplies P into T^L and, if ``factor``, prepends the block to F (S <-
+    G G* + P S P*; F's error grows 1 + 2 (err P + p)).  F_inf is G at the
+    first k = k_inf with ||P||_2^2 <= eps (from p, or from the SVD once past
+    L's digits).  Past them the walk squares on until k_inf, or gives up
+    (tail and k_inf None) unless ||P||_2 + err P is below 1 two squarings on
+    and below its last value after that.  As S_inf = G G* + P S_inf P*, the
+    tail is at most ||T^L F_inf||_F^2 / (1 - ||P||_2^2), rounded up by
+    (L + D (k + 2)) eps for the error of T^L and the products of the walk.
     """
 
     def merge(A, B):  # R* from the QR of [A, B]*, a factor of A A* + B B*
         return np.linalg.qr(np.hstack([A, B]).conj().T, mode="r").conj().T
 
-    D, L, eps = spec.dim, spec.n_max + 1, np.finfo(float).eps
-    doubling = max(np.log2(L), 1.0) * (D**3 + FACTOR_STEP_NS)
-    if spec.index_set == "N" and L * (D * D + FACTOR_COLUMN_NS) > doubling:
-        p_err, f_err, G, P, F = 0.0, 1.0, spec.f0.reshape(-1, 1), spec.T, None
-        with np.errstate(over="ignore", invalid="ignore"):
-            while L:
-                p_norm = np.sqrt(np.linalg.norm(P, 1) * np.linalg.norm(P, np.inf))
-                f_err += 1.0 + 2.0 * (p_err + p_norm)
-                if L & 1:
+    eps, D = np.finfo(float).eps, T.shape[0]
+    G, P, F, TL, F_inf = f0.reshape(-1, 1), T, None, None, None
+    k, top, p_err, f_err, last = 0, L.bit_length() - 1, 0.0, 1.0, np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            p = q = np.sqrt(np.linalg.norm(P, 1) * np.linalg.norm(P, np.inf))
+            if F_inf is None and k >= top and eps < p * p < np.inf:
+                q = min(p, np.linalg.norm(P, 2))
+            if k <= top:
+                f_err += 1.0 + 2.0 * (p_err + p)
+            if L >> k & 1:
+                TL = P if TL is None else P @ TL
+                if factor:
                     F = G if F is None else merge(G, P @ F)
-                if L := L >> 1:
-                    G, P = merge(G, P @ G), P @ P
-                    p_err = 2.0 * p_norm * p_err + p_norm * p_norm
-            s = np.linalg.svd(F, compute_uv=False) if np.isfinite(F).all() else [np.inf]
-            floor = (eps * f_err * s[0]) ** 2  # float64: inf past the range, no raise
-        if s[0] <= COLUMN_OVERFLOW and floor < eps * s[0] ** 2:
-            return np.pad(s[::-1] ** 2, (D - len(s), 0)), float(floor)
-    eigs = np.linalg.eigvalsh(spec.frame_operator)
-    return eigs, float(eps * eigs[-1])
-
-
-def _tail_estimate(spec: OrbitSpec) -> float | None:
-    """Bound sum of ||T^n f0||^2 past the window, when the spectrum allows."""
-    if spec.index_set != "N":
-        return None
-    vals, vecs = np.linalg.eig(spec.T)
-    rho = float(np.max(np.abs(vals))) if len(vals) else 0.0
-    if rho >= 1.0:
-        return None
-    if rho == 0.0:
-        return 0.0
-    kappa = float(np.linalg.cond(vecs))
-    if not np.isfinite(kappa):
-        return None
-    r2 = rho * rho
-    lead = kappa * kappa * float(np.linalg.norm(spec.f0)) ** 2
-    return lead * r2 ** (spec.n_max + 1) / (1.0 - r2)
+            if F_inf is None and q * q <= eps:
+                F_inf, q_inf, depth = G, q, k
+            shrinking = q + eps * p_err < min(1.0, last)
+            if k >= top and (F_inf is not None or k >= top + 2 and not shrinking):
+                break
+            G, P = merge(G, P @ G), P @ P
+            p_err = 2.0 * p * p_err + p * p
+            last, k = q, k + 1
+        if F_inf is None:
+            return F, f_err, None, None
+        tail = np.linalg.norm(TL @ F_inf) ** 2 * (1.0 + (L + (k + 2) * D) * eps) ** 2
+        tail /= 1.0 - q_inf * q_inf
+    return F, f_err, float(tail) if np.isfinite(tail) else None, depth
 
 
 def _finite_columns(frame_columns: np.ndarray) -> np.ndarray:
@@ -288,43 +317,40 @@ def kernel_shift_invariance(frame_columns: np.ndarray, tol: float = KERNEL_TOL) 
     U = _finite_columns(frame_columns)
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
-    _, svals, vh = np.linalg.svd(U, full_matrices=False)
-    rank = int(np.count_nonzero(svals >= tol * svals[0]))
-    if rank == U.shape[1]:
-        return 0.0
-    V = vh[:rank]
-    UR = np.zeros_like(U)
-    UR[:, :-1] = U[:, 1:]
-    return float(np.linalg.norm(UR - (UR @ V.conj().T) @ V, 2))
+    return _shift_kernel(U, tol)[0]
 
 
-def generator_closure(frame_columns: np.ndarray) -> np.ndarray:
-    """Recover the generator as U R U^+ from one-sided orbit columns.
+def _shift_kernel(U: np.ndarray, tol: float) -> tuple:
+    """The residual of ``kernel_shift_invariance``, the thin SVD U = W S V* and U R V_r."""
+    W, svals, vh = np.linalg.svd(U, full_matrices=False)
+    V = vh[: int(np.count_nonzero(svals >= tol * svals[0]))]
+    UR = np.pad(U[:, 1:], ((0, 0), (0, 1)))
+    X = UR @ V.conj().T
+    residual = 0.0 if V.shape[0] == U.shape[1] else float(np.linalg.norm(UR - X @ V, 2))
+    return residual, W, svals, X
 
-    ``U^+ = U* (U U*)^{-1}`` is the synthesis pseudoinverse; the formula
-    returns the unique operator whose orbit reproduces the columns,
-    provided the kernel is shift invariant.  Raises
-    ``ShiftInvarianceError`` when ``kernel_shift_invariance`` exceeds
-    ``KERNEL_TOL * ||U||_2`` (the residual scales with the columns, so the
-    verdict does not depend on the seed's scale), and ``NumericalError``
-    when the columns do not span (frame not captured at this truncation).
+
+def generator_closure(frame_columns: np.ndarray) -> tuple[np.ndarray, float]:
+    """The generator U R U^+ of one-sided orbit columns, and its kernel residual.
+
+    One thin SVD U = W S V* gives ``kernel_shift_invariance(U)``, which equals
+    ||(U R U^+) U - U R||_2, the frame-capture check and U^+ = V S^-1 W*.
+    ``ShiftInvarianceError`` when the residual exceeds ``KERNEL_TOL * ||U||_2``
+    (a verdict free of the seed's scale); ``NumericalError`` when sigma_min^2
+    <= ``KERNEL_TOL`` sigma_max^2 (frame not captured at this truncation).
     """
     U = _finite_columns(frame_columns)
-    S = U @ U.conj().T
-    eigs = np.linalg.eigvalsh(S)
-    residual = kernel_shift_invariance(U)
-    ceiling = KERNEL_TOL * float(np.sqrt(max(eigs[-1], 0.0)))
+    residual, W, svals, X = _shift_kernel(U, KERNEL_TOL)
+    ceiling = KERNEL_TOL * float(svals[0])
     if residual > ceiling:
         raise ShiftInvarianceError(residual, ceiling)
-    if eigs[0] <= KERNEL_TOL * eigs[-1]:
+    low = float(svals[-1]) ** 2 if svals.size == U.shape[0] else 0.0
+    if low <= KERNEL_TOL * float(svals[0]) ** 2:
         raise NumericalError(
             f"frame not captured at this truncation: smallest frame "
-            f"eigenvalue {eigs[0]:.3e} against largest {eigs[-1]:.3e}"
+            f"eigenvalue {low:.3e} against largest {float(svals[0]) ** 2:.3e}"
         )
-    pinv = U.conj().T @ np.linalg.solve(S, np.eye(U.shape[0]))
-    shifted = np.zeros_like(pinv)
-    shifted[1:, :] = pinv[:-1, :]
-    return U @ shifted
+    return (X / svals) @ W.conj().T, residual
 
 
 def similarity_transport(spec: OrbitSpec, V: np.ndarray) -> OrbitSpec:

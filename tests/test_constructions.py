@@ -17,6 +17,7 @@ from orbitframes import (
     riesz_certificate_bounds,
     synthesis_matrix,
 )
+from orbitframes.config import max_truncation
 
 CAPACITY_HALF = 76.36141955583651
 CONTAIN_SLACK = 1e-9
@@ -138,6 +139,19 @@ class TestBuildNormalPair:
     def test_auto_depth_floor(self):
         spec = NormalOrbitSpec(zeros=[0.1], coeffs=[1.0])
         assert build_normal_pair(spec).n_max >= 64
+
+    def test_auto_depth_is_the_converged_window(self):
+        # The walk converges at k = 11 (0.99^(2^11) squared is below eps):
+        # the depth is 2^11 - 1 and the tail there is the Pick sum
+        # sum_i |c_i|^2 q_i^(N+1) / (1 - q_i), q_i = |lambda_i|^2.
+        spec = NormalOrbitSpec(zeros=[0.5, 0.9j, -0.99], coeffs=[1.0, 0.5, 2.0])
+        pair = build_normal_pair(spec)
+        assert pair.n_max == 2**11 - 1
+        q = np.abs(spec.zeros) ** 2
+        exact = float(np.sum(np.abs(spec.coeffs) ** 2 * q ** (pair.n_max + 1) / (1 - q)))
+        tail = frame_bounds(pair).tail_estimate
+        assert tail >= exact
+        assert tail == pytest.approx(exact, rel=1e-11)
 
     def test_explicit_depth_honored(self):
         spec = NormalOrbitSpec(zeros=[0.1], coeffs=[1.0])
@@ -280,6 +294,21 @@ class TestPerturbTau:
         e_k[k] = 1.0
         gap = np.linalg.norm(T @ e_k) ** 2 - np.linalg.norm(T.conj().T @ e_k) ** 2
         assert gap == pytest.approx(tau**2, rel=1e-13)
+
+    def test_auto_depth_tail_is_exact(self):
+        spec = NormalOrbitSpec(zeros=[0.5, 0.75, 0.875], coeffs=[1.0, 1.0, 1.0])
+        pair = perturb_tau(spec, 0, 1, 0.3)
+        assert 64 <= pair.orbit.n_max <= max_truncation()
+        assert (pair.orbit.n_max + 1).bit_count() == 1
+        T, n_max = np.asarray(pair.orbit.T), pair.orbit.n_max
+        v = np.linalg.matrix_power(T, n_max + 1) @ pair.orbit.f0
+        exact = 0.0
+        for _ in range(2000):
+            exact += float(np.vdot(v, v).real)
+            v = T @ v
+        tail = frame_bounds(pair.orbit).tail_estimate
+        assert tail >= exact
+        assert tail == pytest.approx(exact, rel=1e-11)
 
     def test_certificate_contains_measured(self):
         spec = NormalOrbitSpec(zeros=[0.5, 0.75, 0.875], coeffs=[1.0, 1.0, 1.0])

@@ -25,6 +25,7 @@ from orbitframes import (
     synthesis_matrix,
     unitarity_defect,
 )
+from orbitframes.config import max_truncation
 
 RECOVERY_TOL = 1e-8
 TRANSPORT_TOL = 1e-9
@@ -347,13 +348,93 @@ class TestFactorRoute:
         assert fresh.lower_bound_floor < self.EPS * fresh.upper_bound
 
     def test_window_shares_built_prefix(self):
-        spec = OrbitSpec(T=np.diag([0.5, 0.25]), f0=[1.0, 1.0], index_set="N", n_max=20)
-        assert "columns" not in spec.window(8).__dict__
-        U = spec.columns
-        window = spec.window(8)
-        assert np.shares_memory(window.columns, U)
-        np.testing.assert_array_equal(window.columns, synthesis_matrix(window))
-        assert "columns" not in spec.window(21).__dict__
+        # One-sided windows read the prefix, two-sided ones the centred slice.
+        T, f0 = np.diag([0.9, 0.8j]), [1.0, 1.0]
+        for index_set in ("N", "Z"):
+            spec = OrbitSpec(T=T, f0=f0, index_set=index_set, n_max=20)
+            assert "columns" not in spec.window(8).__dict__
+            U = spec.columns
+            window = spec.window(8)
+            assert np.shares_memory(window.columns, U)
+            np.testing.assert_array_equal(window.columns, synthesis_matrix(window))
+            assert "columns" not in spec.window(21).__dict__
+
+
+def brute_force_tail(T, f0, n_max: int, terms: int = 4000) -> float:
+    """sum of ||T^n f0||^2 for n_max < n <= n_max + terms, by a plain loop."""
+    T = np.asarray(T, dtype=np.complex128)
+    v = np.linalg.matrix_power(T, n_max + 1) @ np.asarray(f0, dtype=np.complex128)
+    total = 0.0
+    for _ in range(terms):
+        total += float(np.vdot(v, v).real)
+        v = T @ v
+    return total
+
+
+class TestExactTail:
+    """The tail past the window from the doubling walk, against oracles
+    that do not use it: brute-force sums and the Pick closed form."""
+
+    @pytest.mark.parametrize("n_max, pinned", [(20, 4.78867292486e-08), (60, 3.12134e-30)])
+    def test_defective_compressed_shift(self, n_max, pinned):
+        # zeros [0.5, 0.5, 0.5]: one defective eigenvalue, so no eigenvector
+        # basis bounds this tail.
+        ms = build_model_space(BlaschkeProduct(zeros=[0.5, 0.5, 0.5]))
+        spec = OrbitSpec(T=ms.shift_matrix, f0=ms.phi, index_set="N", n_max=n_max)
+        tail = frame_bounds(spec).tail_estimate
+        exact = brute_force_tail(ms.shift_matrix, ms.phi, n_max)
+        assert tail >= exact
+        assert tail == pytest.approx(exact, rel=1e-12)
+        assert tail == pytest.approx(pinned, rel=1e-5)
+
+    def test_transient_growth(self):
+        T, f0 = np.array([[0.6, 3.0], [0.0, 0.5]]), np.array([0.0, 1.0])
+        assert np.linalg.norm(np.linalg.matrix_power(T, 4) @ f0) > 2.0
+        for n_max in (3, 10, 700):
+            tail = frame_bounds(OrbitSpec(T=T, f0=f0, index_set="N", n_max=n_max)).tail_estimate
+            exact = brute_force_tail(T, f0, n_max)
+            assert tail >= exact
+            assert tail == pytest.approx(exact, rel=1e-12)
+        # ||T^4||_2 is about 2: at N = 0 the block powers are not below 1 two
+        # squarings past the window, so the walk gives up.
+        assert frame_bounds(OrbitSpec(T=T, f0=f0, index_set="N", n_max=0)).tail_estimate is None
+
+    @pytest.mark.parametrize("n_max", [30, 2000])
+    def test_diagonal_ladder_pick_closed_form(self, n_max):
+        # sum_i |c_i|^2 q_i^(N+1) / (1 - q_i) with q_i = |lambda_i|^2, on the
+        # columns route (N = 30) and the factor route (N = 2000).
+        lam = np.linspace(0.0, 0.9, 16)
+        c = np.sqrt(1.0 - lam**2)
+        q = lam**2
+        exact = float(np.sum(c**2 * q ** (n_max + 1) / (1.0 - q)))
+        spec = OrbitSpec(T=np.diag(lam), f0=c, index_set="N", n_max=n_max)
+        tail = frame_bounds(spec).tail_estimate
+        assert tail >= exact
+        assert tail == pytest.approx(exact, rel=1e-11)
+
+    @pytest.mark.parametrize("D, n_max", [(200, 256), (4, 4095)])
+    @pytest.mark.parametrize("kind", ["identity", "unitary"])
+    def test_radius_one_stops_two_squarings_past_the_window(self, kind, D, n_max, monkeypatch):
+        # The walk merges once per squaring (plus once per later set digit
+        # of N + 1 on the factor route): two squarings past the window.
+        rng = np.random.default_rng(17)
+        Z = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+        T = np.eye(D) if kind == "identity" else np.linalg.qr(Z)[0]
+        spec = OrbitSpec(T=T, f0=rng.standard_normal(D), index_set="N", n_max=n_max)
+        merges = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: merges.append(1) or qr(*a, **kw))
+        assert frame_bounds(spec).tail_estimate is None
+        assert len(merges) <= (n_max + 1).bit_length() + 2
+
+    def test_converged_depth(self, monkeypatch):
+        # 0.99^(2^11) is the first block power with square below eps.
+        T, f0 = np.diag([0.5, 0.99]), np.ones(2)
+        assert orbits.converged_depth(T, f0) == 2**11 - 1
+        assert orbits.converged_depth(np.diag([0.1, 0.2]), f0) == 64
+        assert orbits.converged_depth(np.eye(2), f0) == max_truncation()
+        monkeypatch.setenv("ORBITFRAMES_MAX_TRUNC", "1000")
+        assert orbits.converged_depth(T, f0) == 1000
 
 
 class TestKernelInvariance:
@@ -421,13 +502,13 @@ class TestGeneratorClosure:
         spec = OrbitSpec(
             T=np.array([[0.6]]), f0=np.array([1.0]), index_set="N", n_max=120
         )
-        T_hat = generator_closure(synthesis_matrix(spec))
+        T_hat, _ = generator_closure(synthesis_matrix(spec))
         assert abs(T_hat[0, 0] - 0.6) < 1e-10
 
     def test_nilpotent_exact(self):
         T = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
         spec = OrbitSpec(T=T, f0=seed(2), index_set="N", n_max=6)
-        T_hat = generator_closure(synthesis_matrix(spec))
+        T_hat, _ = generator_closure(synthesis_matrix(spec))
         assert np.max(np.abs(T_hat - T)) < 1e-14
 
     @settings(max_examples=15, deadline=None)
@@ -439,8 +520,19 @@ class TestGeneratorClosure:
         )
         ms = build_model_space(BlaschkeProduct(zeros=zeros))
         U = orbit(ms, 140).T
-        T_hat = generator_closure(U)
+        T_hat, _ = generator_closure(U)
         assert np.linalg.norm(T_hat - ms.shift_matrix, 2) < RECOVERY_TOL
+
+    def test_residual_from_the_same_svd(self):
+        # The residual is kernel_shift_invariance(U), and equals
+        # ||(U R U^+) U - U R||_2 for the recovered U R U^+.
+        ms = build_model_space(BlaschkeProduct(zeros=[0.5, -0.3j, 0.7]))
+        U = orbit(ms, 200).T
+        T_hat, residual = generator_closure(U)
+        UR = np.zeros_like(U)
+        UR[:, :-1] = U[:, 1:]
+        assert residual == kernel_shift_invariance(U)
+        assert abs(residual - np.linalg.norm(T_hat @ U - UR, 2)) < 1e-14
 
     def test_counterexample_raises(self):
         d = 10
@@ -457,7 +549,7 @@ class TestGeneratorClosure:
         # 1e9); the ceiling grows with ||U||_2, so both seeds recover T.
         T = np.diag([0.5, 0.3])
         spec = OrbitSpec(T=T, f0=scale * np.ones(2), index_set="N", n_max=40)
-        T_hat = generator_closure(synthesis_matrix(spec))
+        T_hat, _ = generator_closure(synthesis_matrix(spec))
         assert np.linalg.norm(T_hat - T, 2) < RECOVERY_TOL
 
     def test_rejects_empty_rows(self):
