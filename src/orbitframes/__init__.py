@@ -66,9 +66,7 @@ from .constructions import (
 )
 from .biinfinite import (
     ArcSet,
-    GridModel,
     TranslatesProfile,
-    build_grid,
     build_multiplication_pair,
     commutant_multiplier,
     full_circle,
@@ -127,9 +125,7 @@ __all__ = [
     "perturb_tau",
     "riesz_certificate_bounds",
     "ArcSet",
-    "GridModel",
     "TranslatesProfile",
-    "build_grid",
     "build_multiplication_pair",
     "commutant_multiplier",
     "full_circle",

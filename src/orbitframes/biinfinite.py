@@ -31,9 +31,7 @@ TWO_PI = 2.0 * math.pi
 
 __all__ = [
     "ArcSet",
-    "GridModel",
     "full_circle",
-    "build_grid",
     "build_multiplication_pair",
     "parseval_defect",
     "TranslatesProfile",
@@ -105,57 +103,33 @@ def full_circle() -> ArcSet:
     return ArcSet(((0.0, TWO_PI),))
 
 
-@dataclass(frozen=True)
-class GridModel:
-    """Uniform root-of-unity grid with arc membership and quadrature weight."""
+def build_multiplication_pair(
+    sigma: ArcSet, M: int, n_max: int | None = None
+) -> OrbitSpec:
+    """Two-sided orbit of multiplication by the variable on the arcs' grid points.
 
-    M: int
-    angles: np.ndarray
-    mask: np.ndarray
-    weight: float
-
-    @property
-    def count(self) -> int:
-        return int(np.count_nonzero(self.mask))
-
-
-def build_grid(sigma: ArcSet, M: int) -> GridModel:
-    """Sample the arc set on the M-th roots of unity.
-
-    The mask measure sum(mask)/M approximates the arc measure to within
-    2 * (number of arcs) / M (one endpoint cell per arc side).
+    The arc set is sampled on the M-th roots of unity; the in-mask count
+    over M approximates the arc measure to within 2 * (number of arcs) / M
+    (one endpoint cell per arc side).  T is the diagonal of in-mask roots
+    and the seed is the constant function under quadrature normalization,
+    sqrt(1/M) at every masked point.  Depth defaults to one full period
+    (n_max = M).
     """
     M = int(M)
     if M < 1:
         raise ValueError("grid size must be at least 1")
     check_size("grid size M", M)
     angles = TWO_PI * np.arange(M) / M
-    mask = sigma.contains(angles)
-    angles.setflags(write=False)
-    mask.setflags(write=False)
-    return GridModel(M=M, angles=angles, mask=mask, weight=1.0 / M)
-
-
-def build_multiplication_pair(
-    sigma: ArcSet, M: int, n_max: int | None = None
-) -> OrbitSpec:
-    """Two-sided orbit of multiplication by the variable on the masked grid.
-
-    T is the diagonal of in-mask roots of unity and the seed is the
-    constant function under quadrature normalization, sqrt(1/M) at every
-    masked point.  Depth defaults to one full period (n_max = M).
-    """
-    grid = build_grid(sigma, M)
-    if grid.count == 0:
+    theta = angles[sigma.contains(angles)]
+    if theta.size == 0:
         raise ValueError(
-            f"no grid point of size {grid.M} falls inside the arc set; "
+            f"no grid point of size {M} falls inside the arc set; "
             f"refine the grid or widen the arcs"
         )
-    theta = grid.angles[grid.mask]
     T = np.diag(np.exp(1j * theta))
-    f0 = np.full(grid.count, math.sqrt(grid.weight), dtype=np.complex128)
+    f0 = np.full(theta.size, math.sqrt(1.0 / M), dtype=np.complex128)
     if n_max is None:
-        n_max = grid.M
+        n_max = M
     return OrbitSpec(T=T, f0=f0, index_set="Z", n_max=int(n_max))
 
 
@@ -165,13 +139,14 @@ def parseval_defect(pair: OrbitSpec, M: int) -> float:
     ``pair`` is the multiplication pair of an arc set on the M-th roots of
     unity.  For the full circle (every grid point masked) with the window
     covering at least one period the sum is taken over exactly one period,
-    where it telescopes to the identity (discrete Fourier orthogonality)
-    and the defect is float noise.  Otherwise the symmetric window sum is
-    scaled by M / (2 n_max + 1), the per-period average.
+    the pair's own columns T^0 f0 .. T^(M-1) f0, where it telescopes to the
+    identity (discrete Fourier orthogonality) and the defect is float
+    noise.  Otherwise the symmetric window sum is scaled by
+    M / (2 n_max + 1), the per-period average.
     """
     if pair.dim == M and pair.n_max >= M - 1:
-        period = OrbitSpec(T=pair.T, f0=pair.f0, index_set="N", n_max=M - 1)
-        S = period.frame_operator
+        period = pair.columns[:, pair.n_max : pair.n_max + M]
+        S = period @ period.conj().T
     else:
         S = (M / (2.0 * pair.n_max + 1.0)) * pair.frame_operator
     return float(np.linalg.norm(S - np.eye(pair.dim), 2))

@@ -9,13 +9,15 @@ indices are JSON integers, so ``8.0`` or ``true`` is rejected); and each
 numeric payload is parsed in one bulk pass that checks its shape and
 that every entry is a finite JSON number.  Ranges are checked by the
 library, but ``decay_n_max`` and ``bounds_schedule`` entries here, so the
-message names them.  Complex numbers travel as [re, im] pairs.  The
-``NaN``, ``Infinity`` and ``-Infinity`` literals are rejected, and a
-report that would hold a non-finite number is a numerical error.  Reports
-are byte-stable for identical inputs (sorted keys, default float repr, no
-timestamps); wall time goes to stderr.  CSV side outputs are written when
-the problem asks for them.  A report's ``tolerances`` lists the ``config``
-constants its kind compares against.
+message names them.  A key that asks for work its problem does not do
+(``decay_csv`` without ``decay_n_max``, say) is rejected too.  Complex
+numbers travel as [re, im] pairs.  The ``NaN``, ``Infinity`` and
+``-Infinity`` literals are rejected, and a report that would hold a
+non-finite number is a numerical error.  Reports are byte-stable for
+identical inputs (sorted keys, default float repr, no timestamps); wall
+time goes to stderr.  CSV side outputs are written when the problem asks
+for them.  A report's ``tolerances`` lists the ``config`` constants its
+kind compares against.
 
 Exit codes: 0 success, 1 failed verification criteria, 2 input or
 validation error, 3 numerical error from an inner module.
@@ -202,6 +204,8 @@ def _run_carleson(zeros) -> tuple[dict, dict, dict]:
 def _run_model_space(
     zeros, constant=None, trunc_n=None, decay_n_max=None, decay_csv=None
 ) -> tuple[dict, dict, dict]:
+    if decay_csv is not None and decay_n_max is None:
+        raise ValueError("invalid problem file: decay_csv needs decay_n_max")
     constant = 1.0 if constant is None else complex(_complex(constant, "constant", 0))
     h = BlaschkeProduct(zeros=_complex(zeros, "zeros", 1), constant=constant)
     ms = build_model_space(h, n_trunc=trunc_n)
@@ -228,6 +232,10 @@ def _run_orbit_analysis(
     bounds_schedule=None,
     bounds_csv=None,
 ) -> tuple[dict, dict, dict]:
+    if recover_generator and index_set == "Z":
+        raise ValueError("invalid problem file: recover_generator needs index_set N")
+    if bounds_csv is not None and bounds_schedule is None:
+        raise ValueError("invalid problem file: bounds_csv needs bounds_schedule")
     spec = OrbitSpec(
         T=_complex(T, "T", 2),
         f0=_complex(f0, "f0", 1),
@@ -247,14 +255,13 @@ def _run_orbit_analysis(
     else:
         results["unitarity_defect"] = unitarity_defect(spec)
     if bounds_schedule is not None:
-        keys = ["n_max", "lower_bound", "upper_bound", "parseval_defect"]
         rows = []
         for m in bounds_schedule:
             config.check_size("bounds_schedule entry", m)
-            rep = frame_bounds(spec.window(m)).to_dict()
-            rows.append({key: rep[key] for key in keys})
+            rows.append(frame_bounds(spec.window(m)).to_dict())
         results["bounds_schedule"] = rows
         if bounds_csv is not None:
+            keys = ["n_max", "lower_bound", "upper_bound", "parseval_defect"]
             _write_csv(bounds_csv, keys, [[row[key] for key in keys] for row in rows])
     return results, {}, {"kernel_tol": config.KERNEL_TOL}
 

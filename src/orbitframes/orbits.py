@@ -410,13 +410,15 @@ def _orbit_period(columns: np.ndarray) -> int | None:
 
 
 def unitarity_defect(spec: OrbitSpec) -> float:
-    """Distance of S^{-1/2} T S^{1/2} from being an isometry.
+    """Distance of W = S^{-1/2} T S^{1/2} from being an isometry, ||W* W - I||_2.
 
     Two-sided orbits only.  When the column sequence has an exact period p
     the frame operator is accumulated over one period, for which the
     shift invariance T S T* = S holds exactly (the window sum merely adds
     whole copies plus a boundary remainder); aperiodic orbits use the full
-    symmetric window.  S^{+-1/2} come from the eigendecomposition.
+    symmetric window.  W is read in the eigenbasis S = Q diag(w) Q*, as
+    Y = diag(w^{-1/2}) (Q* T Q) diag(w^{1/2}) = Q* W Q, which has the same
+    defect and forms no square root of S.
     """
     if spec.index_set != "Z":
         raise ValueError("unitarity defect is defined for two-sided orbits")
@@ -429,10 +431,9 @@ def unitarity_defect(spec: OrbitSpec) -> float:
             f"frame operator numerically singular: eigenvalue range "
             f"[{w[0]:.3e}, {w[-1]:.3e}]"
         )
-    root = Q @ np.diag(np.sqrt(w)) @ Q.conj().T
-    inv_root = Q @ np.diag(1.0 / np.sqrt(w)) @ Q.conj().T
-    W = inv_root @ spec.T @ root
-    return float(np.linalg.norm(W.conj().T @ W - np.eye(spec.dim), 2))
+    root = np.sqrt(w)
+    Y = (Q.conj().T @ spec.T @ Q) / root[:, None] * root
+    return float(np.linalg.norm(Y.conj().T @ Y - np.eye(spec.dim), 2))
 
 
 def lower_norm_check(spec: OrbitSpec, f: np.ndarray, n_range) -> tuple[float, float]:

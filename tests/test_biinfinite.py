@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from orbitframes import (
     ArcSet,
-    build_grid,
     build_multiplication_pair,
     commutant_multiplier,
     frame_bounds,
@@ -72,16 +71,19 @@ class TestArcSet:
 
 class TestGrid:
     def test_half_circle_mask_count(self):
-        grid = build_grid(ArcSet(((0.0, math.pi),)), 8)
-        assert grid.count == 4
-        assert list(np.nonzero(grid.mask)[0]) == [0, 1, 2, 3]
+        spec = build_multiplication_pair(ArcSet(((0.0, math.pi),)), 8)
+        assert spec.dim == 4
+        theta = TWO_PI * np.arange(4) / 8
+        assert np.array_equal(np.diag(spec.T), np.exp(1j * theta))
 
     def test_weight(self):
-        assert build_grid(full_circle(), 16).weight == pytest.approx(1.0 / 16)
+        spec = build_multiplication_pair(full_circle(), 16)
+        assert np.all(spec.f0 == math.sqrt(1.0 / 16))
+        assert np.linalg.norm(spec.f0) ** 2 == pytest.approx(1.0)
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="at least 1"):
-            build_grid(full_circle(), 0)
+            build_multiplication_pair(full_circle(), 0)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -91,8 +93,12 @@ class TestGrid:
     )
     def test_mask_measure_tracks_arc_measure(self, start, width, M):
         sigma = ArcSet(((start, start + width),))
-        grid = build_grid(sigma, M)
-        gap = abs(grid.count / M - sigma.measure)
+        try:
+            count = build_multiplication_pair(sigma, M, n_max=0).dim
+        except ValueError as exc:
+            assert "no grid point" in str(exc)
+            count = 0
+        gap = abs(count / M - sigma.measure)
         assert gap <= 2.0 * len(sigma.arcs) / M
 
 
@@ -132,8 +138,10 @@ class TestParsevalDefect:
     def test_dirichlet_kernel_oracle(self):
         sigma = ArcSet(((0.0, math.pi),))
         M, n = 64, 100
-        grid = build_grid(sigma, M)
-        theta = grid.angles[grid.mask]
+        theta = TWO_PI * np.arange(M) / M
+        theta = theta[sigma.contains(theta)]
+        pair = build_multiplication_pair(sigma, M, n_max=n)
+        assert np.array_equal(np.diag(pair.T), np.exp(1j * theta))
         diff = theta[:, None] - theta[None, :]
         K = np.ones_like(diff)
         off = diff != 0.0
@@ -141,7 +149,6 @@ class TestParsevalDefect:
             (2 * n + 1) * np.sin(diff[off] / 2.0)
         )
         expected = float(np.linalg.norm(K - np.eye(len(theta)), 2))
-        pair = build_multiplication_pair(sigma, M, n_max=n)
         assert grid_parseval_defect(pair, M) == pytest.approx(
             expected, abs=ORACLE_TOL
         )

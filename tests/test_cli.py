@@ -183,6 +183,24 @@ class TestOrbitAnalysis:
         assert rows[2]["upper_bound"] == pytest.approx(expected[-1], rel=1e-13)
         assert rows[2]["lower_bound"] == pytest.approx(expected[0], rel=1e-13)
 
+    def test_schedule_row_is_the_window_report(self, tmp_path, capsys):
+        T, f0 = [[0.5, 0.0], [0.1, 0.25]], [1.0, 1.0]
+        payload = {
+            "kind": "orbit_analysis",
+            "parameters": {
+                "T": [[[x, 0.0] for x in row] for row in T],
+                "f0": [[x, 0.0] for x in f0],
+                "index_set": "N",
+                "n_max": 40,
+                "bounds_schedule": [8, 40, 4096],
+            },
+        }
+        rows = run_to_report(tmp_path, payload, capsys)["results"]["bounds_schedule"]
+        spec = orbits.OrbitSpec(T=T, f0=f0, index_set="N", n_max=40)
+        for row, m in zip(rows, [8, 40, 4096]):
+            assert row == orbits.frame_bounds(spec.window(m)).to_dict()
+            assert row["tail_estimate"] is not None
+
     def test_overflowing_block_powers_exit_0(self, tmp_path, capsys):
         # diag(0.5, 2)^(2^k) overflows while the orbit of (1, 0) decays; the
         # 16384 window then takes the columns route, with no inf or nan.
@@ -414,6 +432,15 @@ class TestBiinfinite:
         }
         run_to_report(tmp_path, payload, capsys)
         assert power_loops == [12] * 4
+        # The full circle reads its one period from the same columns.
+        power_loops.clear()
+        payload = {
+            "kind": "biinfinite",
+            "parameters": {"arcs": [[0.0, 6.283185307179586]], "M": 8, "n_max": 12},
+        }
+        report = run_to_report(tmp_path, payload, capsys)
+        assert report["results"]["mask_count"] == 8
+        assert power_loops == [12] * 2
 
 
 class TestTranslates:
@@ -535,6 +562,43 @@ class TestInputGate:
         rc = main(["run", str(write_problem(tmp_path, payload))])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, parameters, message",
+        [
+            (
+                "orbit_analysis",
+                {"index_set": "Z"},
+                "invalid problem file: recover_generator needs index_set N",
+            ),
+            (
+                "orbit_analysis",
+                {"recover_generator": False, "bounds_csv": "bounds.csv"},
+                "invalid problem file: bounds_csv needs bounds_schedule",
+            ),
+            (
+                "model_space",
+                {"decay_n_max": None, "decay_csv": "decay.csv"},
+                "invalid problem file: decay_csv needs decay_n_max",
+            ),
+        ],
+        ids=["recover_generator", "bounds_csv", "decay_csv"],
+    )
+    def test_work_the_problem_does_not_do_exit_2(
+        self, kind, parameters, message, tmp_path, capsys
+    ):
+        # Each of these used to exit 0 with no generator or file written.
+        # A None value drops that key from the base problem.
+        parameters = dict(TestIntakeProperty.BASE[kind], **parameters)
+        parameters = {k: v for k, v in parameters.items() if v is not None}
+        for name in ("bounds_csv", "decay_csv"):
+            if name in parameters:
+                parameters[name] = str(tmp_path / parameters[name])
+        payload = {"kind": kind, "parameters": parameters}
+        rc = main(["run", str(write_problem(tmp_path, payload))])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json"]
 
     def test_unknown_kind_exit_2(self, tmp_path, capsys):
         rc = main(

@@ -662,6 +662,27 @@ class TestUnitarityDefect:
         defect = unitarity_defect(spec)
         assert defect == pytest.approx(0.75, rel=1e-12)
 
+    def test_aperiodic_non_normal_matches_square_roots(self):
+        # Eigenvalues off the circle at irrational angles, skewed basis:
+        # no period, ||T T* - T* T|| ~ 13, defect ~ 0.34.
+        rng = np.random.default_rng(3)
+        d = 4
+        W = np.eye(d) + 0.4 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        lam = np.array([0.9, 0.95, 1.05, 1.1]) * np.exp(1j * np.array([0.7, 1.9, 3.1, 4.4]))
+        T = W @ np.diag(lam) @ np.linalg.inv(W)
+        f0 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        spec = OrbitSpec(T=T, f0=f0, index_set="Z", n_max=20)
+        assert orbits._orbit_period(spec.columns) is None
+        U = orbits.orbit_columns(T, f0, 20)
+        V = orbits.orbit_columns(np.linalg.inv(T), f0, 20)[:, 1:]
+        w, Q = np.linalg.eigh(U @ U.conj().T + V @ V.conj().T)
+        root = Q @ np.diag(np.sqrt(w)) @ Q.conj().T
+        inv_root = Q @ np.diag(1.0 / np.sqrt(w)) @ Q.conj().T
+        Wt = inv_root @ T @ root
+        expected = float(np.linalg.norm(Wt.conj().T @ Wt - np.eye(d), 2))
+        assert 0.1 < expected < 1.0
+        assert unitarity_defect(spec) == pytest.approx(expected, rel=1e-10)
+
     def test_rank_deficient_frame_rejected(self):
         spec = OrbitSpec(T=0.5 * np.eye(2), f0=seed(2), index_set="Z", n_max=10)
         with pytest.raises(NumericalError, match="singular"):
