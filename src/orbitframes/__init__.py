@@ -58,11 +58,9 @@ from .constructions import (
     NormalOrbitSpec,
     PerturbedPair,
     build_normal_pair,
-    build_riesz_pair,
     certificate_bounds,
     excluded_tau,
     perturb_tau,
-    riesz_certificate_bounds,
 )
 from .biinfinite import (
     ArcSet,
@@ -119,11 +117,9 @@ __all__ = [
     "NormalOrbitSpec",
     "PerturbedPair",
     "build_normal_pair",
-    "build_riesz_pair",
     "certificate_bounds",
     "excluded_tau",
     "perturb_tau",
-    "riesz_certificate_bounds",
     "ArcSet",
     "TranslatesProfile",
     "build_multiplication_pair",

@@ -1,12 +1,15 @@
 """Two-sided orbit models on the unit circle, discretized on uniform grids.
 
-A union of arcs is sampled on the M-th roots of unity; multiplication by
-the independent variable restricted to the arcs becomes a unitary
-diagonal matrix on the in-mask points, and the constant function becomes
-the quadrature-normalized seed.  The full grid reproduces the discrete
-Fourier system exactly (one-period sums of the rank-one orbit terms
-telescope to the identity), which anchors the zero-defect reference
-cases; proper sub-arcs exhibit the overcomplete behavior instead.
+A union of arcs is sampled on the M-th roots of unity w^k; multiplication
+by the variable on the arcs becomes T = diag(w^(k_j)) over the in-mask
+indices k_j, and the constant function the seed M^(-1/2) 1.  The pair
+carries both frame operators in closed form and builds no columns: the
+window sum over |n| <= n_max is the Dirichlet kernel
+(1/M) sum_n w^(n (k_i - k_j)), and the sum over one period
+p = M / gcd(M, k_1, ..., k_D) is (p/M) I, as distinct indices differ by a
+nonzero residue and the p-th roots of unity sum to zero.  The full grid
+(p = M) gives exactly I, the discrete Fourier orthogonality that anchors
+the zero-defect reference cases; proper sub-arcs are overcomplete.
 
 Window sums over a symmetric truncation are averaged per period
 (factor M / (2 n_max + 1)) so the reported defect decreases with depth
@@ -21,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MULTIPLIER_FLOOR, SUPPORT_THRESHOLD_REL, check_size
+from .config import COLUMN_OVERFLOW, GRID_MASK_MAX, MULTIPLIER_FLOOR, SUPPORT_THRESHOLD_REL
+from .config import check_size
+from .errors import NumericalError
 
 # synthesis_matrix is unused here, but the module keeps the binding that
 # perfbench/test_tracer.py patches to check that tracing reaches every module.
@@ -113,24 +118,35 @@ def build_multiplication_pair(
     (one endpoint cell per arc side).  T is the diagonal of in-mask roots
     and the seed is the constant function under quadrature normalization,
     sqrt(1/M) at every masked point.  Depth defaults to one full period
-    (n_max = M).
+    (n_max = M).  ``frame_operator`` and ``period_operator`` come filled in
+    (module docstring); a mask past ``GRID_MASK_MAX`` points is rejected
+    before any D x D array is allocated.
     """
     M = int(M)
     if M < 1:
         raise ValueError("grid size must be at least 1")
     check_size("grid size M", M)
     angles = TWO_PI * np.arange(M) / M
-    theta = angles[sigma.contains(angles)]
-    if theta.size == 0:
+    k = np.nonzero(sigma.contains(angles))[0]
+    if k.size == 0:
         raise ValueError(
             f"no grid point of size {M} falls inside the arc set; "
             f"refine the grid or widen the arcs"
         )
-    T = np.diag(np.exp(1j * theta))
-    f0 = np.full(theta.size, math.sqrt(1.0 / M), dtype=np.complex128)
-    if n_max is None:
-        n_max = M
-    return OrbitSpec(T=T, f0=f0, index_set="Z", n_max=int(n_max))
+    if k.size > GRID_MASK_MAX:
+        raise ValueError(f"grid size M = {M} masks {k.size} points, past the cap {GRID_MASK_MAX}")
+    T = np.diag(np.exp(1j * angles[k]))
+    f0 = np.full(k.size, math.sqrt(1.0 / M), dtype=np.complex128)
+    pair = OrbitSpec(T=T, f0=f0, index_set="Z", n_max=M if n_max is None else n_max)
+    N, p = pair.n_max, M // math.gcd(M, *k.tolist())
+    # The kernel is the ifft of the window's residue counts, real as the window is symmetric.
+    kernel = np.fft.ifft(np.bincount(np.arange(-N, N + 1) % M, minlength=M)).real
+    pair.__dict__["frame_operator"] = kernel[np.subtract.outer(k, k) % M]
+    pair.__dict__["period_operator"] = (p / M) * np.eye(k.size) if p <= 2 * N else None
+    for S in (pair.frame_operator, pair.period_operator):
+        if S is not None:
+            S.setflags(write=False)
+    return pair
 
 
 def parseval_defect(pair: OrbitSpec, M: int) -> float:
@@ -139,15 +155,13 @@ def parseval_defect(pair: OrbitSpec, M: int) -> float:
     ``pair`` is the multiplication pair of an arc set on the M-th roots of
     unity.  For the full circle (every grid point masked) with the window
     covering at least one period the sum is taken over exactly one period,
-    the pair's own columns T^0 f0 .. T^(M-1) f0, where it telescopes to the
-    identity (discrete Fourier orthogonality) and the defect is float
-    noise.  Otherwise the symmetric window sum is scaled by
+    the pair's ``period_operator``, where it telescopes to the identity
+    (discrete Fourier orthogonality) and the defect is 0.0 in the closed
+    form.  Otherwise the symmetric window sum is scaled by
     M / (2 n_max + 1), the per-period average.
     """
-    if pair.dim == M and pair.n_max >= M - 1:
-        period = pair.columns[:, pair.n_max : pair.n_max + M]
-        S = period @ period.conj().T
-    else:
+    S = pair.period_operator if pair.dim == M and pair.n_max >= M - 1 else None
+    if S is None:
         S = (M / (2.0 * pair.n_max + 1.0)) * pair.frame_operator
     return float(np.linalg.norm(S - np.eye(pair.dim), 2))
 
@@ -224,8 +238,14 @@ def commutant_multiplier(pair: OrbitSpec, psi_samples) -> OrbitSpec:
     orbit a frame, so any sample with modulus at or below
     ``MULTIPLIER_FLOOR`` is rejected, with the offending grid point
     reported.  The accepted orbit's frame bounds sit inside
-    [A min|psi|^2, B max|psi|^2] for the original bounds A, B.
+    [A min|psi|^2, B max|psi|^2] for the original bounds A, B.  T must be
+    diagonal, so diag(psi) commutes with it and the reseeded frame operator
+    is diag(psi) S diag(conj(psi)).  As for ``synthesis_matrix``, a column
+    psi f0 (a grid orbit's columns share its norm) past ``COLUMN_OVERFLOW``
+    is a ``NumericalError``.
     """
+    if np.count_nonzero(pair.T - np.diag(np.diagonal(pair.T))):
+        raise ValueError("commutant multiplier needs a pair with a diagonal generator T")
     psi = np.asarray(psi_samples, dtype=np.complex128).reshape(-1)
     if psi.shape[0] != pair.dim:
         raise ValueError(
@@ -239,4 +259,12 @@ def commutant_multiplier(pair: OrbitSpec, psi_samples) -> OrbitSpec:
             f"multiplier vanishes at masked point {worst} (angle {angle:.6f} "
             f"rad): |psi| = {mods[worst]:.3e} <= floor {MULTIPLIER_FLOOR:.0e}"
         )
-    return OrbitSpec(T=pair.T, f0=psi * pair.f0, index_set="Z", n_max=pair.n_max)
+    f0 = psi * pair.f0
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(f0))
+    if not norm <= COLUMN_OVERFLOW:
+        raise NumericalError(f"reseeded orbit column norm {norm:.3e} passes {COLUMN_OVERFLOW:.0e}")
+    reseeded = OrbitSpec(T=pair.T, f0=f0, index_set=pair.index_set, n_max=pair.n_max)
+    reseeded.__dict__["frame_operator"] = psi[:, None] * pair.frame_operator * psi.conj()
+    reseeded.frame_operator.setflags(write=False)
+    return reseeded

@@ -8,6 +8,9 @@ import os
 
 #: Hard ceiling on any truncation window when the env var is unset.
 DEFAULT_MAX_TRUNC = 16384
+#: Most grid points a ``biinfinite`` arc set may mask: its D x D operators
+#: take up to 16 D^2 bytes each (64 MiB at the ceiling).
+GRID_MASK_MAX = 2048
 #: Margin inside the open unit disk required of every zero.
 EPS_DISK = 1e-10
 #: Largest ||c| - 1| accepted for the constant of a Blaschke product.
@@ -28,8 +31,6 @@ FACTOR_STEP_NS = 40000
 TWO_SIDED_COND_MAX = 1e12
 #: Condition ceiling for similarity transports and commutant multipliers.
 SIMILARITY_COND_MAX = 1e10
-#: Condition ceiling for the Riesz-pair change of basis.
-RIESZ_COND_MAX = 1e6
 #: Relative tolerance for detecting an exactly periodic orbit column sequence.
 PERIOD_TOL = 1e-10
 #: Relative kernel rank cut, and generator_closure's residual and frame-capture limits.

@@ -1,13 +1,13 @@
 """Orbit constructions with certified frame bounds.
 
-Three builders around a common diagonal model: a normal generator
-diag(lambda_j) with seed weights c_j, its similarity images W diag W^{-1},
-and a rank-one perturbation diag + tau * e_l e_k^* that stays similar to
-the diagonal but is never normal for tau != 0.  Certificates come from
-the separation capacity of the zero set: measured frame bounds of the
-truncated orbit always land inside [alpha/Delta, beta*Delta] up to the
-reported tail, with similarity widening the interval by the extreme
-squared singular values of the change of basis.
+Two builders around a common diagonal model: a normal generator
+diag(lambda_j) with seed weights c_j, and a rank-one perturbation
+diag + tau * e_l e_k^* that stays similar to the diagonal but is never
+normal for tau != 0.  Certificates come from the separation capacity of
+the zero set: measured frame bounds of the truncated orbit always land
+inside [alpha/Delta, beta*Delta] up to the reported tail.  Similarity
+images W diag W^{-1} are ``orbits.similarity_transport`` of the normal
+pair; they widen the interval by the extreme squared singular values of W.
 """
 
 from __future__ import annotations
@@ -18,17 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blaschke import carleson_delta, delta_capacity, validate_zeros
-from .config import EXCLUDED_TAU_RTOL, RIESZ_COND_MAX
+from .config import EXCLUDED_TAU_RTOL
 from .errors import NumericalError
-from .orbits import OrbitSpec, check_condition, converged_depth
+from .orbits import OrbitSpec, converged_depth
 
 __all__ = [
     "NormalOrbitSpec",
     "PerturbedPair",
     "build_normal_pair",
     "certificate_bounds",
-    "build_riesz_pair",
-    "riesz_certificate_bounds",
     "excluded_tau",
     "perturb_tau",
 ]
@@ -99,8 +97,8 @@ def build_normal_pair(spec: NormalOrbitSpec, n_max: int | None = None) -> OrbitS
     """One-sided orbit of (diag(zeros), coeffs).
 
     When ``n_max`` is omitted it is the window at which the orbit's
-    doubling walk converged (``converged_depth``); so are the depths of
-    ``build_riesz_pair`` and ``perturb_tau``.
+    doubling walk converged (``converged_depth``); so is the depth of
+    ``perturb_tau``.
     """
     T = np.diag(spec.zeros)
     n_max = converged_depth(T, spec.coeffs) if n_max is None else n_max
@@ -110,42 +108,6 @@ def build_normal_pair(spec: NormalOrbitSpec, n_max: int | None = None) -> OrbitS
 def certificate_bounds(spec: NormalOrbitSpec) -> tuple[float, float]:
     """Certified frame-bound interval (alpha/capacity, beta*capacity)."""
     return spec.alpha / spec.capacity, spec.beta * spec.capacity
-
-
-def build_riesz_pair(
-    spec: NormalOrbitSpec, W: np.ndarray, n_max: int | None = None
-) -> OrbitSpec:
-    """Orbit of (W diag(zeros) W^{-1}, W coeffs) for invertible W.
-
-    The generator acts as the diagonal model on the skewed basis W e_j
-    with dual expansion along (W^{-1})^* e_j; the seed is chosen so its
-    dual components are exactly the diagonal model's weights.
-    """
-    W = np.asarray(W, dtype=np.complex128)
-    if W.ndim != 2 or W.shape[0] != W.shape[1] or W.shape[0] != spec.size:
-        raise ValueError(
-            f"change of basis must be {spec.size}x{spec.size}, got {W.shape}"
-        )
-    check_condition(W, RIESZ_COND_MAX, "change of basis")
-    W_inv = np.linalg.solve(W, np.eye(spec.size))
-    T = W @ np.diag(spec.zeros) @ W_inv
-    f0 = W @ spec.coeffs
-    n_max = converged_depth(T, f0) if n_max is None else n_max
-    return OrbitSpec(T=T, f0=f0, index_set="N", n_max=int(n_max))
-
-
-def riesz_certificate_bounds(
-    spec: NormalOrbitSpec, W: np.ndarray
-) -> tuple[float, float]:
-    """Certificate widened by the extreme squared singular values of W.
-
-    The skewed dual system (W^{-1})^* e_j has Riesz bounds
-    1/smax(W)^2 and 1/smin(W)^2; dividing the diagonal certificate by
-    them gives (alpha/capacity * smin^2, beta*capacity * smax^2).
-    """
-    svals = np.linalg.svd(np.asarray(W, dtype=np.complex128), compute_uv=False)
-    lo, hi = certificate_bounds(spec)
-    return lo * float(svals[-1]) ** 2, hi * float(svals[0]) ** 2
 
 
 def excluded_tau(spec: NormalOrbitSpec, k: int, l: int) -> complex:

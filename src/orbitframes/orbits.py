@@ -56,11 +56,11 @@ __all__ = [
 class OrbitSpec:
     """Operator, seed vector, index set ("N" or "Z"), and truncation.
 
-    The spec owns its orbit: ``columns`` (the synthesis matrix) and
-    ``frame_operator`` (U U*) are built on first use and kept, read-only,
-    for as long as the spec lives, so every property of one orbit reads
-    the same D x L array (16 D L bytes) instead of rebuilding it.  Frame
-    bounds of a long one-sided window build neither (see ``frame_bounds``).
+    The spec owns its orbit: ``columns`` (the synthesis matrix) and the
+    operators read from them are built on first use and kept, read-only,
+    so every property of one orbit reads the same D x L array (16 D L
+    bytes); a builder that knows an operator in closed form fills it in
+    (``biinfinite``).  Long one-sided windows build none (``frame_bounds``).
     """
 
     T: np.ndarray
@@ -118,6 +118,20 @@ class OrbitSpec:
         S = U @ U.conj().T
         S.setflags(write=False)
         return S
+
+    @cached_property
+    def period_operator(self) -> np.ndarray | None:
+        """U U* over the first p columns, for the least p > 0 with column n + p
+        within ``PERIOD_TOL`` (relative) of column n across the whole window;
+        None when the window holds no such period."""
+        U = self.columns
+        tol = PERIOD_TOL * float(np.max(np.linalg.norm(U, axis=0)))
+        for p in np.nonzero(np.linalg.norm(U[:, 1:] - U[:, :1], axis=0) <= tol)[0] + 1:
+            if np.max(np.linalg.norm(U[:, p:] - U[:, :-p], axis=0)) <= tol:
+                S = U[:, :p] @ U[:, :p].conj().T
+                S.setflags(write=False)
+                return S
+        return None
 
 
 @dataclass(frozen=True)
@@ -354,8 +368,10 @@ def generator_closure(frame_columns: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def similarity_transport(spec: OrbitSpec, V: np.ndarray) -> OrbitSpec:
-    """Orbit of (V T V^{-1}, V f0); V must be well conditioned."""
+    """Orbit of (V T V^{-1}, V f0); V must be of T's shape and well conditioned."""
     V = np.asarray(V, dtype=np.complex128)
+    if V.shape != spec.T.shape:
+        raise ValueError(f"similarity must be {spec.dim}x{spec.dim}, got shape {V.shape}")
     check_condition(V, SIMILARITY_COND_MAX, "similarity")
     V_inv = np.linalg.solve(V, np.eye(V.shape[0]))
     return OrbitSpec(
@@ -385,46 +401,22 @@ def commutant_transport(spec: OrbitSpec, V: np.ndarray) -> OrbitSpec:
     )
 
 
-def _orbit_period(columns: np.ndarray) -> int | None:
-    """Smallest exact period of the column sequence, if one exists.
-
-    A period must hold across the entire window to within a relative
-    tolerance at float-accumulation scale; orbits that merely come close
-    to the seed once do not qualify.
-    """
-    D, L = columns.shape
-    if L < 2:
-        return None
-    scale = float(np.max(np.linalg.norm(columns, axis=0)))
-    if scale == 0.0:
-        return None
-    first = columns[:, 0]
-    close = np.linalg.norm(columns - first[:, None], axis=0) <= PERIOD_TOL * scale
-    for p in np.nonzero(close)[0]:
-        if p == 0:
-            continue
-        diff = columns[:, p:] - columns[:, : L - p]
-        if float(np.max(np.linalg.norm(diff, axis=0))) <= PERIOD_TOL * scale:
-            return int(p)
-    return None
-
-
 def unitarity_defect(spec: OrbitSpec) -> float:
     """Distance of W = S^{-1/2} T S^{1/2} from being an isometry, ||W* W - I||_2.
 
-    Two-sided orbits only.  When the column sequence has an exact period p
-    the frame operator is accumulated over one period, for which the
-    shift invariance T S T* = S holds exactly (the window sum merely adds
-    whole copies plus a boundary remainder); aperiodic orbits use the full
-    symmetric window.  W is read in the eigenbasis S = Q diag(w) Q*, as
+    Two-sided orbits only.  S is the spec's ``period_operator`` when the
+    window holds an exact period, for which the shift invariance
+    T S T* = S holds exactly (the window sum merely adds whole copies plus
+    a boundary remainder); aperiodic orbits use the full symmetric window.
+    W is read in the eigenbasis S = Q diag(w) Q*, as
     Y = diag(w^{-1/2}) (Q* T Q) diag(w^{1/2}) = Q* W Q, which has the same
     defect and forms no square root of S.
     """
     if spec.index_set != "Z":
         raise ValueError("unitarity defect is defined for two-sided orbits")
-    U = spec.columns
-    p = _orbit_period(U)
-    S = spec.frame_operator if p is None else U[:, :p] @ U[:, :p].conj().T
+    S = spec.period_operator
+    if S is None:
+        S = spec.frame_operator
     w, Q = np.linalg.eigh(S)
     if w[0] <= 0.0 or w[0] < SINGULAR_RTOL * w[-1]:
         raise NumericalError(

@@ -9,18 +9,45 @@ from hypothesis import strategies as st
 
 from orbitframes import (
     ArcSet,
+    NumericalError,
+    OrbitSpec,
     build_multiplication_pair,
     commutant_multiplier,
     frame_bounds,
     full_circle,
     grid_parseval_defect,
+    synthesis_matrix,
     translates_phi,
     unitarity_defect,
 )
+from orbitframes.config import GRID_MASK_MAX
 
 TWO_PI = 2.0 * math.pi
 EXACT_PERIOD_TOL = 1e-12
 ORACLE_TOL = 1e-12
+CLOSED_FORM_RTOL = 1e-13
+
+ARC_SETS = {
+    "sub_arc": ArcSet(((0.0, math.pi),)),
+    "two_arcs": ArcSet(((0.3, 1.2), (3.0, 4.5))),
+    "full_circle": full_circle(),
+}
+#: (M, arc set, n_max): windows shorter than, equal to and past one period.
+CLOSED_FORM_CASES = [
+    (M, name, n)
+    for M in (8, 9, 16)
+    for name in ARC_SETS
+    for n in (0, 3, M, 2 * M + 3)
+]
+
+
+def brute_force_frame_operator(spec):
+    U = synthesis_matrix(spec)
+    return U @ U.conj().T
+
+
+def assert_close(seeded, oracle):
+    assert np.linalg.norm(seeded - oracle) <= CLOSED_FORM_RTOL * np.linalg.norm(oracle)
 
 
 class TestArcSet:
@@ -166,6 +193,61 @@ class TestParsevalDefect:
             build_multiplication_pair(full_circle(), 8, n_max=-1)
 
 
+class TestClosedForm:
+    @pytest.mark.parametrize("M, arcs, n", CLOSED_FORM_CASES)
+    def test_frame_operator_matches_columns(self, M, arcs, n):
+        pair = build_multiplication_pair(ARC_SETS[arcs], M, n_max=n)
+        assert "columns" not in pair.__dict__
+        assert_close(pair.frame_operator, brute_force_frame_operator(pair))
+
+    @pytest.mark.parametrize("M, arcs, n", CLOSED_FORM_CASES)
+    def test_reseeded_frame_operator_matches_columns(self, M, arcs, n):
+        pair = build_multiplication_pair(ARC_SETS[arcs], M, n_max=n)
+        rng = np.random.default_rng(M + n)
+        psi = rng.uniform(0.5, 2.0, pair.dim) * np.exp(2j * np.pi * rng.uniform(size=pair.dim))
+        reseeded = commutant_multiplier(pair, psi)
+        assert "columns" not in reseeded.__dict__
+        assert_close(reseeded.frame_operator, brute_force_frame_operator(reseeded))
+
+    @pytest.mark.parametrize("M, arcs, n", CLOSED_FORM_CASES)
+    def test_period_operator_matches_columns(self, M, arcs, n):
+        pair = build_multiplication_pair(ARC_SETS[arcs], M, n_max=n)
+        fresh = OrbitSpec(T=pair.T, f0=pair.f0, index_set="Z", n_max=n)
+        if fresh.period_operator is None:
+            assert pair.period_operator is None
+        else:
+            assert_close(pair.period_operator, fresh.period_operator)
+
+    def test_short_period_mask(self):
+        # Grid indices {0, 8} of M = 16 repeat every 2 steps: one period is (2/16) I.
+        pair = build_multiplication_pair(ArcSet(((0.0, 0.1), (math.pi, math.pi + 0.1))), 16, n_max=3)
+        fresh = OrbitSpec(T=pair.T, f0=pair.f0, index_set="Z", n_max=3)
+        assert np.array_equal(pair.period_operator, np.eye(2) / 8)
+        assert_close(pair.period_operator, fresh.period_operator)
+
+    def test_full_circle_period_is_identity(self):
+        pair = build_multiplication_pair(full_circle(), 16, n_max=16)
+        assert np.array_equal(pair.period_operator, np.eye(16))
+        assert grid_parseval_defect(pair, 16) == 0.0
+
+    def test_operators_are_read_only(self):
+        pair = build_multiplication_pair(ArcSet(((0.0, math.pi),)), 16)
+        reseeded = commutant_multiplier(pair, np.full(pair.dim, 2.0))
+        for array in (pair.frame_operator, pair.period_operator, reseeded.frame_operator):
+            assert not array.flags.writeable
+
+    def test_non_diagonal_pair_rejected(self):
+        T = np.array([[1.0, 0.5], [0.0, -1.0]])
+        pair = OrbitSpec(T=T, f0=[1.0, 1.0], index_set="Z", n_max=4)
+        with pytest.raises(ValueError, match="diagonal"):
+            commutant_multiplier(pair, np.ones(2))
+
+    def test_mask_count_gate(self):
+        M = GRID_MASK_MAX + 1
+        with pytest.raises(ValueError, match=rf"M = {M} masks {M} points"):
+            build_multiplication_pair(full_circle(), M)
+
+
 class TestUnitarityOnGrid:
     def test_masked_pair_is_unitary(self):
         spec = build_multiplication_pair(ArcSet(((0.0, math.pi),)), 32, n_max=64)
@@ -174,6 +256,11 @@ class TestUnitarityOnGrid:
     def test_full_circle_pair_is_unitary(self):
         spec = build_multiplication_pair(full_circle(), 16, n_max=40)
         assert unitarity_defect(spec) < 1e-12
+
+    @pytest.mark.parametrize("arcs", sorted(ARC_SETS))
+    def test_closed_form_period_defect_at_rounding(self, arcs):
+        spec = build_multiplication_pair(ARC_SETS[arcs], 256)
+        assert unitarity_defect(spec) <= 1e-15
 
 
 class TestTranslatesPhi:
@@ -286,6 +373,11 @@ class TestCommutantMultiplier:
         # Point 3 of the masked half circle is the grid angle 2 pi * 3 / 16.
         with pytest.raises(ValueError, match=r"masked point 3 \(angle 1\.178097 rad\)"):
             commutant_multiplier(pair, psi)
+
+    def test_overflowing_seed_is_numerical_error(self):
+        pair = build_multiplication_pair(ArcSet(((0.0, math.pi),)), 8)
+        with pytest.raises(NumericalError, match="column norm"):
+            commutant_multiplier(pair, np.full(pair.dim, 1e200))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="multiplier samples"):

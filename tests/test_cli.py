@@ -418,9 +418,16 @@ class TestBiinfinite:
         assert rc == 2
         assert "vanishes" in captured.err
 
+    def test_mask_count_past_gate_exit_2(self, tmp_path, capsys):
+        M = config.GRID_MASK_MAX + 1
+        payload = {"kind": "biinfinite", "parameters": {"arcs": [[0.0, 6.283185307179586]], "M": M}}
+        rc = main(["run", str(write_problem(tmp_path, payload))])
+        assert rc == 2
+        assert f"M = {M} masks {M} points" in capsys.readouterr().err
+
     def test_one_orbit_build_per_pair(self, tmp_path, capsys, power_loops):
-        # Forward and backward loops for the pair and for the reseeded
-        # orbit; the defects and bounds reuse the pair's columns.
+        # The pair and the reseeded orbit carry their frame operators in
+        # closed form: no power loop runs for bounds, defects or psi.
         payload = {
             "kind": "biinfinite",
             "parameters": {
@@ -431,8 +438,8 @@ class TestBiinfinite:
             },
         }
         run_to_report(tmp_path, payload, capsys)
-        assert power_loops == [12] * 4
-        # The full circle reads its one period from the same columns.
+        assert power_loops == []
+        # The full circle reads its one period, I, from the pair.
         power_loops.clear()
         payload = {
             "kind": "biinfinite",
@@ -440,7 +447,8 @@ class TestBiinfinite:
         }
         report = run_to_report(tmp_path, payload, capsys)
         assert report["results"]["mask_count"] == 8
-        assert power_loops == [12] * 2
+        assert report["results"]["parseval_defect"] == 0.0
+        assert power_loops == []
 
 
 class TestTranslates:
@@ -726,10 +734,12 @@ class TestInputGate:
         assert exc_info.value.code == 2
         assert "--tol" in capsys.readouterr().err
 
-    def test_import_loads_no_schema_library(self):
+    @pytest.mark.parametrize("library", ["jsonschema", "scipy", "mpmath"])
+    def test_import_loads_no_schema_library(self, library):
+        # numpy is the one runtime dependency; the rest are test-only.
         src = str(Path(orbitframes.__file__).parents[1])
         path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        code = "import sys, orbitframes.cli; print('jsonschema' in sys.modules)"
+        code = f"import sys, orbitframes.cli; print({library!r} in sys.modules)"
         out = subprocess.run(
             [sys.executable, "-c", code],
             env=dict(os.environ, PYTHONPATH=path),

@@ -672,7 +672,7 @@ class TestUnitarityDefect:
         T = W @ np.diag(lam) @ np.linalg.inv(W)
         f0 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         spec = OrbitSpec(T=T, f0=f0, index_set="Z", n_max=20)
-        assert orbits._orbit_period(spec.columns) is None
+        assert spec.period_operator is None
         U = orbits.orbit_columns(T, f0, 20)
         V = orbits.orbit_columns(np.linalg.inv(T), f0, 20)[:, 1:]
         w, Q = np.linalg.eigh(U @ U.conj().T + V @ V.conj().T)
