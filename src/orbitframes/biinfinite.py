@@ -264,7 +264,8 @@ def commutant_multiplier(pair: OrbitSpec, psi_samples) -> OrbitSpec:
         norm = float(np.linalg.norm(f0))
     if not norm <= COLUMN_OVERFLOW:
         raise NumericalError(f"reseeded orbit column norm {norm:.3e} passes {COLUMN_OVERFLOW:.0e}")
-    reseeded = OrbitSpec(T=pair.T, f0=f0, index_set=pair.index_set, n_max=pair.n_max)
+    f0.setflags(write=False)
+    reseeded = pair._replace(f0=f0)
     reseeded.__dict__["frame_operator"] = psi[:, None] * pair.frame_operator * psi.conj()
     reseeded.frame_operator.setflags(write=False)
     return reseeded

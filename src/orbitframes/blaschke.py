@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import CoeffVec
-from .config import EPS_DISK, POLE_TOL, UNIMODULAR_TOL
+from .config import EPS_DISK, POLE_TOL, UNIMODULAR_TOL, max_truncation
 from .errors import NumericalError
+from .orbits import orbit_columns
 
 __all__ = [
     "validate_zeros",
@@ -148,26 +149,45 @@ def evaluate(b: BlaschkeProduct, z):
     return out
 
 
+def _compressed_shift(zeros: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form ``A`` and ``phi`` in the Takenaka-Malmquist basis.
+
+    With ``w = sqrt(1 - |l|^2)``: ``A[j, j] = l_j``,
+    ``A[k, j] = w_j w_k prod_{j<m<k} (-conj l_m)`` for k > j, and
+    ``phi_k = w_k prod_{m<k} (-conj l_m)`` (Garcia, Mashreghi and Ross,
+    *Introduction to Model Spaces and their Operators*, CUP 2016).
+    """
+    d = len(zeros)
+    w = np.sqrt(1.0 - np.abs(zeros) ** 2)
+    c = -np.conj(zeros)
+    A = np.diag(zeros)
+    for j in range(d - 1):
+        A[j + 1 :, j] = w[j] * w[j + 1 :] * np.cumprod(np.r_[1.0, c[j + 1 : d - 1]])
+    phi = w * np.cumprod(np.r_[1.0, c[: d - 1]])
+    return A, phi
+
+
 def taylor_coeffs(b: BlaschkeProduct, n_trunc: int) -> CoeffVec:
     """First ``n_trunc + 1`` Taylor coefficients, window [0, n_trunc].
 
-    Each factor ``(z - l) / (1 - conj(l) z)`` expands as ``-l`` followed by
-    ``(1 - |l|^2) conj(l)^(m-1)`` at index m >= 1; the product is built by
-    exact polynomial multiplication of these expansions, so the returned
-    coefficients are the true Taylor values.  The discarded tail is bounded
-    by a constant times ``max_j |l_j| ** n_trunc``.
+    ``h_0 = c prod_m (-l_m)`` and, as ``(h - h_0) / z`` has model-space
+    coordinates ``c v`` with ``v_k = w_k prod_{m>k} (-l_m)``,
+    ``h_n = c sum_k v_k conj((A^(n-1) phi)_k)`` for n >= 1: one O(d^2 n) orbit
+    of the compressed shift, read in blocks of at most the ceiling.  The
+    discarded tail is bounded by a constant times ``max_j |l_j| ** n_trunc``.
     """
     n_trunc = int(n_trunc)
     if n_trunc < b.degree:
         raise ValueError(
             f"truncation {n_trunc} is below the product degree {b.degree}"
         )
-    acc = np.zeros(n_trunc + 1, dtype=np.complex128)
-    acc[0] = 1.0
-    for lam in b.zeros:
-        fac = np.empty(n_trunc + 1, dtype=np.complex128)
-        fac[0] = -lam
-        if n_trunc >= 1:
-            fac[1:] = (1.0 - abs(lam) ** 2) * np.conj(lam) ** np.arange(n_trunc)
-        acc = np.convolve(acc, fac)[: n_trunc + 1]
+    A, x = _compressed_shift(b.zeros)
+    v = np.sqrt(1.0 - np.abs(b.zeros) ** 2) * np.cumprod(np.r_[1.0, -b.zeros[:0:-1]])[::-1]
+    acc = np.empty(n_trunc + 1, dtype=np.complex128)
+    acc[0] = np.prod(-b.zeros)
+    cap = max_truncation()
+    for j in range(0, n_trunc, cap):  # block j holds A^j phi .. A^(j + cap) phi
+        cols = orbit_columns(A, x, min(cap, n_trunc - j))
+        acc[j + 1 : j + cols.shape[1]] = (v.conj() @ cols).conj()[:-1]
+        x = cols[:, -1]
     return CoeffVec(0, acc * b.constant)

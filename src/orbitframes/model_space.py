@@ -7,7 +7,8 @@ peeled off per basis element) ``A_h`` and the projected constant ``phi``
 have an exact closed form, which is what is built here.  The basis itself
 needs no series: the projection of ``z^k`` is ``A^k phi``, so coefficient k
 of basis element j is ``conj((A^k phi)_j)``.  The orbit of ``phi`` under
-``A_h`` is the prototype frame the rest of the package analyzes.
+``A_h`` is the prototype frame the rest of the package analyzes, and h's
+own series is an orbit sum of it (``blaschke.taylor_coeffs``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coeffs as cs
-from .blaschke import BlaschkeProduct, taylor_coeffs
+from .blaschke import BlaschkeProduct, _compressed_shift, taylor_coeffs
 from .config import GRAM_TARGET, check_size, max_truncation
 from .coeffs import CoeffVec
 from .errors import NumericalError
@@ -33,24 +34,6 @@ __all__ = [
     "decay_profile",
     "minimal_polynomial_check",
 ]
-
-
-def _compressed_shift(zeros: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form ``A`` and ``phi`` in the Takenaka-Malmquist basis.
-
-    With ``w = sqrt(1 - |l|^2)``: ``A[j, j] = l_j``,
-    ``A[k, j] = w_j w_k prod_{j<m<k} (-conj l_m)`` for k > j, and
-    ``phi_k = w_k prod_{m<k} (-conj l_m)`` (Garcia, Mashreghi and Ross,
-    *Introduction to Model Spaces and their Operators*, CUP 2016).
-    """
-    d = len(zeros)
-    w = np.sqrt(1.0 - np.abs(zeros) ** 2)
-    c = -np.conj(zeros)
-    A = np.diag(zeros)
-    for j in range(d - 1):
-        A[j + 1 :, j] = w[j] * w[j + 1 :] * np.cumprod(np.r_[1.0, c[j + 1 : d - 1]])
-    phi = w * np.cumprod(np.r_[1.0, c[: d - 1]])
-    return A, phi
 
 
 def _window(ms: ModelSpace) -> int:
@@ -183,7 +166,7 @@ def project_model(ms: ModelSpace, f: CoeffVec) -> CoeffVec:
     to [0, trunc_n].  ``f`` must be supported on nonnegative indices.
     h is expanded trunc_n past the window and deg f: the dropped terms
     h_(j+k) * inner_(-k), k > trunc_n, are then below float accuracy.  This
-    series route is independent of the closed form and serves as its check.
+    series route pairs h with f and serves as the check of the basis route.
     """
     n = _window(ms)
     trimmed = cs.trim(f)

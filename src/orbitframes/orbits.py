@@ -96,10 +96,19 @@ class OrbitSpec:
     def dim(self) -> int:
         return self.T.shape[0]
 
+    def _replace(self, **changes) -> OrbitSpec:
+        """This spec with validated read-only ``changes``; T keeps the gates it passed."""
+        spec = object.__new__(OrbitSpec)
+        spec.__dict__.update(T=self.T, f0=self.f0, index_set=self.index_set, n_max=self.n_max)
+        spec.__dict__.update(changes)
+        return spec
+
     def window(self, n_max: int) -> OrbitSpec:
         """The same orbit cut at ``n_max``; a shorter cut shares the built columns'
         prefix (one-sided) or centred slice (two-sided)."""
-        spec = OrbitSpec(T=self.T, f0=self.f0, index_set=self.index_set, n_max=n_max)
+        n_max = int(n_max)
+        check_size("n_max", n_max)
+        spec = self._replace(n_max=n_max)
         built, m, n = self.__dict__.get("columns"), spec.n_max, self.n_max
         if built is not None and m <= n:
             cut = slice(n - m, n + m + 1) if self.index_set == "Z" else slice(m + 1)
@@ -167,8 +176,8 @@ def check_condition(M: np.ndarray, ceiling: float, what: str) -> None:
 def orbit_columns(T: np.ndarray, v: np.ndarray, n_max: int) -> np.ndarray:
     """Columns ``T^n v`` for n = 0..n_max, shape (len(v), n_max + 1).
 
-    The one power loop of the package: every orbit, synthesis matrix and
-    decay profile is read from it, and it refuses windows past the ceiling.
+    The one power loop: every orbit, synthesis matrix, decay profile and
+    Blaschke series is read from it, and it refuses windows past the ceiling.
     """
     n_max = int(n_max)
     check_size("orbit window n_max", n_max)

@@ -374,6 +374,17 @@ class TestCommutantMultiplier:
         with pytest.raises(ValueError, match=r"masked point 3 \(angle 1\.178097 rad\)"):
             commutant_multiplier(pair, psi)
 
+    def test_reseeding_runs_no_condition_svd(self, monkeypatch):
+        pair = build_multiplication_pair(ArcSet(((0.0, math.pi),)), 16, n_max=16)
+        calls = []
+        real = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda *a: calls.append(1) or real(*a))
+        psi = np.linspace(1.0, 2.0, pair.dim)
+        reseeded = commutant_multiplier(pair, psi)
+        assert calls == []
+        assert reseeded.T is pair.T and not reseeded.f0.flags.writeable
+        np.testing.assert_array_equal(reseeded.f0, psi * pair.f0)
+
     def test_overflowing_seed_is_numerical_error(self):
         pair = build_multiplication_pair(ArcSet(((0.0, math.pi),)), 8)
         with pytest.raises(NumericalError, match="column norm"):

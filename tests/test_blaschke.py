@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from orbitframes import (
     BlaschkeProduct,
     NumericalError,
+    blaschke,
     carleson_delta,
     delta_capacity,
     evaluate,
@@ -19,6 +20,7 @@ from orbitframes import (
 
 SEPARATION_TOL = 1e-14
 EXPANSION_TOL = 1e-12
+PRODUCT_TOL = 1e-14
 CAPACITY_HALF = 76.36141955583651
 
 
@@ -40,6 +42,24 @@ def disk_zeros(draw, max_degree=6, r_max=0.85):
         )
     )
     return np.array([r * np.exp(1j * t) for r, t in zip(radii, angles)])
+
+
+def convolution_coeffs(zeros, constant, n_trunc: int) -> np.ndarray:
+    """Taylor window [0, n_trunc] by exact polynomial multiplication.
+
+    Each factor ``(z - l) / (1 - conj(l) z)`` expands as ``-l`` followed by
+    ``(1 - |l|^2) conj(l)^(m-1)`` at index m >= 1; multiplying the truncated
+    expansions is exact on the window.  An oracle independent of the
+    compressed-shift orbit the package reads the coefficients from.
+    """
+    acc = np.zeros(n_trunc + 1, dtype=np.complex128)
+    acc[0] = 1.0
+    for lam in np.asarray(zeros, dtype=np.complex128):
+        fac = np.empty(n_trunc + 1, dtype=np.complex128)
+        fac[0] = -lam
+        fac[1:] = (1.0 - abs(lam) ** 2) * np.conj(lam) ** np.arange(n_trunc)
+        acc = np.convolve(acc, fac)[: n_trunc + 1]
+    return acc * constant
 
 
 class TestValidation:
@@ -191,6 +211,64 @@ class TestTaylorCoeffs:
         tail = len(zeros) * rho ** (2 * 257) / max(1e-300, 1.0 - rho * rho)
         assert total <= 1.0 + 1e-12
         assert total >= 1.0 - tail - 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        disk_zeros(max_degree=24, r_max=0.99),
+        st.floats(min_value=0.0, max_value=2.0 * math.pi),
+        st.integers(min_value=0, max_value=576),
+    )
+    def test_matches_convolution(self, zeros, angle, extra):
+        b = BlaschkeProduct(zeros=zeros, constant=np.exp(1j * angle))
+        n_trunc = len(zeros) + extra
+        want = convolution_coeffs(zeros, b.constant, n_trunc)
+        got = taylor_coeffs(b, n_trunc)
+        assert got.lo == 0 and len(got.coeffs) == n_trunc + 1
+        assert np.max(np.abs(got.coeffs - want)) <= PRODUCT_TOL
+
+    @pytest.mark.parametrize("d", [2, 10, 20])
+    def test_matches_convolution_at_workload_radii(self, d):
+        # Radii evenly spaced on [0.1, 0.9]: powers of the small zeros reach
+        # subnormal floats long before n = 4096.
+        zeros = np.linspace(0.1, 0.9, d) * np.exp(2.399963j * np.arange(d))
+        want = convolution_coeffs(zeros, 1.0, 4096)
+        got = taylor_coeffs(BlaschkeProduct(zeros=zeros), 4096).coeffs
+        assert np.max(np.abs(got - want)) <= PRODUCT_TOL
+
+    def test_degree_zero_is_the_constant(self):
+        c = np.exp(0.7j)
+        got = taylor_coeffs(BlaschkeProduct(zeros=[], constant=c), 6).coeffs
+        assert np.array_equal(got, np.r_[c, np.zeros(6)])
+        assert np.array_equal(taylor_coeffs(BlaschkeProduct(zeros=[]), 0).coeffs, [1.0])
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_zeros_at_origin_give_a_monomial(self, d):
+        got = taylor_coeffs(BlaschkeProduct(zeros=np.zeros(d)), 9).coeffs
+        assert np.array_equal(got, np.eye(10)[d])
+
+    def test_one_orbit_and_no_convolution(self, monkeypatch):
+        calls = []
+        real = blaschke.orbit_columns
+
+        def counted(T, v, n_max):
+            calls.append(n_max)
+            return real(T, v, n_max)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("np.convolve called")
+
+        monkeypatch.setattr(blaschke, "orbit_columns", counted)
+        monkeypatch.setattr(np, "convolve", refused)
+        taylor_coeffs(BlaschkeProduct(zeros=[0.5, -0.3j, 0.8]), 4096)
+        assert calls == [4096]
+
+    def test_windows_past_the_ceiling_read_in_blocks(self, monkeypatch):
+        b = BlaschkeProduct(zeros=[0.9, -0.85j, 0.3 + 0.4j], constant=1j)
+        whole = taylor_coeffs(b, 300).coeffs
+        monkeypatch.setenv("ORBITFRAMES_MAX_TRUNC", "64")
+        for n_trunc in (63, 64, 65, 128, 129, 300):
+            got = taylor_coeffs(b, n_trunc).coeffs
+            assert np.array_equal(got, whole[: n_trunc + 1])
 
     def test_constant_scales_series(self):
         c = np.exp(0.7j)

@@ -27,6 +27,7 @@ from orbitframes import (
     scale,
     taylor_coeffs,
 )
+from test_blaschke import convolution_coeffs
 
 GRAM_TOL = 1e-10
 EIGEN_TOL = 1e-8
@@ -60,13 +61,13 @@ def tm_expansions(zeros: np.ndarray, n_trunc: int) -> np.ndarray:
     """Basis coefficient rows on [0, n_trunc] by series convolution.
 
     Element k is the normalized Szego kernel of zero k times the product of
-    the first k disk factors; an oracle independent of the orbit route the
-    package reads the basis from.
+    the first k disk factors, expanded by polynomial multiplication; an
+    oracle independent of the orbit route the package reads the basis from.
     """
     rows = np.empty((len(zeros), n_trunc + 1), dtype=np.complex128)
     for k, lam in enumerate(zeros):
         szego = math.sqrt(1.0 - abs(lam) ** 2) * np.conj(lam) ** np.arange(n_trunc + 1)
-        partial = taylor_coeffs(BlaschkeProduct(zeros=zeros[:k]), n_trunc).coeffs
+        partial = convolution_coeffs(zeros[:k], 1.0, n_trunc)
         rows[k] = np.convolve(szego, partial)[: n_trunc + 1]
     return rows
 
@@ -292,6 +293,21 @@ class TestProjection:
         exact = basis_coordinates(ms, f) @ basis
         assert direct.lo == 0 and len(direct.coeffs) == ms.trunc_n + 1
         assert np.max(np.abs(direct.coeffs - exact)) <= 1e-13
+
+
+    def test_window_past_the_ceiling(self, monkeypatch):
+        # h is expanded to 2 trunc_n + deg f = 259 coefficients, twice this
+        # ceiling, so its orbit is read in blocks.
+        monkeypatch.setenv("ORBITFRAMES_MAX_TRUNC", "128")
+        ms = build_model_space(BlaschkeProduct(zeros=[0.9, -0.85j]))
+        assert ms.trunc_n == 128
+        f = CoeffVec(0, [1.0, -0.5j, 0.25])
+        direct = project_model(ms, f)
+        basis = np.array([e.coeffs for e in ms.basis])
+        exact = basis_coordinates(ms, f) @ basis
+        assert np.max(np.abs(direct.coeffs - exact)) <= ROUTE_TOL
+        via_proj = basis_coordinates(ms, project_model(ms, monomial(0)))
+        assert np.max(np.abs(projected_monomial(ms, 0) - via_proj)) <= ROUTE_TOL
 
 
 class TestProjectedMonomial:

@@ -359,6 +359,25 @@ class TestFactorRoute:
             np.testing.assert_array_equal(window.columns, synthesis_matrix(window))
             assert "columns" not in spec.window(21).__dict__
 
+    def test_window_keeps_the_validated_operator(self, monkeypatch):
+        # A two-sided spec passed its condition gate once; its windows reuse
+        # the read-only arrays and run no second SVD of T.
+        spec = OrbitSpec(T=np.diag([0.9, 2.0j]), f0=[1.0, 1.0], index_set="Z", n_max=20)
+        calls = []
+        real = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda *a: calls.append(1) or real(*a))
+        window = spec.window(8)
+        assert calls == []
+        assert window.T is spec.T and window.f0 is spec.f0
+        assert (window.index_set, window.n_max) == ("Z", 8)
+        assert frame_bounds(window) == frame_bounds(
+            OrbitSpec(T=spec.T, f0=spec.f0, index_set="Z", n_max=8)
+        )
+        with pytest.raises(ValueError, match="n_max must be nonnegative"):
+            spec.window(-1)
+        with pytest.raises(ValueError, match="exceeds the ceiling"):
+            spec.window(max_truncation() + 1)
+
 
 def brute_force_tail(T, f0, n_max: int, terms: int = 4000) -> float:
     """sum of ||T^n f0||^2 for n_max < n <= n_max + terms, by a plain loop."""
