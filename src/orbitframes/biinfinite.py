@@ -11,6 +11,15 @@ nonzero residue and the p-th roots of unity sum to zero.  The full grid
 (p = M) gives exactly I, the discrete Fourier orthogonality that anchors
 the zero-defect reference cases; proper sub-arcs are overcomplete.
 
+The pairs keep their diagonal structure, so no grid computation runs an
+SVD or an ``eigh``: T's condition is max|t| / min|t|, and with T and the
+period operator both diagonal the unitarity defect is max ||t|^2 - 1|.
+On the full grid the window sum is sum_r count_r v_r v_r* / M over the
+orthogonal Fourier vectors v_r (count_r window indices with residue r mod
+M), so its ``spectrum`` is the residue counts and the frame bounds are
+exact integers.  On sub-arcs it is one real ``eigvalsh`` per frame
+operator, reseeded ones included.
+
 Window sums over a symmetric truncation are averaged per period
 (factor M / (2 n_max + 1)) so the reported defect decreases with depth
 the way the underlying absolutely convergent sums do, rather than
@@ -30,7 +39,7 @@ from .errors import NumericalError
 
 # synthesis_matrix is unused here, but the module keeps the binding that
 # perfbench/test_tracer.py patches to check that tracing reaches every module.
-from .orbits import OrbitSpec, synthesis_matrix  # noqa: F401
+from .orbits import OrbitSpec, diagonal_of, synthesis_matrix  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
 
@@ -119,8 +128,9 @@ def build_multiplication_pair(
     and the seed is the constant function under quadrature normalization,
     sqrt(1/M) at every masked point.  Depth defaults to one full period
     (n_max = M).  ``frame_operator`` and ``period_operator`` come filled in
-    (module docstring); a mask past ``GRID_MASK_MAX`` points is rejected
-    before any D x D array is allocated.
+    (module docstring), and so does the full grid's ``spectrum``: the
+    window's residue counts, exact integers; a mask past ``GRID_MASK_MAX``
+    points is rejected before any D x D array is allocated.
     """
     M = int(M)
     if M < 1:
@@ -140,10 +150,13 @@ def build_multiplication_pair(
     pair = OrbitSpec(T=T, f0=f0, index_set="Z", n_max=M if n_max is None else n_max)
     N, p = pair.n_max, M // math.gcd(M, *k.tolist())
     # The kernel is the ifft of the window's residue counts, real as the window is symmetric.
-    kernel = np.fft.ifft(np.bincount(np.arange(-N, N + 1) % M, minlength=M)).real
+    counts = np.bincount(np.arange(-N, N + 1) % M, minlength=M)
+    kernel = np.fft.ifft(counts).real
     pair.__dict__["frame_operator"] = kernel[np.subtract.outer(k, k) % M]
     pair.__dict__["period_operator"] = (p / M) * np.eye(k.size) if p <= 2 * N else None
-    for S in (pair.frame_operator, pair.period_operator):
+    if k.size == M:  # S = sum_r counts_r v_r v_r* / M over orthogonal Fourier vectors v_r
+        pair.__dict__["spectrum"] = np.sort(counts).astype(float)
+    for S in (pair.frame_operator, pair.period_operator, pair.__dict__.get("spectrum")):
         if S is not None:
             S.setflags(write=False)
     return pair
@@ -158,12 +171,16 @@ def parseval_defect(pair: OrbitSpec, M: int) -> float:
     the pair's ``period_operator``, where it telescopes to the identity
     (discrete Fourier orthogonality) and the defect is 0.0 in the closed
     form.  Otherwise the symmetric window sum is scaled by
-    M / (2 n_max + 1), the per-period average.
+    c = M / (2 n_max + 1), the per-period average, and the defect is
+    max(|c lambda_min - 1|, |c lambda_max - 1|) over the pair's ``spectrum``.
     """
     S = pair.period_operator if pair.dim == M and pair.n_max >= M - 1 else None
     if S is None:
-        S = (M / (2.0 * pair.n_max + 1.0)) * pair.frame_operator
-    return float(np.linalg.norm(S - np.eye(pair.dim), 2))
+        eigs = (M / (2.0 * pair.n_max + 1.0)) * pair.spectrum[[0, -1]]
+    else:
+        d = diagonal_of(S)
+        eigs = np.linalg.eigvalsh(S) if d is None else d.real
+    return float(np.max(np.abs(eigs - 1.0)))
 
 
 @dataclass(frozen=True)
@@ -244,7 +261,8 @@ def commutant_multiplier(pair: OrbitSpec, psi_samples) -> OrbitSpec:
     psi f0 (a grid orbit's columns share its norm) past ``COLUMN_OVERFLOW``
     is a ``NumericalError``.
     """
-    if np.count_nonzero(pair.T - np.diag(np.diagonal(pair.T))):
+    t = diagonal_of(pair.T)
+    if t is None:
         raise ValueError("commutant multiplier needs a pair with a diagonal generator T")
     psi = np.asarray(psi_samples, dtype=np.complex128).reshape(-1)
     if psi.shape[0] != pair.dim:
@@ -254,7 +272,7 @@ def commutant_multiplier(pair: OrbitSpec, psi_samples) -> OrbitSpec:
     mods = np.abs(psi)
     worst = int(np.argmin(mods))
     if mods[worst] <= MULTIPLIER_FLOOR:
-        angle = float(np.angle(pair.T[worst, worst])) % TWO_PI
+        angle = float(np.angle(t[worst])) % TWO_PI
         raise ValueError(
             f"multiplier vanishes at masked point {worst} (angle {angle:.6f} "
             f"rad): |psi| = {mods[worst]:.3e} <= floor {MULTIPLIER_FLOOR:.0e}"
@@ -267,5 +285,9 @@ def commutant_multiplier(pair: OrbitSpec, psi_samples) -> OrbitSpec:
     f0.setflags(write=False)
     reseeded = pair._replace(f0=f0)
     reseeded.__dict__["frame_operator"] = psi[:, None] * pair.frame_operator * psi.conj()
-    reseeded.frame_operator.setflags(write=False)
+    # diag(psi) = diag(|psi|) diag(psi / |psi|), whose unitary factor commutes
+    # with diag(|psi|): the same spectrum from a real matrix when S is real.
+    reseeded.__dict__["spectrum"] = np.linalg.eigvalsh(mods[:, None] * pair.frame_operator * mods)
+    for S in (reseeded.frame_operator, reseeded.spectrum):
+        S.setflags(write=False)
     return reseeded

@@ -59,8 +59,9 @@ class OrbitSpec:
     The spec owns its orbit: ``columns`` (the synthesis matrix) and the
     operators read from them are built on first use and kept, read-only,
     so every property of one orbit reads the same D x L array (16 D L
-    bytes); a builder that knows an operator in closed form fills it in
-    (``biinfinite``).  Long one-sided windows build none (``frame_bounds``).
+    bytes); a builder that knows an operator or the ``spectrum`` in closed
+    form fills it in (``biinfinite``).  Long one-sided windows build none
+    (``frame_bounds``).
     """
 
     T: np.ndarray
@@ -129,6 +130,13 @@ class OrbitSpec:
         return S
 
     @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of ``frame_operator``, one ``eigvalsh``."""
+        eigs = np.linalg.eigvalsh(self.frame_operator)
+        eigs.setflags(write=False)
+        return eigs
+
+    @cached_property
     def period_operator(self) -> np.ndarray | None:
         """U U* over the first p columns, for the least p > 0 with column n + p
         within ``PERIOD_TOL`` (relative) of column n across the whole window;
@@ -166,11 +174,27 @@ class FrameReport:
         return asdict(self)
 
 
-def check_condition(M: np.ndarray, ceiling: float, what: str) -> None:
-    """Raise a ``ValueError`` unless the condition number of ``M`` is below ``ceiling``."""
-    cond = float(np.linalg.cond(M))
+def diagonal_of(M: np.ndarray) -> np.ndarray | None:
+    """The diagonal of ``M``, or None when an entry off it is nonzero."""
+    d = np.diagonal(M)
+    return d if np.count_nonzero(M) == np.count_nonzero(d) else None
+
+
+def check_condition(M: np.ndarray, ceiling: float, what: str) -> float:
+    """The condition number of ``M``; a ``ValueError`` unless it is below ``ceiling``.
+
+    A diagonal ``M`` reads it as max|m_ii| / min|m_ii| (inf when one is 0);
+    the rest take ``np.linalg.cond``, one SVD.
+    """
+    d = diagonal_of(M)
+    if d is None:
+        cond = float(np.linalg.cond(M))
+    else:
+        low, high = float(np.min(np.abs(d))), float(np.max(np.abs(d)))
+        cond = high / low if low > 0.0 else np.inf  # Python floats overflow to inf
     if not np.isfinite(cond) or cond > ceiling:
         raise ValueError(f"{what} needs condition below {ceiling:.0e}, got {cond:.3e}")
+    return cond
 
 
 def orbit_columns(T: np.ndarray, v: np.ndarray, n_max: int) -> np.ndarray:
@@ -217,9 +241,9 @@ def frame_bounds(spec: OrbitSpec) -> FrameReport:
     """Extreme eigenvalues of S = U U* for the truncated orbit, and its tail.
 
     Long one-sided windows read them from a factor and build no columns;
-    the rest clamp the lower bound of ``eigvalsh(spec.frame_operator)`` at
-    0.  The route depends on the spec alone (see ``_spectrum``).  One-sided
-    windows take their exact tail from the same walk (see ``_doubling``).
+    the rest clamp the lower bound of ``spec.spectrum`` at 0.  The route
+    depends on the spec alone (see ``_spectrum``).  One-sided windows take
+    their exact tail from the same walk (see ``_doubling``).
     """
     eigs, floor, tail = _spectrum(spec)
     return FrameReport(
@@ -247,7 +271,7 @@ def _spectrum(spec: OrbitSpec) -> tuple[np.ndarray, float, float | None]:
     cost more than max(log2 L, 1) doubling steps at D^3 + ``FACTOR_STEP_NS``
     reads them from the walk's D x D factor, F F* = S, unless F is not
     finite, passes ``COLUMN_OVERFLOW`` (||F||_2 >= every column norm) or is
-    less precise than U U*; the rest take ``eigvalsh`` of U U*, floor eps upper.
+    less precise than U U*; the rest read ``spec.spectrum``, floor eps upper.
     """
     D, L, eps = spec.dim, spec.n_max + 1, np.finfo(float).eps
     factor = L * (D * D + FACTOR_COLUMN_NS) > max(np.log2(L), 1.0) * (D**3 + FACTOR_STEP_NS)
@@ -259,7 +283,7 @@ def _spectrum(spec: OrbitSpec) -> tuple[np.ndarray, float, float | None]:
             floor = (eps * f_err * s[0]) ** 2  # float64: inf past the range, no raise
         if s[0] <= COLUMN_OVERFLOW and floor < eps * s[0] ** 2:
             return np.pad(s[::-1] ** 2, (D - len(s), 0)), float(floor), tail
-    eigs = np.linalg.eigvalsh(spec.frame_operator)
+    eigs = spec.spectrum
     return eigs, float(eps * eigs[-1]), tail
 
 
@@ -417,30 +441,39 @@ def unitarity_defect(spec: OrbitSpec) -> float:
     window holds an exact period, for which the shift invariance
     T S T* = S holds exactly (the window sum merely adds whole copies plus
     a boundary remainder); aperiodic orbits use the full symmetric window.
-    W is read in the eigenbasis S = Q diag(w) Q*, as
+    When T and S are both diagonal (a grid pair), W = T and the defect is
+    max_i ||t_i|^2 - 1|, with no factorization.  Otherwise W is read in the
+    eigenbasis S = Q diag(w) Q*, as
     Y = diag(w^{-1/2}) (Q* T Q) diag(w^{1/2}) = Q* W Q, which has the same
-    defect and forms no square root of S.
+    defect and forms no square root of S; ||Y* Y - I||_2 is the largest
+    modulus of an ``eigvalsh`` of that Hermitian matrix.
     """
     if spec.index_set != "Z":
         raise ValueError("unitarity defect is defined for two-sided orbits")
     S = spec.period_operator
     if S is None:
         S = spec.frame_operator
-    w, Q = np.linalg.eigh(S)
+    t = diagonal_of(spec.T)
+    s = None if t is None else diagonal_of(S)
+    w, Q = (np.sort(s.real), None) if s is not None else np.linalg.eigh(S)
     if w[0] <= 0.0 or w[0] < SINGULAR_RTOL * w[-1]:
         raise NumericalError(
             f"frame operator numerically singular: eigenvalue range "
             f"[{w[0]:.3e}, {w[-1]:.3e}]"
         )
+    if Q is None:
+        return float(np.max(np.abs(np.abs(t) ** 2 - 1.0)))
     root = np.sqrt(w)
     Y = (Q.conj().T @ spec.T @ Q) / root[:, None] * root
-    return float(np.linalg.norm(Y.conj().T @ Y - np.eye(spec.dim), 2))
+    gaps = np.linalg.eigvalsh(Y.conj().T @ Y - np.eye(spec.dim))
+    return float(max(-gaps[0], gaps[-1]))
 
 
 def lower_norm_check(spec: OrbitSpec, f: np.ndarray, n_range) -> tuple[float, float]:
     """Smallest of ||T^n f|| / ||f|| and ||(T*)^n f|| / ||f|| over n_range.
 
-    Two-sided orbits only; negative n use the inverse.
+    Two-sided orbits only; negative n use the inverse, formed once, and its
+    adjoint, inv(T*) = inv(T)*.
     """
     if spec.index_set != "Z":
         raise ValueError("lower norm check is defined for two-sided orbits")
@@ -451,14 +484,14 @@ def lower_norm_check(spec: OrbitSpec, f: np.ndarray, n_range) -> tuple[float, fl
     ns = sorted(set(int(n) for n in n_range))
     forward = [n for n in ns if n >= 0]
     backward = [-n for n in ns if n < 0]
+    inverse = np.linalg.inv(spec.T) if backward else None
     mins = []
-    for M in (spec.T, spec.T.conj().T):
+    for adjoint in (False, True):
         norms = [np.inf]
-        if forward:
-            cols = orbit_columns(M, f, forward[-1])[:, forward]
-            norms.extend(np.linalg.norm(cols, axis=0))
-        if backward:
-            cols = orbit_columns(np.linalg.inv(M), f, backward[0])[:, backward]
-            norms.extend(np.linalg.norm(cols, axis=0))
+        for M, steps in ((spec.T, forward), (inverse, backward)):
+            if steps:
+                M = M.conj().T if adjoint else M
+                cols = orbit_columns(M, f, max(steps))[:, steps]
+                norms.extend(np.linalg.norm(cols, axis=0))
         mins.append(float(min(norms)) / base)
     return mins[0], mins[1]

@@ -41,6 +41,23 @@ CLOSED_FORM_CASES = [
 ]
 
 
+def residue_counts(M, N):
+    """Number of window indices n in [-N, N] in each residue class mod M."""
+    counts = [0] * M
+    for n in range(-N, N + 1):
+        counts[n % M] += 1
+    return counts
+
+
+def unitarity_by_square_roots(T, S):
+    """||W* W - I||_2 for W = S^{-1/2} T S^{1/2}, square roots from ``eigh``."""
+    w, Q = np.linalg.eigh(S)
+    root = Q @ np.diag(np.sqrt(w)) @ Q.conj().T
+    inv_root = Q @ np.diag(1.0 / np.sqrt(w)) @ Q.conj().T
+    W = inv_root @ T @ root
+    return float(np.linalg.norm(W.conj().T @ W - np.eye(len(w)), 2))
+
+
 def brute_force_frame_operator(spec):
     U = synthesis_matrix(spec)
     return U @ U.conj().T
@@ -180,6 +197,16 @@ class TestParsevalDefect:
             expected, abs=ORACLE_TOL
         )
 
+    @pytest.mark.parametrize("arcs, n", [("full_circle", 8), ("full_circle", 21), ("sub_arc", 21)])
+    def test_spec_without_closed_forms_agrees(self, arcs, n):
+        # A hand-built spec reads its period operator and spectrum from its
+        # columns: a period operator off the diagonal at rounding takes eigvalsh.
+        pair = build_multiplication_pair(ARC_SETS[arcs], 8, n_max=n)
+        fresh = OrbitSpec(T=pair.T, f0=pair.f0, index_set="Z", n_max=n)
+        assert grid_parseval_defect(fresh, 8) == pytest.approx(
+            grid_parseval_defect(pair, 8), abs=1e-13
+        )
+
     def test_window_doubling_shrinks_defect(self):
         sigma = ArcSet(((0.0, math.pi),))
         defects = [
@@ -248,6 +275,48 @@ class TestClosedForm:
             build_multiplication_pair(full_circle(), M)
 
 
+class TestSpectrum:
+    @pytest.mark.parametrize("M", [7, 16, 256])
+    @pytest.mark.parametrize("window", ["3", "5", "M", "4M"])
+    def test_full_circle_spectrum_is_residue_counts(self, M, window):
+        N = {"3": 3, "5": 5, "M": M, "4M": 4 * M}[window]
+        pair = build_multiplication_pair(full_circle(), M, n_max=N)
+        counts = np.sort(residue_counts(M, N)).astype(float)
+        np.testing.assert_array_equal(pair.spectrum, counts)
+        assert not pair.spectrum.flags.writeable
+        # The power loop's error grows with the window: about eps per step.
+        oracle = np.linalg.eigvalsh(brute_force_frame_operator(pair))
+        assert np.max(np.abs(pair.spectrum - oracle)) <= 1e-15 * (2 * N + 1) * oracle[-1]
+        report = frame_bounds(pair)
+        assert (report.lower_bound, report.upper_bound) == (counts[0], counts[-1])
+
+    def test_short_window_lower_bound_is_exactly_zero(self):
+        # 11 window indices on 16 grid points: 5 residues are never hit.
+        report = frame_bounds(build_multiplication_pair(full_circle(), 16, n_max=5))
+        assert report.lower_bound == 0.0
+        assert report.upper_bound == 1.0
+
+    @pytest.mark.parametrize("M, arcs, n", CLOSED_FORM_CASES)
+    def test_reseeded_spectrum_matches_complex_eigvalsh(self, M, arcs, n):
+        pair = build_multiplication_pair(ARC_SETS[arcs], M, n_max=n)
+        rng = np.random.default_rng(3 * M + n)
+        psi = rng.uniform(0.5, 2.0, pair.dim) * np.exp(2j * np.pi * rng.uniform(size=pair.dim))
+        reseeded = commutant_multiplier(pair, psi)
+        oracle = np.linalg.eigvalsh(psi[:, None] * pair.frame_operator * psi.conj())
+        assert np.max(np.abs(reseeded.spectrum - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+        assert not reseeded.spectrum.flags.writeable
+
+    @pytest.mark.parametrize("M, arcs, n", CLOSED_FORM_CASES)
+    def test_parseval_defect_matches_svd_norm(self, M, arcs, n):
+        pair = build_multiplication_pair(ARC_SETS[arcs], M, n_max=n)
+        if pair.dim == M and n >= M - 1:
+            S = pair.period_operator
+        else:
+            S = (M / (2.0 * n + 1.0)) * brute_force_frame_operator(pair)
+        expected = float(np.linalg.norm(S - np.eye(pair.dim), 2))
+        assert grid_parseval_defect(pair, M) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+
+
 class TestUnitarityOnGrid:
     def test_masked_pair_is_unitary(self):
         spec = build_multiplication_pair(ArcSet(((0.0, math.pi),)), 32, n_max=64)
@@ -261,6 +330,14 @@ class TestUnitarityOnGrid:
     def test_closed_form_period_defect_at_rounding(self, arcs):
         spec = build_multiplication_pair(ARC_SETS[arcs], 256)
         assert unitarity_defect(spec) <= 1e-15
+
+    @pytest.mark.parametrize("M, arcs, n", [c for c in CLOSED_FORM_CASES if c[2] >= c[0]])
+    def test_defect_matches_eigh_route(self, M, arcs, n):
+        pair = build_multiplication_pair(ARC_SETS[arcs], M, n_max=n)
+        t = np.diagonal(pair.T)
+        assert unitarity_defect(pair) == float(np.max(np.abs(np.abs(t) ** 2 - 1.0)))
+        expected = unitarity_by_square_roots(pair.T, pair.period_operator)
+        assert unitarity_defect(pair) == pytest.approx(expected, abs=1e-15)
 
 
 class TestTranslatesPhi:

@@ -451,6 +451,45 @@ class TestBiinfinite:
         assert power_loops == []
 
 
+    @pytest.mark.parametrize(
+        "arcs, M, psi, eigvalsh_calls",
+        [
+            ([[0.0, 6.283185307179586]], 16, False, 0),
+            ([[0.0, 3.141592653589793]], 16, True, 2),
+            ([[0.3, 1.2], [3.0, 4.5]], 32, False, 1),
+        ],
+        ids=["full_circle", "sub_arc_psi", "two_arcs"],
+    )
+    def test_no_svd_or_eigh(self, tmp_path, capsys, monkeypatch, arcs, M, psi, eigvalsh_calls):
+        # Diagonal T and period operator: no condition SVD, no eigh for the
+        # unitarity defect, no 2-norm SVD; one eigvalsh per frame report off
+        # the full circle, whose spectrum is the window's residue counts.
+        calls = {"svd": 0, "cond": 0, "eigh": 0, "eigvalsh": 0, "norm_2": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("svd", "cond", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        real_norm = np.linalg.norm
+
+        def norm(x, ord=None, *args, **kwargs):
+            calls["norm_2"] += ord == 2 and np.ndim(x) == 2
+            return real_norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", norm)
+        params = {"arcs": arcs, "M": M, "n_max": M}
+        if psi:
+            params["psi"] = [[1.5, 0.5]] * (M // 2 - 1) + [[0.5, 0.0]]
+        report = run_to_report(tmp_path, {"kind": "biinfinite", "parameters": params}, capsys)
+        assert ("reseeded_report" in report["results"]) == psi
+        assert calls == {"svd": 0, "cond": 0, "eigh": 0, "eigvalsh": eigvalsh_calls, "norm_2": 0}
+
+
 class TestTranslates:
     def test_flat_band_with_csv(self, tmp_path, capsys):
         m = 64

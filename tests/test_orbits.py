@@ -112,6 +112,14 @@ class TestOrbitSpec:
         with pytest.raises(ValueError, match=r"condition below 1e\+12"):
             OrbitSpec(T=T, f0=seed(2), index_set="Z", n_max=4)
 
+    def test_two_sided_diagonal_condition_message(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "cond", None)  # the diagonal route runs no SVD
+        with pytest.raises(ValueError, match=r"condition below 1e\+12, got 1\.000e\+13"):
+            OrbitSpec(T=np.diag([1.0, 1e-13]), f0=seed(2), index_set="Z", n_max=4)
+        for d in ([1.0, 0.0], [1e300, 1e-300]):
+            with pytest.raises(ValueError, match=r"invertible .* got inf"):
+                OrbitSpec(T=np.diag(d), f0=seed(2), index_set="Z", n_max=4)
+
     def test_arrays_frozen(self):
         spec = OrbitSpec(T=np.eye(2), f0=seed(2), index_set="N", n_max=4)
         with pytest.raises(ValueError):
@@ -142,6 +150,44 @@ class TestOrbitSpec:
         if index_set == "Z":
             unitarity_defect(spec)
         assert calls == []
+
+
+class TestDiagonalStructure:
+    def test_diagonal_of(self):
+        T = np.diag([1.0, 2j, -3.0])
+        assert np.array_equal(orbits.diagonal_of(T), [1.0, 2j, -3.0])
+        T[2, 0] = 1e-300
+        assert orbits.diagonal_of(T) is None
+        assert np.array_equal(orbits.diagonal_of(np.zeros((3, 3))), np.zeros(3))
+
+    @pytest.mark.parametrize("seed_val", range(6))
+    def test_diagonal_condition_matches_cond(self, seed_val):
+        rng = np.random.default_rng(seed_val)
+        D = int(rng.integers(1, 40))
+        mods = 10.0 ** rng.uniform(-6.0, 6.0, D)
+        d = mods * np.exp(2j * np.pi * rng.uniform(size=D))
+        cond = orbits.check_condition(np.diag(d), np.inf, "diagonal")
+        assert cond == pytest.approx(float(np.linalg.cond(np.diag(d))), rel=1e-12)
+        assert cond == np.abs(d).max() / np.abs(d).min()
+
+    def test_dense_condition_is_cond(self):
+        T = np.array([[1.0, 0.5], [0.0, -1.0]])
+        assert orbits.check_condition(T, np.inf, "dense") == float(np.linalg.cond(T))
+
+    def test_spectrum_is_one_cached_eigvalsh(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        T = rng.standard_normal((4, 4)) / 4.0
+        spec = OrbitSpec(T=T, f0=rng.standard_normal(4), index_set="N", n_max=9)
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append(1) or real(*a))
+        assert spec.spectrum is spec.spectrum
+        assert len(calls) == 1
+        np.testing.assert_array_equal(spec.spectrum, real(spec.frame_operator))
+        assert not spec.spectrum.flags.writeable
+        report = frame_bounds(spec)
+        assert len(calls) == 1
+        assert report.upper_bound == spec.spectrum[-1]
 
 
 class TestSynthesisMatrix:
@@ -707,6 +753,26 @@ class TestUnitarityDefect:
         with pytest.raises(NumericalError, match="singular"):
             unitarity_defect(spec)
 
+    def test_diagonal_pair_reads_t_against_square_roots(self, monkeypatch):
+        # T and S both diagonal: W = S^{-1/2} T S^{1/2} = T, no factorization.
+        t = np.array([0.5, 1.2, np.exp(1j)])
+        S = np.diag([1.0, 2.0, 3.0])
+        spec = OrbitSpec(T=np.diag(t), f0=np.ones(3), index_set="Z", n_max=6)
+        spec.__dict__["period_operator"] = S
+        root, inv_root = np.sqrt(S), np.diag(1.0 / np.sqrt(np.diag(S)))
+        W = inv_root @ spec.T @ root
+        expected = float(np.linalg.norm(W.conj().T @ W - np.eye(3), 2))
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, None)
+        assert unitarity_defect(spec) == pytest.approx(expected, rel=1e-15)
+        assert unitarity_defect(spec) == pytest.approx(0.75, rel=1e-15)
+
+    def test_diagonal_singular_frame_rejected(self):
+        spec = OrbitSpec(T=np.eye(2), f0=seed(2), index_set="Z", n_max=6)
+        spec.__dict__["period_operator"] = np.diag([1.0, 0.0])
+        with pytest.raises(NumericalError, match="singular"):
+            unitarity_defect(spec)
+
 
 class TestLowerNormCheck:
     def test_one_sided_rejected(self):
@@ -752,6 +818,26 @@ class TestLowerNormCheck:
         assert fwd == pytest.approx(mins[0], rel=1e-12)
         assert adj == pytest.approx(mins[1], rel=1e-12)
         assert lower_norm_check(spec, f, []) == (np.inf, np.inf)
+
+    def test_one_inverse_for_both_passes(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        d = 4
+        T = np.eye(d) + 0.3 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        spec = OrbitSpec(T=T, f0=seed(d), index_set="Z", n_max=8)
+        f = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        calls = []
+        real = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda *a: calls.append(1) or real(*a))
+        _, adj = lower_norm_check(spec, f, range(-5, 3))
+        assert len(calls) == 1
+        # The adjoint pass against its own inverse, inv(T*), as a second route.
+        inverse = real(T.conj().T)
+        backward = [np.linalg.norm(np.linalg.matrix_power(inverse, n) @ f) for n in range(1, 6)]
+        forward = [np.linalg.norm(np.linalg.matrix_power(T.conj().T, n) @ f) for n in range(3)]
+        assert adj == pytest.approx(min(backward + forward) / np.linalg.norm(f), rel=1e-12)
+        calls.clear()
+        lower_norm_check(spec, f, range(0, 3))
+        assert calls == []
 
     def test_negative_indices_use_inverse(self):
         spec = OrbitSpec(
