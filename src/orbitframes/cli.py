@@ -13,11 +13,13 @@ message names them.  A key that asks for work its problem does not do
 (``decay_csv`` without ``decay_n_max``, say) is rejected too.  Complex
 numbers travel as [re, im] pairs.  The ``NaN``, ``Infinity`` and
 ``-Infinity`` literals are rejected, and a report that would hold a
-non-finite number is a numerical error.  Reports are byte-stable for
-identical inputs (sorted keys, default float repr, no timestamps); wall
-time goes to stderr.  CSV side outputs are written when the problem asks
-for them.  A report's ``tolerances`` lists the ``config`` constants its
-kind compares against.
+non-finite number is a numerical error that names its key path.  A
+report is the bytes ``json.dumps(report, sort_keys=True, indent=2)``
+writes, but its arrays of numbers are C-encoded and re-indented; it is
+byte-stable for identical inputs (default float repr, no timestamps).
+Wall time, encoding time and report size go to stderr.  CSV side outputs
+are written when the problem asks for them.  A report's ``tolerances``
+lists the ``config`` constants its kind compares against.
 
 Exit codes: 0 success, 1 failed verification criteria, 2 input or
 validation error, 3 numerical error from an inner module.
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import reprlib
 import sys
 import time
@@ -44,6 +47,7 @@ from .biinfinite import (
     translates_phi,
 )
 from .blaschke import BlaschkeProduct, carleson_delta, delta_capacity
+from .coeffs import re_im
 from .constructions import (
     NormalOrbitSpec,
     build_normal_pair,
@@ -172,21 +176,11 @@ def _complex(value, name: str, ndim: int) -> np.ndarray:
     return pairs.view(np.complex128)[..., 0]
 
 
-def _pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _pair_matrix(mat) -> list:
-    return [[_pair(z) for z in row] for row in np.asarray(mat)]
-
-
-def _write_csv(path: str, header: list, rows: list) -> None:
+def _write_csv(path: str, header: list, rows) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
-            fh.write("\n")
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def _run_carleson(zeros) -> tuple[dict, dict, dict]:
@@ -212,14 +206,9 @@ def _run_model_space(
     results = ms.to_dict()
     if decay_n_max is not None:
         config.check_size("decay_n_max", decay_n_max)
-        profile = decay_profile(ms, ms.phi, decay_n_max)
-        results["decay_profile"] = [float(x) for x in profile]
+        results["decay_profile"] = decay_profile(ms, ms.phi, decay_n_max).tolist()
         if decay_csv is not None:
-            _write_csv(
-                decay_csv,
-                ["n", "orbit_norm"],
-                [(n, float(x)) for n, x in enumerate(profile)],
-            )
+            _write_csv(decay_csv, ["n", "orbit_norm"], enumerate(results["decay_profile"]))
     return results, {}, {"gram_target": config.GRAM_TARGET}
 
 
@@ -248,7 +237,7 @@ def _run_orbit_analysis(
         if recover_generator:
             recovered, results["kernel_residual"] = generator_closure(U)
             gaps = np.linalg.norm(recovered @ U[:, :-1] - U[:, 1:], axis=0)
-            results["generator"] = _pair_matrix(recovered)
+            results["generator"] = re_im(recovered)
             results["generator_consistency"] = float(gaps.max()) if gaps.size else 0.0
         else:
             results["kernel_residual"] = kernel_shift_invariance(U)
@@ -305,7 +294,7 @@ def _run_perturbation(zeros, coeffs, k, l, tau, n_max=None) -> tuple[dict, dict,
         "perturbed": pair.to_dict(),
         "n_max": pair.orbit.n_max,
         "frame_report": rep.to_dict(),
-        "excluded_tau": _pair(excluded_tau(spec, k, l)),
+        "excluded_tau": re_im(excluded_tau(spec, k, l)),
         "commutator_kk": abs(comm[k, k]),
     }
     certificates = {
@@ -360,11 +349,7 @@ def _run_translates(
         "threshold": prof.threshold,
     }
     if phi_csv is not None:
-        _write_csv(
-            phi_csv,
-            ["omega", "phi"],
-            [(float(w), float(p)) for w, p in zip(prof.omegas, prof.phi)],
-        )
+        _write_csv(phi_csv, ["omega", "phi"], zip(prof.omegas.tolist(), prof.phi.tolist()))
     return results, {}, {"support_threshold_rel": config.SUPPORT_THRESHOLD_REL}
 
 
@@ -384,11 +369,64 @@ def _problem_keys(kind, parameters, output=None) -> None:
     signature, and the function is never called."""
 
 
+_COMPACT = json.JSONEncoder(check_circular=False, allow_nan=False, separators=(",", ":"))
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _array_text(value: list, level: int) -> str | None:
+    """``_encode``'s text for an array whose numbers all sit equally deep, else None:
+    the C encoder's compact text, re-indented by one ``str.replace`` per depth."""
+    text = _COMPACT.encode(value)
+    k = len(text) - len(text.rstrip("]"))
+    if '"' in text or "{" in text or "[]" in text or text[:k] != "[" * k:
+        return None
+    if text.count("[") != k + sum(text.count("]" * j + "," + "[" * j) for j in range(1, k)):
+        return None  # a bracket outside the ends and the ]...],[...[ separators
+    pad = ["\n" + "  " * (level + n) for n in range(k + 1)]
+    shut = [pad[n] + "]" for n in range(k - 1, -1, -1)]  # shut[:j] closes j levels
+    reopen = ["[" + pad[n] for n in range(1, k + 1)]  # reopen[-j:] opens j levels
+    body = text[k:-k].replace(",", "," + pad[k])
+    for j in range(k - 1, 0, -1):  # longest first: "],[" is inside "]],[["
+        sep = "".join(shut[:j]) + "," + pad[k - j] + "".join(reopen[-j:])
+        body = body.replace("]" * j + "," + pad[k] + "[" * j, sep)
+    return "".join(reopen) + body + "".join(shut)
+
+
+def _encode(value, level: int) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` at nesting ``level``."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(value, dict) and value:
+        items = (f"{_ESCAPE(k)}: {_encode(v, level + 1)}" for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + inner[:-2] + "}"
+    if isinstance(value, (list, tuple)) and value:
+        text, items = _array_text(value, level), (_encode(v, level + 1) for v in value)
+        return text or "[" + inner + ("," + inner).join(items) + inner[:-2] + "]"
+    return _COMPACT.encode(value)  # str, bool, None, {}, []; raises what json.dumps raises
+
+
+def _non_finite(value, path: str):
+    """Yield ``path (token)`` for each non-finite float in ``value``."""
+    if isinstance(value, dict):
+        for k, v in sorted(value.items()):
+            yield from _non_finite(v, f"{path}.{k}")
+    elif isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            yield from _non_finite(v, f"{path}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield f"{path} ({float.__repr__(value)})"
+
+
 def _report_text(report: dict) -> str:
+    """``json.dumps(report, sort_keys=True, indent=2, allow_nan=False)`` plus a newline."""
     try:
-        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise NumericalError(f"the report holds a non-finite number ({exc})") from None
+        return _encode(report, 0) + "\n"
+    except ValueError:
+        where = next(_non_finite(report, ""))[1:]  # the path without its leading dot
+        raise NumericalError(f"the report holds a non-finite number: {where}") from None
 
 
 def run_problem(problem: dict) -> dict:
@@ -421,6 +459,7 @@ def _cmd_run(args) -> int:
         report = run_problem(problem)
         elapsed = time.perf_counter() - start
         text = _report_text(report)
+        encoding = time.perf_counter() - start - elapsed
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -433,7 +472,8 @@ def _cmd_run(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    print(f"completed {problem['kind']} in {elapsed:.3f} s", file=sys.stderr)
+    size = f"report {encoding:.3f} s, {len(text)} bytes"
+    print(f"completed {problem['kind']} in {elapsed:.3f} s ({size})", file=sys.stderr)
     return 0
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "restrict",
     "trim",
     "coeffs_equal",
+    "re_im",
 ]
 
 
@@ -161,3 +162,8 @@ def coeffs_equal(a: CoeffVec, b: CoeffVec, tol: float = EQUAL_TOL) -> bool:
     if len(diff.coeffs) == 0:
         return True
     return float(np.max(np.abs(diff.coeffs))) <= tol
+
+
+def re_im(a) -> list:
+    """Complex array ``a`` as nested lists of [re, im] floats, signed zeros kept."""
+    return np.stack([a.real, a.imag], -1).tolist()

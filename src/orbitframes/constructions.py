@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blaschke import carleson_delta, delta_capacity, validate_zeros
+from .coeffs import re_im
 from .config import EXCLUDED_TAU_RTOL
 from .errors import NumericalError
 from .orbits import OrbitSpec, converged_depth
@@ -84,8 +85,8 @@ class NormalOrbitSpec:
 
     def to_dict(self) -> dict:
         return {
-            "zeros": [[z.real, z.imag] for z in self.zeros],
-            "coeffs": [[c.real, c.imag] for c in self.coeffs],
+            "zeros": re_im(self.zeros),
+            "coeffs": re_im(self.coeffs),
             "alpha": self.alpha,
             "beta": self.beta,
             "delta": self.delta,

@@ -84,14 +84,12 @@ class ModelSpace:
     def to_dict(self) -> dict:
         """JSON-ready summary (complex entries as [re, im] pairs)."""
         return {
-            "zeros": [[z.real, z.imag] for z in self.h.zeros],
+            "zeros": cs.re_im(self.h.zeros),
             "constant": [self.h.constant.real, self.h.constant.imag],
             "dim": self.dim,
             "trunc_n": self.trunc_n,
-            "shift_matrix": [
-                [[v.real, v.imag] for v in row] for row in self.shift_matrix
-            ],
-            "phi": [[v.real, v.imag] for v in self.phi],
+            "shift_matrix": cs.re_im(self.shift_matrix),
+            "phi": cs.re_im(self.phi),
             "gram_residual": self.gram_residual,
         }
 

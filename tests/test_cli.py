@@ -796,8 +796,22 @@ class TestInputGate:
         payload = {"kind": "carleson", "parameters": {"zeros": [[0.5, 0.0]]}}
         rc = main(["run", str(write_problem(tmp_path, payload)), "--out", str(out)])
         assert rc == 3
-        assert "non-finite" in capsys.readouterr().err
+        assert "non-finite number: results.delta (nan)" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "results, where",
+        [
+            ({"delta": [1.0, -math.inf]}, "results.delta[1] (-inf)"),
+            ({"a": {"b": [[0.0], [1.0, math.inf]]}}, "results.a.b[1][1] (inf)"),
+            ({"a": [{"x": 1.0}, {"y": np.float64(math.nan)}]}, "results.a[1].y (nan)"),
+        ],
+    )
+    def test_non_finite_report_names_path(self, results, where):
+        report = {"kind": "carleson", "inputs": {}, "results": results}
+        with pytest.raises(orbitframes.NumericalError) as info:
+            cli._report_text(report)
+        assert str(info.value).endswith(f"non-finite number: {where}")
 
 
 def _reject_constant(token):
@@ -961,6 +975,83 @@ class TestIntakeProperty:
         err = capsys.readouterr().err
         assert rc == 2
         assert "k must be an integer, got 1.0" in err
+
+
+def _pure_text(value) -> str:
+    """The reference encoding: CPython's pure-Python indenting encoder."""
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.2e-308, 1e308, -1e308, 1.7976931348623157e308]),
+)
+_NUMBERS = st.one_of(_FLOATS, _FLOATS.map(np.float64), st.integers(), st.booleans(), st.none())
+_TEXT = st.text(st.one_of(st.sampled_from('[]{},:"\\ \n'), st.characters()), max_size=6)
+
+
+def _uniform(depth: int):
+    """Ragged lists whose numbers all sit ``depth`` brackets deep; any list
+    may be empty."""
+    if depth == 0:
+        return _NUMBERS
+    return st.lists(_uniform(depth - 1), max_size=4)
+
+
+class TestReportEncoding:
+    """``_report_text`` writes the bytes of ``json.dumps(indent=2)``."""
+
+    JSON = st.recursive(
+        st.one_of(_NUMBERS, _TEXT),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.tuples(inner, inner),
+            st.dictionaries(_TEXT, inner, max_size=4),
+            st.integers(1, 4).flatmap(_uniform),
+        ),
+        max_leaves=30,
+    )
+
+    @settings(max_examples=400, deadline=None)
+    @given(value=JSON)
+    def test_matches_pure_encoder(self, value):
+        assert cli._report_text(value) == _pure_text(value)
+
+    @pytest.mark.parametrize("kind", sorted(TestIntakeProperty.BASE))
+    def test_reports_of_every_kind(self, kind):
+        parameters = TestIntakeProperty.BASE[kind]
+        report = cli.run_problem({"kind": kind, "parameters": parameters})
+        assert cli._report_text(report) == _pure_text(report)
+
+    def test_dense_report_skips_pure_encoder(self, monkeypatch):
+        """The D = 200 two-sided report's arrays never reach the pure encoder."""
+        rng = np.random.default_rng(0)
+        parameters = {
+            "T": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]],
+            "f0": [[1.0, 0.0], [1.0, 0.0]],
+            "index_set": "Z",
+            "n_max": 8,
+        }
+        report = cli.run_problem({"kind": "orbit_analysis", "parameters": parameters})
+        report["inputs"]["T"] = rng.standard_normal((200, 200, 2)).tolist()
+        report["inputs"]["f0"] = rng.standard_normal((200, 2)).tolist()
+        expected = _pure_text(report)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pure-Python encoder ran")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        with pytest.raises(AssertionError, match="pure-Python"):
+            json.JSONEncoder(indent=2).iterencode([1.0])
+        assert cli._report_text(report) == expected
+
+    def test_stderr_times_the_report(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        payload = {"kind": "carleson", "parameters": {"zeros": [[0.5, 0.0]]}}
+        assert main(["run", str(write_problem(tmp_path, payload)), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "s (report " in err
+        assert f" s, {out.stat().st_size} bytes)" in err
 
 
 class TestTolerances:
