@@ -210,7 +210,12 @@ def orbit(ms: ModelSpace, n_max: int) -> np.ndarray:
 
 
 def decay_profile(ms: ModelSpace, f: np.ndarray, n_max: int) -> np.ndarray:
-    """Norms ``||A^n f||`` for n = 0..n_max of a coordinate vector f."""
+    """Norms ``||A^n f||`` for n = 0..n_max of a coordinate vector f.
+
+    The columns are one ``orbit_columns`` window, doubled when
+    d log2(n_max + 1) <= 1.8 (n_max + 1); on compressed shifts either route is
+    within 4.3e-16 of the largest norm (see there).
+    """
     f = np.asarray(f, dtype=np.complex128).reshape(-1)
     if f.shape != (ms.dim,):
         raise ValueError(f"expected a coordinate vector of length {ms.dim}")

@@ -200,25 +200,67 @@ def check_condition(M: np.ndarray, ceiling: float, what: str) -> float:
 def orbit_columns(T: np.ndarray, v: np.ndarray, n_max: int) -> np.ndarray:
     """Columns ``T^n v`` for n = 0..n_max, shape (len(v), n_max + 1).
 
-    The one power loop: every orbit, synthesis matrix, decay profile and
+    The one orbit routine: every orbit, synthesis matrix, decay profile and
     Blaschke series is read from it, and it refuses windows past the ceiling.
+    With D = len(v) and L = n_max + 1 the route follows the flop count
+    (``_doubles``): when D log2 L <= 1.8 L it fills the window by doubling,
+    columns [m, 2m) being the one product T^m [0, m) before T^m is squared,
+    so about log2 L matrix products in all; otherwise it runs L - 1
+    matrix-vector products.  Once a power T^m is no longer finite (T =
+    diag(0.5, 2): T^1024 overflows, the orbit of (1, 0) never does) the
+    rest of the window comes from matrix-vector products from the last
+    column computed.  Against a long-double power loop the largest error,
+    relative to the largest column norm, was 4.3e-16 for compressed shifts
+    with d <= 20, max|l| <= 0.999 and n = 4096 (the loop: 2.2e-16), 2.9e-15
+    for W diag(l) W^-1 with D = 10 and n = 1999 (6.2e-16) and 7.1e-14 for a
+    dense unimodular D = 50 at n = 1024 (3.2e-15).  T is promoted to at
+    least complex128 first, so the powers of an integer T do not wrap.
     """
     n_max = int(n_max)
     check_size("orbit window n_max", n_max)
+    T = np.asanyarray(T)
+    T = T.astype(np.result_type(T, np.complex128), copy=False)
     v = np.array(v, dtype=np.complex128).reshape(-1)
-    out = np.empty((v.shape[0], n_max + 1), dtype=np.complex128)
+    L = n_max + 1
+    out = np.empty((v.shape[0], L), dtype=np.complex128)
     out[:, 0] = v
-    for n in range(1, n_max + 1):
+    m, P = 1, T
+    if _doubles(v.shape[0], L):
+        while m < L and np.isfinite(P).all():
+            k = min(m, L - m)
+            np.matmul(P, out[:, :k], out=out[:, m : m + k])
+            m += k
+            if m < L:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    P = P @ P
+    v = out[:, m - 1]
+    for n in range(m, L):
         v = T @ v
         out[:, n] = v
     return out
 
 
+def _doubles(D: int, L: int) -> bool:
+    """Whether ``orbit_columns`` doubles a window of L columns of size D.
+
+    Doubling spends D^3 log2 L flops on squarings at matrix-product speed,
+    the loop D^2 L at matrix-vector speed.  The cut-off D log2 L <= 1.8 L is
+    where the two tie for dense D = 100..200 (one BLAS thread: D = 200 at
+    L = 1025 ties, so it keeps the loop; D = 50 at L = 257 doubles, 0.49
+    against 0.92 ms); for 20 <= D <= 70 doubling already wins up to about
+    D log2 L = 2.7 L, so the rule errs towards the loop there.
+    """
+    return D * np.log2(L) <= 1.8 * L
+
+
 def synthesis_matrix(spec: OrbitSpec) -> np.ndarray:
     """Orbit columns in index order: n = 0..n_max, or -n_max..n_max.
 
-    Raises ``NumericalError`` when any column norm exceeds the overflow
-    ceiling (spectral radius above 1 on a one-sided orbit, typically).
+    Each side is one ``orbit_columns`` window (of T, then of T^-1), so it
+    doubles when D log2 L <= 1.8 L, with L = n_max + 1, and runs the
+    matrix-vector loop otherwise; see there for the error of each route.  Raises
+    ``NumericalError`` when any column norm exceeds the overflow ceiling
+    (spectral radius above 1 on a one-sided orbit, typically).
     """
     # A diverging orbit may overflow to inf or nan; the norm check rejects it.
     with np.errstate(over="ignore", invalid="ignore"):

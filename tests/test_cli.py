@@ -19,6 +19,8 @@ import orbitframes
 from orbitframes import cli, config, orbits
 from orbitframes.cli import main
 
+from helpers import power_loop
+
 CAPACITY_HALF = 76.36141955583651
 
 
@@ -37,7 +39,7 @@ def run_to_report(tmp_path, payload, capsys):
 
 def frame_bounds_by_columns(T, f0, n_max):
     """Ascending eigenvalues of U U* from an explicit power loop."""
-    U = orbits.orbit_columns(np.array(T, dtype=complex), np.array(f0), n_max)
+    U = power_loop(np.array(T, dtype=complex), np.array(f0, dtype=complex), n_max)
     return np.linalg.eigvalsh(U @ U.conj().T)
 
 

@@ -1,6 +1,7 @@
 """Truncated orbit analysis: synthesis, bounds, kernels, transport."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from orbitframes import (
     unitarity_defect,
 )
 from orbitframes.config import max_truncation
+
+from helpers import power_loop
 
 RECOVERY_TOL = 1e-8
 TRANSPORT_TOL = 1e-9
@@ -188,6 +191,106 @@ class TestDiagonalStructure:
         report = frame_bounds(spec)
         assert len(calls) == 1
         assert report.upper_bound == spec.spectrum[-1]
+
+
+def skewed_diagonal(rng, lam: np.ndarray) -> np.ndarray:
+    """W diag(lam) W^-1 with W = I + 0.3 G / sqrt(2D), G complex Gaussian."""
+    D = len(lam)
+    W = np.eye(D) + 0.3 * (rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))) / np.sqrt(2 * D)
+    return W @ np.diag(lam) @ np.linalg.inv(W)
+
+
+def counted_operator(T: np.ndarray, calls: list) -> np.ndarray:
+    """T as an array that appends to ``calls`` for each matrix product it, or
+    a power of it, takes part in."""
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                calls.append(1)
+            if "out" in kwargs:
+                kwargs["out"] = tuple(np.asarray(x) for x in kwargs["out"])
+            result = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+            return result.view(Counted) if ufunc is np.matmul and "out" not in kwargs else result
+
+    return np.asarray(T).view(Counted)
+
+
+def orbit_cases():
+    """(T, v, n) of the workloads' classes: compressed shifts up to d = 20
+    and radius 0.999, skewed diagonal D = 10, dense unimodular two-sided
+    D = 50 forward and inverse."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for d in (2, 5, 10, 20):
+        for r in (0.5, 0.99, 0.999):
+            zeros = np.linspace(0.1, r, d) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, d))
+            ms = build_model_space(BlaschkeProduct(zeros=zeros))
+            cases.append(pytest.param(ms.shift_matrix, ms.phi, 4096, id=f"shift-d{d}-r{r}"))
+    for k in range(3):
+        lam = np.linspace(0.3, 0.999, 10) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 10))
+        T = skewed_diagonal(rng, lam)
+        cases.append(pytest.param(T, rng.standard_normal(10) + 0j, 1999, id=f"diagonal-D10-{k}"))
+    for k in range(2):
+        D = 50
+        theta = 2 * np.pi * (np.arange(D) + rng.uniform(-0.3, 0.3, D)) / D
+        T = skewed_diagonal(rng, np.exp(1j * theta))
+        f0 = rng.standard_normal(D) + 1j * rng.standard_normal(D)
+        cases.append(pytest.param(T, f0, 1024, id=f"unimodular-D50-{k}-forward"))
+        cases.append(pytest.param(np.linalg.inv(T), f0, 1024, id=f"unimodular-D50-{k}-inverse"))
+    return cases
+
+
+class TestOrbitColumns:
+    @pytest.mark.parametrize("doubling", [True, False], ids=["doubling", "loop"])
+    @pytest.mark.parametrize("T, v, n", orbit_cases())
+    def test_routes_match_a_long_double_loop(self, T, v, n, doubling, monkeypatch):
+        want = power_loop(T.astype(np.clongdouble), v.astype(np.clongdouble), n)
+        monkeypatch.setattr(orbits, "_doubles", lambda D, L: doubling)
+        got = orbits.orbit_columns(T, v, n)
+        scale = float(np.max(np.linalg.norm(want.astype(np.complex128), axis=0)))
+        assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "D, n_max, doubles",
+        [
+            (2, 4096, True),
+            (10, 63, True),
+            (10, 15, False),
+            (50, 1024, True),
+            (50, 256, True),
+            (200, 1024, False),
+            (200, 256, False),
+        ],
+    )
+    def test_route_follows_the_flop_count(self, D, n_max, doubles):
+        # D log2 L <= 1.8 L doubles (about 2 log2 L products), otherwise L - 1 products.
+        rng = np.random.default_rng(D + n_max)
+        T = (rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))) / (3 * np.sqrt(D))
+        v = rng.standard_normal(D) + 0j
+        calls = []
+        got = orbits.orbit_columns(counted_operator(T, calls), v, n_max)
+        L = n_max + 1
+        if doubles:
+            assert len(calls) <= 2 * np.ceil(np.log2(L))
+        else:
+            assert len(calls) == L - 1
+        assert np.allclose(got, power_loop(T, v, n_max), rtol=0.0, atol=1e-12)
+
+    def test_integer_operator_is_promoted_before_squaring(self):
+        # In int64, T^64 would wrap to 0 without a warning.
+        cols = orbits.orbit_columns(np.array([[2, 0], [0, 1]]), [1, 0], 100)
+        assert cols.dtype == np.complex128
+        assert np.array_equal(cols[0], np.ldexp(1.0, np.arange(101)))
+        assert np.array_equal(cols[1], np.zeros(101))
+
+    def test_overflowing_powers_finish_by_the_loop(self):
+        # diag(0.5, 2)^1024 is not finite, the orbit of (1, 0) is 0.5^n and 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cols = orbits.orbit_columns(np.diag([0.5, 2.0]), [1.0, 0.0], 16384)
+        assert np.array_equal(cols[0], np.ldexp(1.0, -np.arange(16385)))
+        assert not np.any(cols[1])
 
 
 class TestSynthesisMatrix:
@@ -738,8 +841,8 @@ class TestUnitarityDefect:
         f0 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         spec = OrbitSpec(T=T, f0=f0, index_set="Z", n_max=20)
         assert spec.period_operator is None
-        U = orbits.orbit_columns(T, f0, 20)
-        V = orbits.orbit_columns(np.linalg.inv(T), f0, 20)[:, 1:]
+        U = power_loop(T, f0, 20)
+        V = power_loop(np.linalg.inv(T), f0, 20)[:, 1:]
         w, Q = np.linalg.eigh(U @ U.conj().T + V @ V.conj().T)
         root = Q @ np.diag(np.sqrt(w)) @ Q.conj().T
         inv_root = Q @ np.diag(1.0 / np.sqrt(w)) @ Q.conj().T
