@@ -252,8 +252,8 @@ def commutant_multiplier(pair: OrbitSpec, psi_samples) -> OrbitSpec:
 
     ``psi_samples`` gives the multiplier on the masked grid points of
     ``pair`` (in mask order).  Bounded invertibility is what keeps the
-    orbit a frame, so any sample with modulus at or below
-    ``MULTIPLIER_FLOOR`` is rejected, with the offending grid point
+    orbit a frame, so any sample that is not finite or has modulus at or
+    below ``MULTIPLIER_FLOOR`` is rejected, with the offending grid point
     reported.  The accepted orbit's frame bounds sit inside
     [A min|psi|^2, B max|psi|^2] for the original bounds A, B.  T must be
     diagonal, so diag(psi) commutes with it and the reseeded frame operator
@@ -268,6 +268,12 @@ def commutant_multiplier(pair: OrbitSpec, psi_samples) -> OrbitSpec:
     if psi.shape[0] != pair.dim:
         raise ValueError(
             f"{psi.shape[0]} multiplier samples for {pair.dim} masked grid points"
+        )
+    bad = np.flatnonzero(~np.isfinite(psi))
+    if bad.size:
+        raise ValueError(
+            f"multiplier sample at masked point {bad[0]} is {psi[bad[0]]}; "
+            f"samples must be finite"
         )
     mods = np.abs(psi)
     worst = int(np.argmin(mods))

@@ -178,8 +178,9 @@ def perturb_tau(
         h_l = e_l                      g_l = e_l - conj(tau)/conj(d) e_k
         h_k = tau e_l + d e_k          g_k = e_k / conj(d)
 
-    Rejects tau at the excluded value (relative distance at most
-    ``EXCLUDED_TAU_RTOL``), where the seed loses its l-th spectral component.
+    Rejects a non-finite tau, and tau at the excluded value (relative distance
+    at most ``EXCLUDED_TAU_RTOL``), where the seed loses its l-th spectral
+    component.
     """
     J = spec.size
     if not 0 <= k < J or not 0 <= l < J:
@@ -190,6 +191,8 @@ def perturb_tau(
     if d == 0:
         raise ValueError("the two selected zeros coincide; no eigenbasis splits them")
     tau = complex(tau)
+    if not np.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return _perturbed_pair(spec, k, l, tau, d, n_max)

@@ -4,11 +4,11 @@ For a finite product h of degree d the space ``H_h = L2+ minus h L2+`` has
 dimension d.  It carries the compression ``A_h`` of the coordinate shift.
 In the orthonormal Takenaka-Malmquist basis (one factor of the product
 peeled off per basis element) ``A_h`` and the projected constant ``phi``
-have an exact closed form, which is what is built here.  The basis itself
-needs no series: the projection of ``z^k`` is ``A^k phi``, so coefficient k
-of basis element j is ``conj((A^k phi)_j)``.  The orbit of ``phi`` under
-``A_h`` is the prototype frame the rest of the package analyzes, and h's
-own series is an orbit sum of it (``blaschke.taylor_coeffs``).
+have an exact closed form, which is what is built here.  The basis, the
+coordinates and the projection need no series: the projection of ``z^k``
+is ``A^k phi``, so coefficient k of basis element j is
+``conj((A^k phi)_j)`` and each routine reads one orbit window of phi.  That
+orbit is the prototype frame the rest of the package analyzes.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coeffs as cs
-from .blaschke import BlaschkeProduct, _compressed_shift, taylor_coeffs
+from .blaschke import BlaschkeProduct, _compressed_shift
 from .config import GRAM_TARGET, check_size, max_truncation
 from .coeffs import CoeffVec
 from .errors import NumericalError
@@ -50,6 +50,11 @@ def _window(ms: ModelSpace) -> int:
             f"this ceiling"
         )
     return ms.trunc_n
+
+
+def _check_finite(f: np.ndarray) -> None:
+    if not np.isfinite(f).all():
+        raise ValueError("f must be finite")
 
 
 @dataclass(frozen=True)
@@ -151,6 +156,7 @@ def basis_coordinates(ms: ModelSpace, f: CoeffVec) -> np.ndarray:
     Coefficient n of ``e_k`` is ``conj((A^n phi)_k)``, so the pairing is
     exact on the whole support of ``f`` (negative indices pair with nothing).
     """
+    _check_finite(f.coeffs)
     f = cs.restrict(f, 0, None)
     if len(f.coeffs) == 0:
         return np.zeros(ms.dim, dtype=np.complex128)
@@ -158,38 +164,32 @@ def basis_coordinates(ms: ModelSpace, f: CoeffVec) -> np.ndarray:
 
 
 def project_model(ms: ModelSpace, f: CoeffVec) -> CoeffVec:
-    """Orthogonal projection of ``f`` onto the model space.
+    """Orthogonal projection of ``f`` onto the model space, on [0, trunc_n].
 
-    Computes ``h * P_minus(f * conj(h))`` and returns its window restricted
-    to [0, trunc_n].  ``f`` must be supported on nonnegative indices.
-    h is expanded trunc_n past the window and deg f: the dropped terms
-    h_(j+k) * inner_(-k), k > trunc_n, are then below float accuracy.  This
-    series route pairs h with f and serves as the check of the basis route.
+    ``P f = sum_k <f, e_k> e_k``, and coefficient n of ``e_k`` is
+    ``conj((A^n phi)_k)``, so one orbit window of phi over [0, trunc_n] and
+    the support of ``f`` gives both, exact on the window.  The series
+    ``h * P_minus(conj(h) f)`` is the reference the tests hold this to.
     """
     n = _window(ms)
-    trimmed = cs.trim(f)
-    if len(trimmed.coeffs) and trimmed.lo < 0:
+    _check_finite(f.coeffs)
+    f = cs.trim(f)
+    if len(f.coeffs) == 0:
+        return CoeffVec(0, [])
+    if f.lo < 0:
         raise ValueError(
             f"projection input must be supported on indices >= 0, "
-            f"window starts at {trimmed.lo}"
+            f"window starts at {f.lo}"
         )
-    if len(trimmed.coeffs) == 0:
-        return CoeffVec(0, [])
-    ext = n + max(trimmed.hi, 0) + n
-    h_t = taylor_coeffs(ms.h, ext)
-    g = cs.multiply(trimmed, cs.conj_reflect(h_t))
-    inner = cs.project_minus(g)
-    out = cs.multiply(h_t, inner)
-    return cs.restrict(out, 0, n)
+    window = orbit_columns(ms.shift_matrix, ms.phi, max(n, f.hi))
+    c = window[:, f.lo : f.hi + 1] @ f.coeffs
+    return CoeffVec(0, (c.conj() @ window[:, : n + 1]).conj())
 
 
 def projected_monomial(ms: ModelSpace, m: int) -> np.ndarray:
-    """Coordinates of the projected monomial ``z^m`` in the basis.
+    """Coordinates ``A^m phi`` of the projected monomial ``z^m`` in the basis.
 
-    Uses the closed form: the projection of ``z^m`` equals
-    ``z^m - sum_{n=0}^{m} conj(h_{m-n}) z^n h`` with ``h_k`` the Taylor
-    coefficients of h.  Must agree with ``project_model`` on the monomial
-    and with column m of the shift-orbit of phi.
+    ``<z^m, e_k>`` is coefficient m of ``conj(e_k)``: column m of phi's orbit.
     """
     n = _window(ms)
     m = int(m)
@@ -198,10 +198,7 @@ def projected_monomial(ms: ModelSpace, m: int) -> np.ndarray:
             f"monomial index {m} outside [0, {n - ms.h.degree}] "
             f"for truncation {n}"
         )
-    h_t = taylor_coeffs(ms.h, n + m)
-    q = CoeffVec(0, np.conj(h_t.coeffs[m::-1]))
-    proj = cs.add(cs.monomial(m), cs.scale(cs.multiply(q, h_t), -1.0))
-    return basis_coordinates(ms, proj)
+    return orbit_columns(ms.shift_matrix, ms.phi, m)[:, m]
 
 
 def orbit(ms: ModelSpace, n_max: int) -> np.ndarray:
@@ -219,6 +216,7 @@ def decay_profile(ms: ModelSpace, f: np.ndarray, n_max: int) -> np.ndarray:
     f = np.asarray(f, dtype=np.complex128).reshape(-1)
     if f.shape != (ms.dim,):
         raise ValueError(f"expected a coordinate vector of length {ms.dim}")
+    _check_finite(f)
     return np.linalg.norm(orbit_columns(ms.shift_matrix, f, n_max), axis=0)
 
 

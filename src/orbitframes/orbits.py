@@ -442,11 +442,19 @@ def generator_closure(frame_columns: np.ndarray) -> tuple[np.ndarray, float]:
     return (X / svals) @ W.conj().T, residual
 
 
-def similarity_transport(spec: OrbitSpec, V: np.ndarray) -> OrbitSpec:
-    """Orbit of (V T V^{-1}, V f0); V must be of T's shape and well conditioned."""
+def _transport_operand(spec: OrbitSpec, V: np.ndarray, what: str) -> np.ndarray:
+    """V as a finite complex matrix of T's shape, checked before any product."""
     V = np.asarray(V, dtype=np.complex128)
     if V.shape != spec.T.shape:
-        raise ValueError(f"similarity must be {spec.dim}x{spec.dim}, got shape {V.shape}")
+        raise ValueError(f"{what} V must be {spec.dim}x{spec.dim}, got shape {V.shape}")
+    if not np.isfinite(V).all():
+        raise ValueError(f"{what} V must be finite")
+    return V
+
+
+def similarity_transport(spec: OrbitSpec, V: np.ndarray) -> OrbitSpec:
+    """Orbit of (V T V^{-1}, V f0); V must be of T's shape, finite and well conditioned."""
+    V = _transport_operand(spec, V, "similarity")
     check_condition(V, SIMILARITY_COND_MAX, "similarity")
     V_inv = np.linalg.solve(V, np.eye(V.shape[0]))
     return OrbitSpec(
@@ -462,9 +470,10 @@ def commutant_transport(spec: OrbitSpec, V: np.ndarray) -> OrbitSpec:
 
     Rejects with ``CommutatorError`` (carrying the measured norm) when
     ``||VT - TV||`` exceeds ``COMMUTATOR_RTOL * ||T|| * ||V||``, and
-    rejects V whose condition is not below ``SIMILARITY_COND_MAX``.
+    rejects V whose condition is not below ``SIMILARITY_COND_MAX``.  V must
+    be finite and of T's shape.
     """
-    V = np.asarray(V, dtype=np.complex128)
+    V = _transport_operand(spec, V, "commutant multiplier")
     comm = float(np.linalg.norm(V @ spec.T - spec.T @ V, 2))
     bound = COMMUTATOR_RTOL * float(np.linalg.norm(spec.T, 2))
     bound *= float(np.linalg.norm(V, 2))
@@ -520,6 +529,10 @@ def lower_norm_check(spec: OrbitSpec, f: np.ndarray, n_range) -> tuple[float, fl
     if spec.index_set != "Z":
         raise ValueError("lower norm check is defined for two-sided orbits")
     f = np.asarray(f, dtype=np.complex128).reshape(-1)
+    if f.shape != (spec.dim,):
+        raise ValueError(f"f must have length {spec.dim}, got {f.shape[0]}")
+    if not np.isfinite(f).all():
+        raise ValueError("f must be finite")
     base = float(np.linalg.norm(f))
     if base == 0.0:
         raise ValueError("reference vector must be nonzero")

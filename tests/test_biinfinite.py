@@ -462,6 +462,13 @@ class TestCommutantMultiplier:
         assert reseeded.T is pair.T and not reseeded.f0.flags.writeable
         np.testing.assert_array_equal(reseeded.f0, psi * pair.f0)
 
+    def test_nan_multiplier_rejected_with_location(self):
+        pair = build_multiplication_pair(ArcSet(((0.0, math.pi),)), 16)
+        psi = np.ones(pair.dim, dtype=np.complex128)
+        psi[5] = np.nan
+        with pytest.raises(ValueError, match="masked point 5 is"):
+            commutant_multiplier(pair, psi)
+
     def test_overflowing_seed_is_numerical_error(self):
         pair = build_multiplication_pair(ArcSet(((0.0, math.pi),)), 8)
         with pytest.raises(NumericalError, match="column norm"):

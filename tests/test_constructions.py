@@ -258,6 +258,11 @@ class TestExcludedTau:
 
 
 class TestPerturbTau:
+    def test_nan_tau_rejected(self):
+        spec = NormalOrbitSpec(zeros=[0.5, -0.25], coeffs=[1.0, 1.0])
+        with pytest.raises(ValueError, match=r"tau must be finite, got \(nan\+0j\)"):
+            perturb_tau(spec, 0, 1, float("nan"))
+
     def test_zero_strength_keeps_diagonal(self):
         spec = NormalOrbitSpec(zeros=[0.5, -0.25], coeffs=[1.0, 1.0])
         pair = perturb_tau(spec, 0, 1, 0.0)

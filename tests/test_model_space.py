@@ -11,13 +11,14 @@ from orbitframes import (
     BlaschkeProduct,
     CoeffVec,
     NumericalError,
+    OrbitSpec,
     add,
     basis_coordinates,
     build_model_space,
     coeffs_equal,
     conj_reflect,
     decay_profile,
-    inner_product,
+    lower_norm_check,
     minimal_polynomial_check,
     monomial,
     multiply,
@@ -70,6 +71,12 @@ def tm_expansions(zeros: np.ndarray, n_trunc: int) -> np.ndarray:
         partial = convolution_coeffs(zeros[:k], 1.0, n_trunc)
         rows[k] = np.convolve(szego, partial)[: n_trunc + 1]
     return rows
+
+
+def series_projection(zeros: np.ndarray, n_trunc: int, f: np.ndarray) -> np.ndarray:
+    """``P f = sum_k <f, e_k> e_k`` on [0, n_trunc] from the series basis rows."""
+    rows = tm_expansions(zeros, max(n_trunc, len(f) - 1))
+    return (rows[:, : len(f)].conj() @ f) @ rows[:, : n_trunc + 1]
 
 
 def shift_oracle(zeros: np.ndarray) -> np.ndarray:
@@ -263,12 +270,9 @@ class TestProjection:
             0,
             rng.standard_normal(f_degree + 1) + 1j * rng.standard_normal(f_degree + 1),
         )
-        direct = project_model(ms, f)
-        recon = CoeffVec(0, np.zeros(1))
-        for c, e in zip(basis_coordinates(ms, f), ms.basis):
-            recon = add(recon, scale(e, c))
-        diff = add(direct, scale(recon, -1.0))
-        assert float(np.max(np.abs(diff.coeffs))) <= ROUTE_TOL
+        direct = project_model(ms, f).coeffs
+        exact = series_projection(h.zeros, ms.trunc_n, f.coeffs)
+        assert float(np.max(np.abs(direct - exact))) <= ROUTE_TOL
 
     @settings(max_examples=30)
     @given(products(max_degree=4, r_max=0.7))
@@ -281,33 +285,35 @@ class TestProjection:
         assert float(np.max(np.abs(diff.coeffs))) < 1e-10
 
     def test_float_accurate_up_to_window_end(self):
-        # Degree 20 with zeros out to radius 0.9: the coefficients near the
-        # window end need terms of h far past trunc_n + deg f.
+        # Degree 20 with zeros out to radius 0.9: float accuracy on the
+        # whole window, its last coefficients included.
         radii = np.linspace(0.1, 0.9, 20)
         h = BlaschkeProduct(zeros=radii * np.exp(2.399963j * np.arange(20)))
         ms = build_model_space(h)
         rng = np.random.default_rng(20)
         f = CoeffVec(0, rng.standard_normal(17) + 1j * rng.standard_normal(17))
         direct = project_model(ms, f)
-        basis = np.array([e.coeffs for e in ms.basis])
-        exact = basis_coordinates(ms, f) @ basis
+        exact = series_projection(h.zeros, ms.trunc_n, f.coeffs)
         assert direct.lo == 0 and len(direct.coeffs) == ms.trunc_n + 1
         assert np.max(np.abs(direct.coeffs - exact)) <= 1e-13
 
-
     def test_window_past_the_ceiling(self, monkeypatch):
-        # h is expanded to 2 trunc_n + deg f = 259 coefficients, twice this
-        # ceiling, so its orbit is read in blocks.
+        # trunc_n sits at this ceiling: the longest window a projection reads.
         monkeypatch.setenv("ORBITFRAMES_MAX_TRUNC", "128")
         ms = build_model_space(BlaschkeProduct(zeros=[0.9, -0.85j]))
         assert ms.trunc_n == 128
         f = CoeffVec(0, [1.0, -0.5j, 0.25])
-        direct = project_model(ms, f)
-        basis = np.array([e.coeffs for e in ms.basis])
-        exact = basis_coordinates(ms, f) @ basis
-        assert np.max(np.abs(direct.coeffs - exact)) <= ROUTE_TOL
-        via_proj = basis_coordinates(ms, project_model(ms, monomial(0)))
-        assert np.max(np.abs(projected_monomial(ms, 0) - via_proj)) <= ROUTE_TOL
+        exact = series_projection(ms.h.zeros, ms.trunc_n, f.coeffs)
+        assert np.max(np.abs(project_model(ms, f).coeffs - exact)) <= ROUTE_TOL
+        column = tm_expansions(ms.h.zeros, ms.trunc_n)[:, 0].conj()
+        assert np.max(np.abs(projected_monomial(ms, 0) - column)) <= ROUTE_TOL
+
+    def test_support_past_the_ceiling_rejected(self, monkeypatch):
+        monkeypatch.setenv("ORBITFRAMES_MAX_TRUNC", "128")
+        ms = build_model_space(BlaschkeProduct(zeros=[0.3]))
+        for route in (project_model, basis_coordinates):
+            with pytest.raises(ValueError, match="n_max = 200 exceeds the ceiling 128"):
+                route(ms, monomial(200, 0.5))
 
 
 class TestProjectedMonomial:
@@ -335,10 +341,20 @@ class TestProjectedMonomial:
     @settings(max_examples=20)
     @given(products(max_degree=4, r_max=0.7), st.integers(min_value=0, max_value=40))
     def test_matches_projection_route(self, h, m):
+        # P z^m = sum_k conj(e_k[m]) e_k, with the coordinates conj(e_k[m]).
         ms = build_model_space(h, n_trunc=128)
-        coords = projected_monomial(ms, m)
-        via_proj = basis_coordinates(ms, project_model(ms, monomial(m)))
-        assert np.max(np.abs(coords - via_proj)) < ROUTE_TOL
+        rows = tm_expansions(h.zeros, ms.trunc_n)
+        assert np.max(np.abs(projected_monomial(ms, m) - rows[:, m].conj())) < ROUTE_TOL
+        proj = project_model(ms, monomial(m)).coeffs
+        assert np.max(np.abs(proj - rows[:, m].conj() @ rows)) < ROUTE_TOL
+
+    @pytest.mark.parametrize("d", [2, 5, 20])
+    def test_is_the_series_column_to_rounding(self, d):
+        zeros = np.linspace(0.1, 0.9, d) * np.exp(2.399963j * np.arange(d))
+        ms = build_model_space(BlaschkeProduct(zeros=zeros))
+        rows = tm_expansions(zeros, ms.trunc_n)
+        for m in (0, 10, ms.trunc_n // 2, ms.trunc_n - d):
+            assert np.max(np.abs(projected_monomial(ms, m) - rows[:, m].conj())) <= 1e-15
 
 
 class TestOrbit:
@@ -404,6 +420,24 @@ class TestDecayProfile:
         ms = build_model_space(BlaschkeProduct(zeros=[0.3]))
         with pytest.raises(ValueError):
             decay_profile(ms, np.array([1.0, 2.0]), 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "route", ["basis_coordinates", "project_model", "decay_profile", "lower_norm_check"]
+)
+def test_nonfinite_f_rejected(route, bad):
+    ms = build_model_space(BlaschkeProduct(zeros=[0.5, -0.25j]))
+    f = np.array([1.0, bad])
+    two_sided = OrbitSpec(T=np.diag([0.5, 2.0]), f0=np.ones(2), index_set="Z", n_max=4)
+    call = {
+        "basis_coordinates": lambda: basis_coordinates(ms, CoeffVec(0, f)),
+        "project_model": lambda: project_model(ms, CoeffVec(0, f)),
+        "decay_profile": lambda: decay_profile(ms, f, 8),
+        "lower_norm_check": lambda: lower_norm_check(two_sided, f, range(-3, 4)),
+    }[route]
+    with pytest.raises(ValueError, match="f must be finite"):
+        call()
 
 
 def norm_of(v: CoeffVec) -> float:

@@ -757,6 +757,11 @@ class TestSimilarityTransport:
         with pytest.raises(ValueError):
             similarity_transport(spec, np.zeros((2, 2)))
 
+    def test_rejects_nonfinite(self):
+        spec = OrbitSpec(T=np.diag([0.5, 0.3]), f0=seed(2), index_set="N", n_max=8)
+        with pytest.raises(ValueError, match="similarity V must be finite"):
+            similarity_transport(spec, np.full((2, 2), np.nan))
+
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_singular_value_sandwich(self, seed_val):
@@ -810,6 +815,21 @@ class TestCommutantTransport:
         spec = OrbitSpec(T=np.diag([0.5, 0.3]), f0=np.ones(2), index_set="N", n_max=8)
         with pytest.raises(ValueError, match=r"invertible .* condition below 1e\+10"):
             commutant_transport(spec, np.zeros((2, 2)))
+
+    def test_nan_multiplier_rejected(self):
+        spec = OrbitSpec(T=np.diag([0.5, 0.3]), f0=np.ones(2), index_set="N", n_max=8)
+        with pytest.raises(ValueError, match="commutant multiplier V must be finite"):
+            commutant_transport(spec, np.full((2, 2), np.nan))
+
+    def test_infinite_multiplier_rejected(self):
+        spec = OrbitSpec(T=np.diag([0.5, 0.3]), f0=np.ones(2), index_set="N", n_max=8)
+        with pytest.raises(ValueError, match="commutant multiplier V must be finite"):
+            commutant_transport(spec, np.diag([np.inf, 1.0]))
+
+    def test_wrong_shape_rejected(self):
+        spec = OrbitSpec(T=np.array([[0.5]]), f0=np.ones(1), index_set="N", n_max=8)
+        with pytest.raises(ValueError, match=r"commutant multiplier V must be 1x1, got shape \(2, 2\)"):
+            commutant_transport(spec, np.eye(2))
 
 
 class TestUnitarityDefect:
@@ -887,6 +907,11 @@ class TestLowerNormCheck:
         spec = OrbitSpec(T=np.eye(2), f0=seed(2), index_set="Z", n_max=8)
         with pytest.raises(ValueError, match="nonzero"):
             lower_norm_check(spec, np.zeros(2), range(4))
+
+    def test_wrong_length_rejected(self):
+        spec = OrbitSpec(T=np.eye(2), f0=seed(2), index_set="Z", n_max=8)
+        with pytest.raises(ValueError, match="f must have length 2, got 3"):
+            lower_norm_check(spec, np.ones(3), range(-2, 3))
 
     def test_unitary_keeps_norms(self):
         d = 5
