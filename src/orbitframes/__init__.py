@@ -8,21 +8,7 @@ normal and perturbed constructions, and discretized multiplication
 operators on arc sets.
 """
 
-from .coeffs import (
-    CoeffVec,
-    add,
-    coeffs_equal,
-    conj_reflect,
-    inner_product,
-    monomial,
-    multiply,
-    norm,
-    project_minus,
-    project_plus,
-    restrict,
-    scale,
-    trim,
-)
+from .coeffs import CoeffVec, inner_product, multiply, restrict
 from .blaschke import (
     BlaschkeProduct,
     carleson_delta,
@@ -77,18 +63,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoeffVec",
-    "add",
-    "coeffs_equal",
-    "conj_reflect",
     "inner_product",
-    "monomial",
     "multiply",
-    "norm",
-    "project_minus",
-    "project_plus",
     "restrict",
-    "scale",
-    "trim",
     "BlaschkeProduct",
     "carleson_delta",
     "delta_capacity",

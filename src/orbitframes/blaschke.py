@@ -10,7 +10,7 @@ every frame-bound certificate in this package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

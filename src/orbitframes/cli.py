@@ -196,12 +196,11 @@ def _run_carleson(zeros) -> tuple[dict, dict, dict]:
 
 
 def _run_model_space(
-    zeros, constant=None, trunc_n=None, decay_n_max=None, decay_csv=None
+    zeros, trunc_n=None, decay_n_max=None, decay_csv=None
 ) -> tuple[dict, dict, dict]:
     if decay_csv is not None and decay_n_max is None:
         raise ValueError("invalid problem file: decay_csv needs decay_n_max")
-    constant = 1.0 if constant is None else complex(_complex(constant, "constant", 0))
-    h = BlaschkeProduct(zeros=_complex(zeros, "zeros", 1), constant=constant)
+    h = BlaschkeProduct(zeros=_complex(zeros, "zeros", 1))
     ms = build_model_space(h, n_trunc=trunc_n)
     results = ms.to_dict()
     if decay_n_max is not None:

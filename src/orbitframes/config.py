@@ -17,8 +17,6 @@ EPS_DISK = 1e-10
 UNIMODULAR_TOL = 1e-12
 #: Distance to a factor pole below which evaluation refuses to proceed.
 POLE_TOL = 1e-12
-#: Default absolute tolerance of ``coeffs_equal``.
-EQUAL_TOL = 1e-12
 #: Basis Gram residual the model-space window doubling aims for.
 GRAM_TARGET = 1e-10
 #: Column norm past which an orbit is declared numerically divergent.

@@ -13,6 +13,7 @@ pair; they widen the interval by the extreme squared singular values of W.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,10 +117,26 @@ def excluded_tau(spec: NormalOrbitSpec, k: int, l: int) -> complex:
 
     At tau = (lambda_k - lambda_l) c_l / c_k the seed becomes orthogonal
     to the dual eigenvector attached to lambda_l, the orbit loses that
-    spectral direction, and no frame is possible.
+    spectral direction, and no frame is possible.  k and l must be distinct
+    integers in [0, J).
     """
+    k, l = _pair_indices(spec, k, l)
     d = spec.zeros[k] - spec.zeros[l]
     return complex(d * spec.coeffs[l] / spec.coeffs[k])
+
+
+def _pair_indices(spec: NormalOrbitSpec, k, l) -> tuple[int, int]:
+    """``k`` and ``l`` as two distinct integers in [0, J), else a ``ValueError``."""
+    try:
+        k, l = operator.index(k), operator.index(l)
+    except TypeError:
+        raise ValueError(f"indices must be integers, got k = {k!r}, l = {l!r}") from None
+    for name, index in (("k", k), ("l", l)):
+        if not 0 <= index < spec.size:
+            raise ValueError(f"indices must lie in [0, {spec.size}), got {name} = {index}")
+    if k == l:
+        raise ValueError(f"indices must be distinct, got k = l = {k}")
+    return k, l
 
 
 @dataclass(frozen=True)
@@ -182,11 +199,7 @@ def perturb_tau(
     at most ``EXCLUDED_TAU_RTOL``), where the seed loses its l-th spectral
     component.
     """
-    J = spec.size
-    if not 0 <= k < J or not 0 <= l < J:
-        raise ValueError(f"indices must lie in [0, {J}), got k={k}, l={l}")
-    if k == l:
-        raise ValueError("perturbation needs two distinct indices")
+    k, l = _pair_indices(spec, k, l)
     d = complex(spec.zeros[k] - spec.zeros[l])
     if d == 0:
         raise ValueError("the two selected zeros coincide; no eigenbasis splits them")

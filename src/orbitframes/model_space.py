@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import coeffs as cs
 from .blaschke import BlaschkeProduct, _compressed_shift
 from .config import GRAM_TARGET, check_size, max_truncation
-from .coeffs import CoeffVec
+from .coeffs import CoeffVec, re_im, restrict
 from .errors import NumericalError
 from .orbits import orbit_columns
 
@@ -89,12 +88,11 @@ class ModelSpace:
     def to_dict(self) -> dict:
         """JSON-ready summary (complex entries as [re, im] pairs)."""
         return {
-            "zeros": cs.re_im(self.h.zeros),
-            "constant": [self.h.constant.real, self.h.constant.imag],
+            "zeros": re_im(self.h.zeros),
             "dim": self.dim,
             "trunc_n": self.trunc_n,
-            "shift_matrix": cs.re_im(self.shift_matrix),
-            "phi": cs.re_im(self.phi),
+            "shift_matrix": re_im(self.shift_matrix),
+            "phi": re_im(self.phi),
             "gram_residual": self.gram_residual,
         }
 
@@ -157,7 +155,7 @@ def basis_coordinates(ms: ModelSpace, f: CoeffVec) -> np.ndarray:
     exact on the whole support of ``f`` (negative indices pair with nothing).
     """
     _check_finite(f.coeffs)
-    f = cs.restrict(f, 0, None)
+    f = restrict(f, 0, None)
     if len(f.coeffs) == 0:
         return np.zeros(ms.dim, dtype=np.complex128)
     return orbit_columns(ms.shift_matrix, ms.phi, f.hi)[:, f.lo :] @ f.coeffs
@@ -166,24 +164,15 @@ def basis_coordinates(ms: ModelSpace, f: CoeffVec) -> np.ndarray:
 def project_model(ms: ModelSpace, f: CoeffVec) -> CoeffVec:
     """Orthogonal projection of ``f`` onto the model space, on [0, trunc_n].
 
-    ``P f = sum_k <f, e_k> e_k``, and coefficient n of ``e_k`` is
-    ``conj((A^n phi)_k)``, so one orbit window of phi over [0, trunc_n] and
-    the support of ``f`` gives both, exact on the window.  The series
+    ``P f = sum_k <f, e_k> e_k``: the synthesis of ``basis_coordinates``
+    with the basis rows, one orbit window of phi over [0, trunc_n].  So
+    negative indices pair with nothing, and an ``f`` with no coefficient
+    at an index >= 0 projects to the zero window.  The series
     ``h * P_minus(conj(h) f)`` is the reference the tests hold this to.
     """
     n = _window(ms)
-    _check_finite(f.coeffs)
-    f = cs.trim(f)
-    if len(f.coeffs) == 0:
-        return CoeffVec(0, [])
-    if f.lo < 0:
-        raise ValueError(
-            f"projection input must be supported on indices >= 0, "
-            f"window starts at {f.lo}"
-        )
-    window = orbit_columns(ms.shift_matrix, ms.phi, max(n, f.hi))
-    c = window[:, f.lo : f.hi + 1] @ f.coeffs
-    return CoeffVec(0, (c.conj() @ window[:, : n + 1]).conj())
+    c = basis_coordinates(ms, f)
+    return CoeffVec(0, (c.conj() @ orbit_columns(ms.shift_matrix, ms.phi, n)).conj())
 
 
 def projected_monomial(ms: ModelSpace, m: int) -> np.ndarray:

@@ -16,6 +16,7 @@ numerical scope here.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -215,17 +216,25 @@ def orbit_columns(T: np.ndarray, v: np.ndarray, n_max: int) -> np.ndarray:
     for W diag(l) W^-1 with D = 10 and n = 1999 (6.2e-16) and 7.1e-14 for a
     dense unimodular D = 50 at n = 1024 (3.2e-15).  T is promoted to at
     least complex128 first, so the powers of an integer T do not wrap.
+    T must be a finite D x D matrix and v finite, else a ``ValueError``
+    names the operand; an orbit that overflows later is returned as is.
     """
     n_max = int(n_max)
     check_size("orbit window n_max", n_max)
     T = np.asanyarray(T)
     T = T.astype(np.result_type(T, np.complex128), copy=False)
     v = np.array(v, dtype=np.complex128).reshape(-1)
+    D = v.shape[0]
+    if T.shape != (D, D):
+        raise ValueError(f"T must be {D}x{D} for a v of length {D}, got shape {T.shape}")
+    for name, operand in (("T", T), ("v", v)):
+        if not np.isfinite(operand).all():
+            raise ValueError(f"{name} must be finite")
     L = n_max + 1
-    out = np.empty((v.shape[0], L), dtype=np.complex128)
+    out = np.empty((D, L), dtype=np.complex128)
     out[:, 0] = v
     m, P = 1, T
-    if _doubles(v.shape[0], L):
+    if _doubles(D, L):
         while m < L and np.isfinite(P).all():
             k = min(m, L - m)
             np.matmul(P, out[:, :k], out=out[:, m : m + k])
@@ -523,8 +532,8 @@ def unitarity_defect(spec: OrbitSpec) -> float:
 def lower_norm_check(spec: OrbitSpec, f: np.ndarray, n_range) -> tuple[float, float]:
     """Smallest of ||T^n f|| / ||f|| and ||(T*)^n f|| / ||f|| over n_range.
 
-    Two-sided orbits only; negative n use the inverse, formed once, and its
-    adjoint, inv(T*) = inv(T)*.
+    Two-sided orbits only; ``n_range`` is a nonempty collection of integers.
+    Negative n use the inverse, formed once, and its adjoint, inv(T*) = inv(T)*.
     """
     if spec.index_set != "Z":
         raise ValueError("lower norm check is defined for two-sided orbits")
@@ -536,13 +545,20 @@ def lower_norm_check(spec: OrbitSpec, f: np.ndarray, n_range) -> tuple[float, fl
     base = float(np.linalg.norm(f))
     if base == 0.0:
         raise ValueError("reference vector must be nonzero")
-    ns = sorted(set(int(n) for n in n_range))
+    ns = set()
+    for n in n_range:
+        if not isinstance(n, numbers.Integral):
+            raise ValueError(f"n_range entries must be integers, got {n!r}")
+        ns.add(int(n))
+    if not ns:
+        raise ValueError("n_range must be nonempty")
+    ns = sorted(ns)
     forward = [n for n in ns if n >= 0]
     backward = [-n for n in ns if n < 0]
     inverse = np.linalg.inv(spec.T) if backward else None
     mins = []
     for adjoint in (False, True):
-        norms = [np.inf]
+        norms = []
         for M, steps in ((spec.T, forward), (inverse, backward)):
             if steps:
                 M = M.conj().T if adjoint else M

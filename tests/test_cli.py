@@ -671,12 +671,22 @@ class TestInputGate:
         assert rc == 2
         assert "invalid problem" in capsys.readouterr().err
 
+    def test_model_space_constant_is_unknown_key(self, tmp_path, capsys):
+        # The model space depends on the zeros alone; no computation reads a constant.
+        payload = {
+            "kind": "model_space",
+            "parameters": {"zeros": [[0.5, 0.0]], "constant": [1.0, 0.0]},
+        }
+        rc = main(["run", str(write_problem(tmp_path, payload))])
+        assert rc == 2
+        assert "unexpected keyword argument 'constant'" in capsys.readouterr().err
+
     NAN = float("nan")
 
     @pytest.mark.parametrize(
         "kind, parameters, name",
         [
-            ("model_space", {"zeros": [[0.5, 0.0]], "constant": [NAN, 0.0]}, "constant"),
+            ("model_space", {"zeros": [[0.5, NAN]]}, "zeros"),
             (
                 "perturbation",
                 {
@@ -834,7 +844,7 @@ class TestIntakeProperty:
 
     BASE = {
         "carleson": {"zeros": [[0.5, 0.0], [-0.3, 0.2]]},
-        "model_space": {"zeros": [[0.5, 0.0]], "constant": [1.0, 0.0], "decay_n_max": 4},
+        "model_space": {"zeros": [[0.5, 0.0]], "decay_n_max": 4},
         "orbit_analysis": {
             "T": [[[0.5, 0.0], [0.0, 0.0]], [[0.1, 0.0], [0.3, 0.0]]],
             "f0": [[1.0, 0.0], [1.0, 0.0]],
@@ -865,7 +875,7 @@ class TestIntakeProperty:
     }
     NUMERIC = {
         "carleson": ["zeros"],
-        "model_space": ["zeros", "constant"],
+        "model_space": ["zeros"],
         "orbit_analysis": ["T", "f0"],
         "normal_construction": ["zeros", "coeffs"],
         "perturbation": ["zeros", "coeffs", "tau"],

@@ -357,6 +357,23 @@ class TestPerturbTau:
             perturb_tau(spec, 1, 1, 0.1)
 
     @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda spec: excluded_tau(spec, -1, 0), "got k = -1"),
+            (lambda spec: excluded_tau(spec, 0, 5), "got l = 5"),
+            (lambda spec: excluded_tau(spec, 1, 1), "distinct, got k = l = 1"),
+            (lambda spec: perturb_tau(spec, 0.0, 1, 0.1), "integers, got k = 0.0"),
+        ],
+        ids=["excluded-negative-k", "excluded-l-past-J", "excluded-k-equals-l", "float-k"],
+    )
+    def test_indices_checked_once(self, call, message):
+        # excluded_tau read zero J - 1 for k = -1, ended in a raw IndexError
+        # for l = 5 and returned 0j for k = l; perturb_tau took k = 0.0.
+        spec = NormalOrbitSpec(zeros=[0.5, 0.2, -0.3], coeffs=[1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match=message):
+            call(spec)
+
+    @pytest.mark.parametrize(
         "tau",
         [1e100, 1e200, complex(1.7e308, 1.7e308)],
         ids=["block-lo-inf", "square-overflows", "abs-overflows"],

@@ -12,20 +12,14 @@ from orbitframes import (
     CoeffVec,
     NumericalError,
     OrbitSpec,
-    add,
     basis_coordinates,
     build_model_space,
-    coeffs_equal,
-    conj_reflect,
     decay_profile,
     lower_norm_check,
     minimal_polynomial_check,
-    monomial,
-    multiply,
     orbit,
     project_model,
     projected_monomial,
-    scale,
     taylor_coeffs,
 )
 from test_blaschke import convolution_coeffs
@@ -35,6 +29,15 @@ EIGEN_TOL = 1e-8
 ROUTE_TOL = 1e-10
 ORBIT_TOL = 1e-9
 CONTRACTION_SLACK = 1e-8
+
+
+def monomial(n, c=1.0):
+    return CoeffVec(n, [c])
+
+
+def unit(n, length):
+    """The coefficients of z^n on [0, length - 1]."""
+    return np.eye(1, length, n, dtype=np.complex128)[0]
 
 
 @st.composite
@@ -112,15 +115,15 @@ class TestReferenceCases:
         assert ms.dim == 1
         assert ms.shift_matrix[0, 0] == 0.0
         assert ms.phi[0] == 1.0
-        assert coeffs_equal(ms.basis[0], monomial(0), tol=0.0)
+        assert np.array_equal(ms.basis[0].coeffs, unit(0, ms.trunc_n + 1))
 
     def test_h_equals_z_squared(self):
         ms = build_model_space(BlaschkeProduct(zeros=[0.0, 0.0]))
         assert ms.dim == 2
         assert np.array_equal(ms.shift_matrix, np.array([[0.0, 0.0], [1.0, 0.0]]))
         assert np.array_equal(ms.phi, np.array([1.0, 0.0]))
-        assert coeffs_equal(ms.basis[0], monomial(0), tol=0.0)
-        assert coeffs_equal(ms.basis[1], monomial(1), tol=0.0)
+        assert np.array_equal(ms.basis[0].coeffs, unit(0, ms.trunc_n + 1))
+        assert np.array_equal(ms.basis[1].coeffs, unit(1, ms.trunc_n + 1))
 
     def test_single_factor(self):
         a = 0.6
@@ -254,12 +257,19 @@ class TestProjection:
     def test_constant_survives(self):
         ms = build_model_space(BlaschkeProduct(zeros=[0.0]))
         out = project_model(ms, monomial(0))
-        assert coeffs_equal(out, monomial(0), tol=1e-14)
+        assert out.lo == 0
+        assert np.max(np.abs(out.coeffs - unit(0, ms.trunc_n + 1))) <= 1e-14
 
-    def test_rejects_negative_support(self):
-        ms = build_model_space(BlaschkeProduct(zeros=[0.3]))
-        with pytest.raises(ValueError):
-            project_model(ms, monomial(-1))
+    def test_negative_support_pairs_with_nothing(self):
+        # e_k has no coefficient below index 0: z^-1 projects to the zero
+        # window, and a window across 0 projects as its part at indices >= 0.
+        ms = build_model_space(BlaschkeProduct(zeros=[0.3, -0.5j]))
+        out = project_model(ms, monomial(-1))
+        assert out.lo == 0 and len(out.coeffs) == ms.trunc_n + 1
+        assert not out.coeffs.any()
+        across = project_model(ms, CoeffVec(-2, [5.0, 7.0j, 1.0, 0.5]))
+        inside = project_model(ms, CoeffVec(0, [1.0, 0.5]))
+        assert np.array_equal(across.coeffs, inside.coeffs)
 
     @settings(max_examples=30)
     @given(products(max_degree=4, r_max=0.7), st.integers(min_value=0, max_value=32))
@@ -275,14 +285,24 @@ class TestProjection:
         assert float(np.max(np.abs(direct - exact))) <= ROUTE_TOL
 
     @settings(max_examples=30)
+    @given(products(max_degree=4, r_max=0.7), st.integers(min_value=0, max_value=32))
+    def test_coordinates_match_series_oracle(self, h, f_degree):
+        # <f, e_k> pairs the series rows with f; the indices below 0 pair with nothing.
+        ms = build_model_space(h, n_trunc=128)
+        rng = np.random.default_rng(f_degree + 17 * h.degree)
+        f = rng.standard_normal(f_degree + 1) + 1j * rng.standard_normal(f_degree + 1)
+        exact = tm_expansions(h.zeros, f_degree)[:, : f_degree + 1].conj() @ f
+        got = basis_coordinates(ms, CoeffVec(-3, np.concatenate([[2.0, -1.0j, 4.0], f])))
+        assert float(np.max(np.abs(got - exact))) <= ROUTE_TOL
+
+    @settings(max_examples=30)
     @given(products(max_degree=4, r_max=0.7))
     def test_idempotent(self, h):
         ms = build_model_space(h, n_trunc=128)
         f = CoeffVec(0, np.linspace(1.0, 0.1, 10))
         once = project_model(ms, f)
         twice = project_model(ms, once)
-        diff = add(once, scale(twice, -1.0))
-        assert float(np.max(np.abs(diff.coeffs))) < 1e-10
+        assert float(np.max(np.abs(once.coeffs - twice.coeffs))) < 1e-10
 
     def test_float_accurate_up_to_window_end(self):
         # Degree 20 with zeros out to radius 0.9: float accuracy on the
@@ -398,16 +418,13 @@ class TestDecayProfile:
         ms = build_model_space(h, n_trunc=128)
         rng = np.random.default_rng(h.degree)
         coords = rng.standard_normal(ms.dim) + 1j * rng.standard_normal(ms.dim)
-        f = CoeffVec(0, np.zeros(1))
-        for c, e in zip(coords, ms.basis):
-            f = add(f, scale(e, c))
-        h_t = taylor_coeffs(h, ms.trunc_n + 8)
-        g = multiply(f, conj_reflect(h_t))
+        f = coords @ np.array([e.coeffs for e in ms.basis])
+        h_t = taylor_coeffs(h, ms.trunc_n + 8).coeffs
+        # Entry j of g is the coefficient at index j - deg(h_t) of f conj(h).
+        g = np.convolve(f, h_t[::-1].conj())
         profile = decay_profile(ms, coords, 16)
         for n in range(17):
-            tail = sum(
-                abs(g.coeff(-k)) ** 2 for k in range(n + 1, -g.lo + 1)
-            )
+            tail = float(np.sum(np.abs(g[: len(h_t) - 1 - n]) ** 2))
             assert abs(profile[n] ** 2 - tail) < ORBIT_TOL
 
     def test_eventually_below_first_value(self):

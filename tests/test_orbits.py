@@ -292,6 +292,22 @@ class TestOrbitColumns:
         assert np.array_equal(cols[0], np.ldexp(1.0, -np.arange(16385)))
         assert not np.any(cols[1])
 
+    @pytest.mark.parametrize(
+        "T, v, message",
+        [
+            (np.array([[np.nan, 0.0], [0.0, 0.5]]), [1.0, 1.0], "T must be finite"),
+            (np.eye(2), [np.inf, 1.0], "v must be finite"),
+            (np.eye(2), [1.0, 1.0, 1.0], r"T must be 3x3 for a v of length 3, got shape \(2, 2\)"),
+            (np.ones((2, 3)), [1.0, 1.0], r"T must be 2x2 for a v of length 2, got shape \(2, 3\)"),
+        ],
+        ids=["nan-T", "inf-v", "v-wrong-length", "T-not-square"],
+    )
+    def test_operands_checked_at_entry(self, T, v, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                orbits.orbit_columns(T, v, 8)
+
 
 class TestSynthesisMatrix:
     def test_scalar_geometric(self):
@@ -945,7 +961,17 @@ class TestLowerNormCheck:
         fwd, adj = lower_norm_check(spec, f, ns)
         assert fwd == pytest.approx(mins[0], rel=1e-12)
         assert adj == pytest.approx(mins[1], rel=1e-12)
-        assert lower_norm_check(spec, f, []) == (np.inf, np.inf)
+
+    def test_empty_range_rejected(self):
+        spec = OrbitSpec(T=np.eye(2), f0=seed(2), index_set="Z", n_max=8)
+        with pytest.raises(ValueError, match="n_range must be nonempty"):
+            lower_norm_check(spec, seed(2), [])
+
+    def test_non_integer_entry_rejected(self):
+        # 1.7 was read as n = 1.
+        spec = OrbitSpec(T=np.eye(2), f0=seed(2), index_set="Z", n_max=8)
+        with pytest.raises(ValueError, match="n_range entries must be integers, got 1.7"):
+            lower_norm_check(spec, seed(2), [0, 1.7])
 
     def test_one_inverse_for_both_passes(self, monkeypatch):
         rng = np.random.default_rng(11)
