@@ -154,25 +154,31 @@ def basis_coordinates(ms: ModelSpace, f: CoeffVec) -> np.ndarray:
     Coefficient n of ``e_k`` is ``conj((A^n phi)_k)``, so the pairing is
     exact on the whole support of ``f`` (negative indices pair with nothing).
     """
+    return _coordinates(ms, f, 0)[0]
+
+
+def _coordinates(ms: ModelSpace, f: CoeffVec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``basis_coordinates(ms, f)`` and the one orbit window of phi it reads,
+    over [0, max(n, deg f)], for a caller that also needs [0, n]."""
     _check_finite(f.coeffs)
     f = restrict(f, 0, None)
-    if len(f.coeffs) == 0:
-        return np.zeros(ms.dim, dtype=np.complex128)
-    return orbit_columns(ms.shift_matrix, ms.phi, f.hi)[:, f.lo :] @ f.coeffs
+    U = orbit_columns(ms.shift_matrix, ms.phi, max(n, f.hi))
+    return U[:, f.lo : f.hi + 1] @ f.coeffs, U
 
 
 def project_model(ms: ModelSpace, f: CoeffVec) -> CoeffVec:
     """Orthogonal projection of ``f`` onto the model space, on [0, trunc_n].
 
     ``P f = sum_k <f, e_k> e_k``: the synthesis of ``basis_coordinates``
-    with the basis rows, one orbit window of phi over [0, trunc_n].  So
-    negative indices pair with nothing, and an ``f`` with no coefficient
-    at an index >= 0 projects to the zero window.  The series
-    ``h * P_minus(conj(h) f)`` is the reference the tests hold this to.
+    with the basis rows, both read from one orbit window of phi over
+    [0, max(trunc_n, deg f)].  So negative indices pair with nothing, and
+    an ``f`` with no coefficient at an index >= 0 projects to the zero
+    window.  The series ``h * P_minus(conj(h) f)`` is the reference the
+    tests hold this to.
     """
     n = _window(ms)
-    c = basis_coordinates(ms, f)
-    return CoeffVec(0, (c.conj() @ orbit_columns(ms.shift_matrix, ms.phi, n)).conj())
+    c, U = _coordinates(ms, f, n)
+    return CoeffVec(0, (c.conj() @ U[:, : n + 1]).conj())
 
 
 def projected_monomial(ms: ModelSpace, m: int) -> np.ndarray:

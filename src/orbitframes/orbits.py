@@ -61,8 +61,11 @@ class OrbitSpec:
     operators read from them are built on first use and kept, read-only,
     so every property of one orbit reads the same D x L array (16 D L
     bytes); a builder that knows an operator or the ``spectrum`` in closed
-    form fills it in (``biinfinite``).  Long one-sided windows build none
-    (``frame_bounds``).
+    form fills it in (``biinfinite``).  A builder that knows the orbit's
+    eigensystem fills in the one-sided ``frame_operator`` together with
+    ``closed_form`` (``constructions``), and ``frame_bounds`` reads the
+    window from them with no walk and no columns.  Long one-sided windows
+    build no columns either (``frame_bounds``).
     """
 
     T: np.ndarray
@@ -132,10 +135,30 @@ class OrbitSpec:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues of ``frame_operator``, one ``eigvalsh``."""
+        """Ascending eigenvalues of ``frame_operator``: one ``eigvalsh``, or the w
+        of ``eigenbasis`` for a two-sided window that holds no period, whose
+        vectors ``unitarity_defect`` reads."""
+        if self.index_set == "Z" and self.period_operator is None:
+            return self.eigenbasis[0]
         eigs = np.linalg.eigvalsh(self.frame_operator)
         eigs.setflags(write=False)
         return eigs
+
+    @cached_property
+    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(w, Q)`` with ``frame_operator`` = Q diag(w) Q*, w ascending: one ``eigh``."""
+        w, Q = np.linalg.eigh(self.frame_operator)
+        w.setflags(write=False)
+        Q.setflags(write=False)
+        return w, Q
+
+    @cached_property
+    def closed_form(self) -> tuple[float, float] | None:
+        """``(rtol, tail)`` when a builder filled in ``frame_operator`` from the
+        orbit's eigensystem: each eigenvalue of that closed form is within rtol
+        times the largest of the window sum's, and tail rounds up the energy
+        past the window.  None when ``frame_operator`` is read from ``columns``."""
+        return None
 
     @cached_property
     def period_operator(self) -> np.ndarray | None:
@@ -158,10 +181,11 @@ class FrameReport:
 
     ``lower_bound_floor`` is the absolute floor of ``lower_bound``: eps *
     upper from the eigenvalues of U U*, about (eps ||F||_2)^2 times the error
-    growth of the block powers from the factor F.  ``tail_estimate`` is the
-    exact energy sum_{n > n_max} ||T^n f0||^2 past the window, rounded up
-    (see ``_doubling``); ``None`` for two-sided orbits and when the block
-    powers stop shrinking (spectral radius 1 or more).
+    growth of the block powers from the factor F, rtol * upper from a
+    ``closed_form``.  ``tail_estimate`` is the exact energy
+    sum_{n > n_max} ||T^n f0||^2 past the window, rounded up (see
+    ``_doubling`` and ``closed_form``); ``None`` for two-sided orbits and
+    when the block powers stop shrinking (spectral radius 1 or more).
     """
 
     lower_bound: float
@@ -291,10 +315,15 @@ def synthesis_matrix(spec: OrbitSpec) -> np.ndarray:
 def frame_bounds(spec: OrbitSpec) -> FrameReport:
     """Extreme eigenvalues of S = U U* for the truncated orbit, and its tail.
 
-    Long one-sided windows read them from a factor and build no columns;
-    the rest clamp the lower bound of ``spec.spectrum`` at 0.  The route
-    depends on the spec alone (see ``_spectrum``).  One-sided windows take
-    their exact tail from the same walk (see ``_doubling``).
+    A one-sided window whose ``closed_form`` a builder filled in reads the
+    ``eigvalsh`` of that frame operator and its tail, floor rtol * upper,
+    unless the least eigenvalue is not above the floor or sqrt(upper), which
+    bounds every column norm, passes ``COLUMN_OVERFLOW``; then it takes the
+    route of the same orbit without the fill-in.  Long one-sided windows read
+    them from a factor and build no columns; the rest clamp the lower bound
+    of ``spec.spectrum`` at 0.  The route depends on the spec alone (see
+    ``_spectrum``).  Other one-sided windows take their exact tail from the
+    same walk (see ``_doubling``).
     """
     eigs, floor, tail = _spectrum(spec)
     return FrameReport(
@@ -323,7 +352,14 @@ def _spectrum(spec: OrbitSpec) -> tuple[np.ndarray, float, float | None]:
     reads them from the walk's D x D factor, F F* = S, unless F is not
     finite, passes ``COLUMN_OVERFLOW`` (||F||_2 >= every column norm) or is
     less precise than U U*; the rest read ``spec.spectrum``, floor eps upper.
+    A resolved ``closed_form`` comes first and runs none of these.
     """
+    if spec.closed_form is not None:
+        rtol, tail = spec.closed_form
+        eigs = spec.spectrum
+        if rtol * eigs[-1] < eigs[0] and eigs[-1] <= COLUMN_OVERFLOW**2:
+            return eigs, float(rtol * eigs[-1]), tail
+        spec = spec._replace()  # the same orbit, read from its walk or columns
     D, L, eps = spec.dim, spec.n_max + 1, np.finfo(float).eps
     factor = L * (D * D + FACTOR_COLUMN_NS) > max(np.log2(L), 1.0) * (D**3 + FACTOR_STEP_NS)
     walk = _doubling(spec.T, spec.f0, L, factor) if spec.index_set == "N" else None
@@ -500,7 +536,8 @@ def unitarity_defect(spec: OrbitSpec) -> float:
     Two-sided orbits only.  S is the spec's ``period_operator`` when the
     window holds an exact period, for which the shift invariance
     T S T* = S holds exactly (the window sum merely adds whole copies plus
-    a boundary remainder); aperiodic orbits use the full symmetric window.
+    a boundary remainder); aperiodic orbits use the full symmetric window
+    and its ``eigenbasis``, the decomposition ``spectrum`` already read.
     When T and S are both diagonal (a grid pair), W = T and the defect is
     max_i ||t_i|^2 - 1|, with no factorization.  Otherwise W is read in the
     eigenbasis S = Q diag(w) Q*, as
@@ -510,12 +547,14 @@ def unitarity_defect(spec: OrbitSpec) -> float:
     """
     if spec.index_set != "Z":
         raise ValueError("unitarity defect is defined for two-sided orbits")
-    S = spec.period_operator
-    if S is None:
-        S = spec.frame_operator
+    P = spec.period_operator
+    S = spec.frame_operator if P is None else P
     t = diagonal_of(spec.T)
     s = None if t is None else diagonal_of(S)
-    w, Q = (np.sort(s.real), None) if s is not None else np.linalg.eigh(S)
+    if s is not None:
+        w, Q = np.sort(s.real), None
+    else:
+        w, Q = spec.eigenbasis if P is None else np.linalg.eigh(S)
     if w[0] <= 0.0 or w[0] < SINGULAR_RTOL * w[-1]:
         raise NumericalError(
             f"frame operator numerically singular: eigenvalue range "

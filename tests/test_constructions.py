@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from orbitframes import (
     NormalOrbitSpec,
     NumericalError,
+    OrbitSpec,
     build_normal_pair,
     certificate_bounds,
     excluded_tau,
@@ -17,6 +18,8 @@ from orbitframes import (
     synthesis_matrix,
 )
 from orbitframes.config import max_truncation
+
+from helpers import brute_force_tail
 
 CAPACITY_HALF = 76.36141955583651
 CONTAIN_SLACK = 1e-9
@@ -404,3 +407,100 @@ class TestPerturbTau:
             "certificate_upper",
             "biorthogonality_residual",
         }
+
+
+def ring_spec(J, radius, seed):
+    """J jittered zeros near a circle of the given radius, weights in [0.5, 1.5)."""
+    rng = np.random.default_rng(seed)
+    angles = 2.0 * np.pi * (np.arange(J) + rng.uniform(-0.1, 0.1, J)) / J
+    zeros = (radius + rng.uniform(-0.002, 0.002, J)) * np.exp(1j * angles)
+    coeffs = rng.uniform(0.5, 1.5, J) * np.exp(2j * np.pi * rng.uniform(size=J))
+    return NormalOrbitSpec(zeros=zeros, coeffs=coeffs)
+
+
+def generic(orbit):
+    """The same orbit as a spec no builder filled in: the walk or the columns."""
+    return OrbitSpec(T=orbit.T, f0=orbit.f0, index_set="N", n_max=orbit.n_max)
+
+
+def assert_same_bounds(closed, walked):
+    assert closed.upper_bound == pytest.approx(walked.upper_bound, rel=1e-12)
+    gap = abs(closed.lower_bound - walked.lower_bound)
+    assert gap <= closed.lower_bound_floor + walked.lower_bound_floor
+    assert closed.n_max == walked.n_max
+
+
+class TestClosedForm:
+    """Built pairs read the window from D powers: S_N = H diag(c) K_N diag(c)* H*."""
+
+    @pytest.mark.parametrize("n_max", [0, 256, 4096, 16384])
+    @pytest.mark.parametrize("J", [8, 50, 200])
+    def test_normal_pair_matches_the_walk(self, J, n_max):
+        pair = build_normal_pair(ring_spec(J, 0.95, J + n_max), n_max)
+        report = frame_bounds(pair)
+        assert_same_bounds(report, frame_bounds(generic(pair)))
+        if n_max > 0:  # resolved: the closed form's floor, not a fallback's
+            assert report.lower_bound_floor == pair.closed_form[0] * report.upper_bound
+
+    @pytest.mark.parametrize("n_max", [0, 256, 4096, 16384])
+    @pytest.mark.parametrize("J", [8, 50, 200])
+    def test_perturbed_pair_matches_the_walk(self, J, n_max):
+        pair = perturb_tau(ring_spec(J, 0.95, J + n_max), 0, 1, 0.3j, n_max)
+        assert_same_bounds(frame_bounds(pair.orbit), frame_bounds(generic(pair.orbit)))
+
+    @pytest.mark.parametrize("n_max", [0, 16, 64, 300])
+    def test_tail_is_the_rounded_up_brute_force_tail(self, n_max):
+        spec = ring_spec(8, 0.9, n_max)
+        for orbit in (build_normal_pair(spec, n_max), perturb_tau(spec, 2, 5, 0.4, n_max).orbit):
+            exact = brute_force_tail(orbit.T, orbit.f0, n_max)
+            tail = frame_bounds(orbit).tail_estimate
+            assert tail >= exact
+            assert tail == pytest.approx(exact, rel=1e-10)
+
+    def test_ladder_falls_back_to_the_walk(self):
+        # The closed form's eigvalsh cannot resolve lambda_min = 1.176e-18
+        # (it reads about 1.5e-16, below its floor), so the bounds come from
+        # the walk's factor, as for the hand-built spec in test_orbits.
+        import mpmath
+
+        lam = np.linspace(0.0, 0.9, 16)
+        f0 = np.sqrt(1.0 - lam**2)
+        n_max = 2000
+        pair = build_normal_pair(NormalOrbitSpec(zeros=lam, coeffs=f0), n_max)
+        rtol, _ = pair.closed_form
+        assert pair.spectrum[0] <= rtol * pair.spectrum[-1]
+        report = frame_bounds(pair)
+        with mpmath.workdps(60):
+            x, f = [mpmath.mpf(v) for v in lam], [mpmath.mpf(v) for v in f0]
+            S = mpmath.matrix(16, 16)
+            for i in range(16):
+                for j in range(16):
+                    q = x[i] * x[j]
+                    S[i, j] = f[i] * f[j] * (1 - q ** (n_max + 1)) / (1 - q)
+            exact = float(min(mpmath.eigsy(S, eigvals_only=True)))
+        assert report.lower_bound == pytest.approx(exact, rel=1e-6)
+        assert report.lower_bound_floor < 1e-6 * exact
+
+    def test_no_walk_and_no_columns(self, monkeypatch):
+        pair = build_normal_pair(ring_spec(200, 0.95, 1), 4096)
+        merges = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: merges.append(1) or qr(*a, **kw))
+        report = frame_bounds(pair)
+        assert merges == []
+        assert "columns" not in pair.__dict__
+        assert report.lower_bound > report.lower_bound_floor > 0.0
+
+    @pytest.mark.parametrize("weight", [1e13, 1e154])
+    def test_large_orbit_is_judged_by_the_columns(self, weight):
+        # Column norms past COLUMN_OVERFLOW stay a divergence error, whether
+        # the closed form is finite (1e13) or overflows and is not filled in.
+        pair = build_normal_pair(NormalOrbitSpec(zeros=[0.5, -0.5], coeffs=[weight] * 2), 64)
+        with pytest.raises(NumericalError, match="diverges past"):
+            frame_bounds(pair)
+
+    def test_hand_built_diagonal_keeps_the_walk(self):
+        spec = ring_spec(8, 0.9, 3)
+        orbit = OrbitSpec(T=np.diag(spec.zeros), f0=spec.coeffs, index_set="N", n_max=4096)
+        assert orbit.closed_form is None
+        assert "frame_operator" not in orbit.__dict__

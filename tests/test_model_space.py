@@ -22,6 +22,7 @@ from orbitframes import (
     projected_monomial,
     taylor_coeffs,
 )
+from orbitframes import model_space
 from test_blaschke import convolution_coeffs
 
 GRAM_TOL = 1e-10
@@ -327,6 +328,25 @@ class TestProjection:
         assert np.max(np.abs(project_model(ms, f).coeffs - exact)) <= ROUTE_TOL
         column = tm_expansions(ms.h.zeros, ms.trunc_n)[:, 0].conj()
         assert np.max(np.abs(projected_monomial(ms, 0) - column)) <= ROUTE_TOL
+
+    @pytest.mark.parametrize("extra", [-60, 0, 40])
+    def test_one_orbit_window(self, extra, monkeypatch):
+        # The coordinates and the synthesis read one window of phi's orbit,
+        # [0, max(trunc_n, deg f)], the same projection as separate windows.
+        ms = build_model_space(BlaschkeProduct(zeros=[0.5, -0.4j, 0.2 + 0.3j]))
+        rng = np.random.default_rng(5)
+        f = CoeffVec(-2, rng.standard_normal(ms.trunc_n + extra + 3))
+        c = basis_coordinates(ms, f)
+        rows = model_space.orbit_columns(ms.shift_matrix, ms.phi, ms.trunc_n)
+        separate = (c.conj() @ rows).conj()
+        windows = []
+        route = model_space.orbit_columns
+        counted = lambda *a: windows.append(a[2]) or route(*a)  # noqa: E731
+        monkeypatch.setattr(model_space, "orbit_columns", counted)
+        out = project_model(ms, f)
+        assert windows == [max(ms.trunc_n, f.hi)]
+        assert len(out.coeffs) == ms.trunc_n + 1
+        assert np.max(np.abs(out.coeffs - separate)) <= 1e-14 * np.max(np.abs(separate))
 
     def test_support_past_the_ceiling_rejected(self, monkeypatch):
         monkeypatch.setenv("ORBITFRAMES_MAX_TRUNC", "128")

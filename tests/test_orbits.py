@@ -28,7 +28,7 @@ from orbitframes import (
 )
 from orbitframes.config import max_truncation
 
-from helpers import power_loop
+from helpers import brute_force_tail, power_loop
 
 RECOVERY_TOL = 1e-8
 TRANSPORT_TOL = 1e-9
@@ -544,17 +544,6 @@ class TestFactorRoute:
             spec.window(max_truncation() + 1)
 
 
-def brute_force_tail(T, f0, n_max: int, terms: int = 4000) -> float:
-    """sum of ||T^n f0||^2 for n_max < n <= n_max + terms, by a plain loop."""
-    T = np.asarray(T, dtype=np.complex128)
-    v = np.linalg.matrix_power(T, n_max + 1) @ np.asarray(f0, dtype=np.complex128)
-    total = 0.0
-    for _ in range(terms):
-        total += float(np.vdot(v, v).real)
-        v = T @ v
-    return total
-
-
 class TestExactTail:
     """The tail past the window from the doubling walk, against oracles
     that do not use it: brute-force sums and the Pick closed form."""
@@ -886,6 +875,30 @@ class TestUnitarityDefect:
         expected = float(np.linalg.norm(Wt.conj().T @ Wt - np.eye(d), 2))
         assert 0.1 < expected < 1.0
         assert unitarity_defect(spec) == pytest.approx(expected, rel=1e-10)
+
+    def test_aperiodic_window_decomposes_once(self, monkeypatch):
+        # frame_bounds and unitarity_defect share one eigh of the window sum;
+        # the one eigvalsh left is that of Y* Y - I.
+        rng = np.random.default_rng(8)
+        W = np.eye(6) + 0.2 * rng.standard_normal((6, 6))
+        T = W @ np.diag(np.exp(1j * rng.uniform(0.0, 6.0, 6))) @ np.linalg.inv(W)
+        spec = OrbitSpec(T=T, f0=rng.standard_normal(6), index_set="Z", n_max=64)
+        bare = OrbitSpec(T=T, f0=spec.f0, index_set="Z", n_max=64)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            route = getattr(np.linalg, name)
+            counted = lambda S, route=route, name=name: calls.append(name) or route(S)  # noqa: E731
+            monkeypatch.setattr(np.linalg, name, counted)
+        report = frame_bounds(spec)
+        defect = unitarity_defect(spec)
+        assert calls == ["eigh", "eigvalsh"]
+        assert spec.period_operator is None
+        assert np.array_equal(spec.spectrum, spec.eigenbasis[0])
+        # eigh and eigvalsh of one matrix agree to rounding.
+        eigs = np.linalg.eigvalsh(bare.frame_operator)
+        assert report.upper_bound == pytest.approx(eigs[-1], rel=1e-13)
+        assert report.lower_bound == pytest.approx(eigs[0], abs=1e-13 * eigs[-1])
+        assert 0.0 < defect
 
     def test_rank_deficient_frame_rejected(self):
         spec = OrbitSpec(T=0.5 * np.eye(2), f0=seed(2), index_set="Z", n_max=10)
