@@ -127,10 +127,10 @@ def build_multiplication_pair(
     (one endpoint cell per arc side).  T is the diagonal of in-mask roots
     and the seed is the constant function under quadrature normalization,
     sqrt(1/M) at every masked point.  Depth defaults to one full period
-    (n_max = M).  ``frame_operator`` and ``period_operator`` come filled in
-    (module docstring), and so does the full grid's ``spectrum``: the
-    window's residue counts, exact integers; a mask past ``GRID_MASK_MAX``
-    points is rejected before any D x D array is allocated.
+    (n_max = M).  ``frame_operator``, ``period_operator`` (module docstring)
+    and the full grid's ``spectrum``, the window's residue counts, go in by
+    ``OrbitSpec._replace``; a mask past ``GRID_MASK_MAX`` points is rejected
+    before any D x D array is allocated.
     """
     M = int(M)
     if M < 1:
@@ -152,14 +152,11 @@ def build_multiplication_pair(
     # The kernel is the ifft of the window's residue counts, real as the window is symmetric.
     counts = np.bincount(np.arange(-N, N + 1) % M, minlength=M)
     kernel = np.fft.ifft(counts).real
-    pair.__dict__["frame_operator"] = kernel[np.subtract.outer(k, k) % M]
-    pair.__dict__["period_operator"] = (p / M) * np.eye(k.size) if p <= 2 * N else None
+    known = {"frame_operator": kernel[np.subtract.outer(k, k) % M]}
+    known["period_operator"] = (p / M) * np.eye(k.size) if p <= 2 * N else None
     if k.size == M:  # S = sum_r counts_r v_r v_r* / M over orthogonal Fourier vectors v_r
-        pair.__dict__["spectrum"] = np.sort(counts).astype(float)
-    for S in (pair.frame_operator, pair.period_operator, pair.__dict__.get("spectrum")):
-        if S is not None:
-            S.setflags(write=False)
-    return pair
+        known["spectrum"] = np.sort(counts).astype(float)
+    return pair._replace(**known)
 
 
 def parseval_defect(pair: OrbitSpec, M: int) -> float:
@@ -288,12 +285,8 @@ def commutant_multiplier(pair: OrbitSpec, psi_samples) -> OrbitSpec:
         norm = float(np.linalg.norm(f0))
     if not norm <= COLUMN_OVERFLOW:
         raise NumericalError(f"reseeded orbit column norm {norm:.3e} passes {COLUMN_OVERFLOW:.0e}")
-    f0.setflags(write=False)
-    reseeded = pair._replace(f0=f0)
-    reseeded.__dict__["frame_operator"] = psi[:, None] * pair.frame_operator * psi.conj()
+    S = pair.frame_operator
     # diag(psi) = diag(|psi|) diag(psi / |psi|), whose unitary factor commutes
     # with diag(|psi|): the same spectrum from a real matrix when S is real.
-    reseeded.__dict__["spectrum"] = np.linalg.eigvalsh(mods[:, None] * pair.frame_operator * mods)
-    for S in (reseeded.frame_operator, reseeded.spectrum):
-        S.setflags(write=False)
-    return reseeded
+    spectrum = np.linalg.eigvalsh(mods[:, None] * S * mods)
+    return pair._replace(f0=f0, frame_operator=psi[:, None] * S * psi.conj(), spectrum=spectrum)

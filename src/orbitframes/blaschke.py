@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import CoeffVec
-from .config import EPS_DISK, POLE_TOL, UNIMODULAR_TOL, max_truncation
+from .config import EPS_DISK, POLE_TOL, UNIMODULAR_TOL
 from .errors import NumericalError
 from .orbits import orbit_columns
 
@@ -173,11 +173,10 @@ def taylor_coeffs(b: BlaschkeProduct, n_trunc: int) -> CoeffVec:
     ``h_0 = c prod_m (-l_m)`` and, as ``(h - h_0) / z`` has model-space
     coordinates ``c v`` with ``v_k = w_k prod_{m>k} (-l_m)``,
     ``h_n = c sum_k v_k conj((A^(n-1) phi)_k)`` for n >= 1: one O(d^2 n) orbit
-    of the compressed shift, read in blocks of at most the ceiling.  Each
-    block is one ``orbit_columns`` window, doubled afresh from its first
-    column, so a split window agrees with one long window to rounding
-    (6.8e-20 on coefficients of order 1), not bit for bit.  The discarded
-    tail is bounded by a constant times ``max_j |l_j| ** n_trunc``.
+    of the compressed shift, the ``orbit_columns`` window [0, n_trunc], so an
+    ``n_trunc`` past the ceiling is the ``ValueError`` that routine raises.
+    The discarded tail is bounded by a constant times
+    ``max_j |l_j| ** n_trunc``.
     """
     n_trunc = int(n_trunc)
     if n_trunc < b.degree:
@@ -188,9 +187,5 @@ def taylor_coeffs(b: BlaschkeProduct, n_trunc: int) -> CoeffVec:
     v = np.sqrt(1.0 - np.abs(b.zeros) ** 2) * np.cumprod(np.r_[1.0, -b.zeros[:0:-1]])[::-1]
     acc = np.empty(n_trunc + 1, dtype=np.complex128)
     acc[0] = np.prod(-b.zeros)
-    cap = max_truncation()
-    for j in range(0, n_trunc, cap):  # block j holds A^j phi .. A^(j + cap) phi
-        cols = orbit_columns(A, x, min(cap, n_trunc - j))
-        acc[j + 1 : j + cols.shape[1]] = (v.conj() @ cols).conj()[:-1]
-        x = cols[:, -1]
+    acc[1:] = (v.conj() @ orbit_columns(A, x, n_trunc)).conj()[:-1]
     return CoeffVec(0, acc * b.constant)

@@ -10,11 +10,12 @@ images W diag W^{-1} are ``orbits.similarity_transport`` of the normal
 pair; they widen the interval by the extreme squared singular values of W.
 
 Both builders know their orbit's eigensystem, T = H diag(lambda) H^-1 with
-f0 = H c, so they fill in the window's frame operator and tail in closed
-form (``_fill_closed_form``): ``frame_bounds`` of a built pair runs no
-doubling walk and builds no columns, unless the closed form's least
-eigenvalue is not resolved above its floor.  A spec built by hand, diagonal
-or not, keeps the walk and the columns.
+f0 = H c, so they hand the window's frame operator and tail in closed form
+to ``OrbitSpec._replace`` (``_fill_closed_form``): ``frame_bounds`` of a
+built pair runs no doubling walk and builds no columns, unless the closed
+form's least eigenvalue is not resolved above its floor, and the automatic
+depth squares T (``converged_depth``).  A spec built by hand, diagonal or
+not, keeps the walk and the columns.
 """
 
 from __future__ import annotations
@@ -106,17 +107,16 @@ class NormalOrbitSpec:
 def build_normal_pair(spec: NormalOrbitSpec, n_max: int | None = None) -> OrbitSpec:
     """One-sided orbit of (diag(zeros), coeffs), its window in closed form.
 
-    When ``n_max`` is omitted it is the window at which the orbit's
-    doubling walk converged (``converged_depth``); so is the depth of
-    ``perturb_tau``.  The frame operator diag(c) K_N diag(c)* and the tail
+    When ``n_max`` is omitted it is ``converged_depth(T)``, the window at
+    which T's squarings fall below eps; so is the depth of ``perturb_tau``.
+    The frame operator diag(c) K_N diag(c)* and the tail
     sum_j |c_j|^2 |mu_j|^2 / (1 - |lambda_j|^2) come filled in
     (``_fill_closed_form``).
     """
     T = np.diag(spec.zeros)
-    n_max = converged_depth(T, spec.coeffs) if n_max is None else n_max
+    n_max = converged_depth(T) if n_max is None else n_max
     orbit = OrbitSpec(T=T, f0=spec.coeffs, index_set="N", n_max=int(n_max))
-    _fill_closed_form(orbit, spec.zeros, spec.coeffs)
-    return orbit
+    return _fill_closed_form(orbit, spec.zeros, spec.coeffs)
 
 
 def _one_minus(z: np.ndarray) -> np.ndarray:
@@ -133,8 +133,8 @@ def _fill_closed_form(
     c: np.ndarray,
     H: np.ndarray | None = None,
     growth: float = 1.0,
-) -> None:
-    """Fill in ``orbit``'s window frame operator and tail from its eigensystem.
+) -> OrbitSpec:
+    """``orbit`` with its window frame operator and tail read from its eigensystem.
 
     T = H diag(zeros) H^-1 and f0 = H c, H = None standing for I.  With
     mu = zeros^(N + 1) (D powers) the window sum is
@@ -148,7 +148,7 @@ def _fill_closed_form(
     upper of the window sum's (against 60-digit sums at D <= 6, radii up to
     1 - 1e-5 and N up to 16000, at most 0.6 of that), times ``growth``, a
     bound on cond(H)^2, for the assembly by H.  A closed form that overflows
-    is not filled in, so the walk or the columns judge that orbit.
+    returns ``orbit`` as it is, so the walk or the columns judge that orbit.
     """
     eps, D, L = np.finfo(float).eps, orbit.dim, orbit.n_max + 1
     with np.errstate(over="ignore", invalid="ignore"):
@@ -164,11 +164,9 @@ def _fill_closed_form(
             terms = (H.T @ H.conj()) * np.outer(a, a.conj()) / den
         tail = np.sum(terms.real) + eps * np.sum(np.abs(terms) * (9 * L + D + 2 / np.abs(den)))
     if not (np.isfinite(S).all() and np.isfinite(tail)):
-        return
-    S.setflags(write=False)
-    orbit.__dict__["frame_operator"] = S
+        return orbit
     rtol = eps * growth * (D + 2 / (1.0 - np.max(np.abs(zeros))))
-    orbit.__dict__["closed_form"] = (float(rtol), float(tail))
+    return orbit._replace(frame_operator=S, closed_form=(float(rtol), float(tail)))
 
 
 def certificate_bounds(spec: NormalOrbitSpec) -> tuple[float, float]:
@@ -337,9 +335,9 @@ def _perturbed_pair(
             f"[{cert_lower:.3e}, {cert_upper:.3e}])"
         )
 
-    n_max = converged_depth(T, spec.coeffs) if n_max is None else n_max
+    n_max = converged_depth(T) if n_max is None else n_max
     orbit = OrbitSpec(T=T, f0=spec.coeffs, index_set="N", n_max=int(n_max))
-    _fill_closed_form(orbit, spec.zeros, c_dual, h_basis, riesz_upper / riesz_lower)
+    orbit = _fill_closed_form(orbit, spec.zeros, c_dual, h_basis, riesz_upper / riesz_lower)
 
     return PerturbedPair(
         orbit=orbit,

@@ -61,11 +61,11 @@ class OrbitSpec:
     operators read from them are built on first use and kept, read-only,
     so every property of one orbit reads the same D x L array (16 D L
     bytes); a builder that knows an operator or the ``spectrum`` in closed
-    form fills it in (``biinfinite``).  A builder that knows the orbit's
-    eigensystem fills in the one-sided ``frame_operator`` together with
-    ``closed_form`` (``constructions``), and ``frame_bounds`` reads the
-    window from them with no walk and no columns.  Long one-sided windows
-    build no columns either (``frame_bounds``).
+    form hands it over through ``_replace`` (``biinfinite``).  A builder
+    that knows the orbit's eigensystem hands over the one-sided
+    ``frame_operator`` and ``closed_form`` (``constructions``), which
+    ``frame_bounds`` reads with no walk and no columns.  Long one-sided
+    windows build no columns either (``frame_bounds``).
     """
 
     T: np.ndarray
@@ -101,24 +101,31 @@ class OrbitSpec:
     def dim(self) -> int:
         return self.T.shape[0]
 
-    def _replace(self, **changes) -> OrbitSpec:
-        """This spec with validated read-only ``changes``; T keeps the gates it passed."""
+    #: ``(rtol, tail)`` when a builder handed over ``frame_operator`` from the orbit's
+    #: eigensystem: its eigenvalues are within rtol times the largest of the window
+    #: sum's, and tail rounds up the energy past the window.  None otherwise.
+    closed_form = None
+
+    def _replace(self, **known) -> OrbitSpec:
+        """This spec with validated ``known`` fields and cached operators, each
+        array made read-only; T keeps the gates it passed.  Builders write only here."""
         spec = object.__new__(OrbitSpec)
         spec.__dict__.update(T=self.T, f0=self.f0, index_set=self.index_set, n_max=self.n_max)
-        spec.__dict__.update(changes)
+        for value in known.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        spec.__dict__.update(known)
         return spec
 
     def window(self, n_max: int) -> OrbitSpec:
         """The same orbit cut at ``n_max``; a shorter cut shares the built columns'
         prefix (one-sided) or centred slice (two-sided)."""
-        n_max = int(n_max)
-        check_size("n_max", n_max)
-        spec = self._replace(n_max=n_max)
-        built, m, n = self.__dict__.get("columns"), spec.n_max, self.n_max
-        if built is not None and m <= n:
-            cut = slice(n - m, n + m + 1) if self.index_set == "Z" else slice(m + 1)
-            spec.__dict__["columns"] = built[:, cut]
-        return spec
+        m, n, built = int(n_max), self.n_max, self.__dict__.get("columns")
+        check_size("n_max", m)
+        if built is None or m > n:
+            return self._replace(n_max=m)
+        cut = slice(n - m, n + m + 1) if self.index_set == "Z" else slice(m + 1)
+        return self._replace(n_max=m, columns=built[:, cut])
 
     @cached_property
     def columns(self) -> np.ndarray:
@@ -151,14 +158,6 @@ class OrbitSpec:
         w.setflags(write=False)
         Q.setflags(write=False)
         return w, Q
-
-    @cached_property
-    def closed_form(self) -> tuple[float, float] | None:
-        """``(rtol, tail)`` when a builder filled in ``frame_operator`` from the
-        orbit's eigensystem: each eigenvalue of that closed form is within rtol
-        times the largest of the window sum's, and tail rounds up the energy
-        past the window.  None when ``frame_operator`` is read from ``columns``."""
-        return None
 
     @cached_property
     def period_operator(self) -> np.ndarray | None:
@@ -336,12 +335,22 @@ def frame_bounds(spec: OrbitSpec) -> FrameReport:
     )
 
 
-def converged_depth(T: np.ndarray, f0: np.ndarray) -> int:
+def converged_depth(T: np.ndarray) -> int:
     """Window 2^k_inf - 1 of ``_doubling`` over the ceiling's window, clamped to
-    [64, ceiling]; the ceiling when the walk gave up."""
-    cap = max_truncation()
-    k = _doubling(np.asarray(T), np.asarray(f0), cap + 1, factor=False)[3]
-    return cap if k is None else min(cap, max(64, 2**k - 1))
+    [64, ceiling], read from T's squarings P = T^(2^k) alone: as in the walk,
+    sqrt(||P||_1 ||P||_inf) >= ||P||_2, which the SVD gives at the ceiling's
+    top digit; a k_inf past that digit, or none, gives the ceiling."""
+    cap, eps, P = max_truncation(), np.finfo(float).eps, np.asarray(T)
+    top = (cap + 1).bit_length() - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(top + 1):
+            p = q = np.sqrt(np.linalg.norm(P, 1) * np.linalg.norm(P, np.inf))
+            if k == top and eps < p * p < np.inf:
+                q = min(p, np.linalg.norm(P, 2))
+            if q * q <= eps:
+                return min(cap, max(64, 2**k - 1))
+            P = P @ P
+    return cap
 
 
 def _spectrum(spec: OrbitSpec) -> tuple[np.ndarray, float, float | None]:
@@ -363,7 +372,7 @@ def _spectrum(spec: OrbitSpec) -> tuple[np.ndarray, float, float | None]:
     D, L, eps = spec.dim, spec.n_max + 1, np.finfo(float).eps
     factor = L * (D * D + FACTOR_COLUMN_NS) > max(np.log2(L), 1.0) * (D**3 + FACTOR_STEP_NS)
     walk = _doubling(spec.T, spec.f0, L, factor) if spec.index_set == "N" else None
-    F, f_err, tail, _ = walk or (None, 0.0, None, None)
+    F, f_err, tail = walk or (None, 0.0, None)
     if F is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             s = np.linalg.svd(F, compute_uv=False) if np.isfinite(F).all() else [np.inf]
@@ -375,7 +384,7 @@ def _spectrum(spec: OrbitSpec) -> tuple[np.ndarray, float, float | None]:
 
 
 def _doubling(T: np.ndarray, f0: np.ndarray, L: int, factor: bool) -> tuple:
-    """One doubling walk of (T, f0) over L terms: F, its error growth, the tail, k_inf.
+    """One doubling walk of (T, f0) over L terms: F, its error growth, the tail.
 
     Smith 1968 in Hammarling's square-root form (1982): G factors the first
     2^k terms, P = T^(2^k), p = sqrt(||P||_1 ||P||_inf) >= ||P||_2 and each
@@ -384,7 +393,7 @@ def _doubling(T: np.ndarray, f0: np.ndarray, L: int, factor: bool) -> tuple:
     G G* + P S P*; F's error grows 1 + 2 (err P + p)).  F_inf is G at the
     first k = k_inf with ||P||_2^2 <= eps (from p, or from the SVD once past
     L's digits).  Past them the walk squares on until k_inf, or gives up
-    (tail and k_inf None) unless ||P||_2 + err P is below 1 two squarings on
+    (tail None) unless ||P||_2 + err P is below 1 two squarings on
     and below its last value after that.  As S_inf = G G* + P S_inf P*, the
     tail is at most ||T^L F_inf||_F^2 / (1 - ||P||_2^2), rounded up by
     (L + D (k + 2)) eps for the error of T^L and the products of the walk.
@@ -408,7 +417,7 @@ def _doubling(T: np.ndarray, f0: np.ndarray, L: int, factor: bool) -> tuple:
                 if factor:
                     F = G if F is None else merge(G, P @ F)
             if F_inf is None and q * q <= eps:
-                F_inf, q_inf, depth = G, q, k
+                F_inf, q_inf = G, q
             shrinking = q + eps * p_err < min(1.0, last)
             if k >= top and (F_inf is not None or k >= top + 2 and not shrinking):
                 break
@@ -416,10 +425,10 @@ def _doubling(T: np.ndarray, f0: np.ndarray, L: int, factor: bool) -> tuple:
             p_err = 2.0 * p * p_err + p * p
             last, k = q, k + 1
         if F_inf is None:
-            return F, f_err, None, None
+            return F, f_err, None
         tail = np.linalg.norm(TL @ F_inf) ** 2 * (1.0 + (L + (k + 2) * D) * eps) ** 2
         tail /= 1.0 - q_inf * q_inf
-    return F, f_err, float(tail) if np.isfinite(tail) else None, depth
+    return F, f_err, float(tail) if np.isfinite(tail) else None
 
 
 def _finite_columns(frame_columns: np.ndarray) -> np.ndarray:

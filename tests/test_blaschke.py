@@ -262,17 +262,20 @@ class TestTaylorCoeffs:
         taylor_coeffs(BlaschkeProduct(zeros=[0.5, -0.3j, 0.8]), 4096)
         assert calls == [4096]
 
-    def test_windows_past_the_ceiling_read_in_blocks(self, monkeypatch):
-        # Each block doubles afresh from its first column, so a split window
-        # rounds apart from one long window (by 6.8e-20 here), not bit for bit.
+    def test_windows_past_the_ceiling_raise(self, monkeypatch):
+        # One orbit window: up to the ceiling it is the series, past it the
+        # ValueError of orbit_columns.
         b = BlaschkeProduct(zeros=[0.9, -0.85j, 0.3 + 0.4j], constant=1j)
         whole = taylor_coeffs(b, 300).coeffs
         monkeypatch.setenv("ORBITFRAMES_MAX_TRUNC", "64")
-        for n_trunc in (63, 64, 65, 128, 129, 300):
+        for n_trunc in (3, 63, 64):
             got = taylor_coeffs(b, n_trunc).coeffs
             assert np.max(np.abs(got - whole[: n_trunc + 1])) <= 1e-15
             want = convolution_coeffs(b.zeros, b.constant, n_trunc)
             assert np.max(np.abs(got - want)) <= PRODUCT_TOL
+        for n_trunc in (65, 300):
+            with pytest.raises(ValueError, match=f"n_max = {n_trunc} exceeds the ceiling 64"):
+                taylor_coeffs(b, n_trunc)
 
     def test_constant_scales_series(self):
         c = np.exp(0.7j)

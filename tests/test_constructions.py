@@ -491,6 +491,19 @@ class TestClosedForm:
         assert "columns" not in pair.__dict__
         assert report.lower_bound > report.lower_bound_floor > 0.0
 
+    def test_automatic_depth_runs_no_walk(self, monkeypatch):
+        # converged_depth squares T; the walk would merge by QR.  With
+        # max|lambda| <= 0.952, T^(2^9) is the first power squared below eps.
+        def refused(*args, **kwargs):
+            raise AssertionError("np.linalg.qr called")
+
+        spec = ring_spec(50, 0.95, 2)
+        monkeypatch.setattr(np.linalg, "qr", refused)
+        for orbit in (build_normal_pair(spec), perturb_tau(spec, 0, 1, 0.3j).orbit):
+            assert orbit.n_max == 2**9 - 1
+            assert not orbit.frame_operator.flags.writeable
+            assert orbit.closed_form is not None
+
     @pytest.mark.parametrize("weight", [1e13, 1e154])
     def test_large_orbit_is_judged_by_the_columns(self, weight):
         # Column norms past COLUMN_OVERFLOW stay a divergence error, whether

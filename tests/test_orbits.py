@@ -602,12 +602,55 @@ class TestExactTail:
 
     def test_converged_depth(self, monkeypatch):
         # 0.99^(2^11) is the first block power with square below eps.
-        T, f0 = np.diag([0.5, 0.99]), np.ones(2)
-        assert orbits.converged_depth(T, f0) == 2**11 - 1
-        assert orbits.converged_depth(np.diag([0.1, 0.2]), f0) == 64
-        assert orbits.converged_depth(np.eye(2), f0) == max_truncation()
+        T = np.diag([0.5, 0.99])
+        assert orbits.converged_depth(T) == 2**11 - 1
+        assert orbits.converged_depth(np.diag([0.1, 0.2])) == 64
+        assert orbits.converged_depth(np.eye(2)) == max_truncation()
         monkeypatch.setenv("ORBITFRAMES_MAX_TRUNC", "1000")
-        assert orbits.converged_depth(T, f0) == 1000
+        assert orbits.converged_depth(T) == 1000
+
+    @staticmethod
+    def powers_depth(T):
+        """The first k <= top with ||T^(2^k)||^2 <= eps, from np.linalg.matrix_power,
+        the 2-norm replacing sqrt(||.||_1 ||.||_inf) only at k = top."""
+        cap, eps = max_truncation(), np.finfo(float).eps
+        top = (cap + 1).bit_length() - 1
+        for k in range(top + 1):
+            with np.errstate(over="ignore", invalid="ignore"):
+                P = np.linalg.matrix_power(T, 2**k)
+                p = q = np.sqrt(np.linalg.norm(P, 1) * np.linalg.norm(P, np.inf))
+                if k == top and eps < p * p < np.inf:
+                    q = min(p, np.linalg.norm(P, 2))
+            if q * q <= eps:
+                return min(cap, max(64, 2**k - 1))
+        return cap
+
+    @pytest.mark.parametrize("cap", [100, 1000, 16384])
+    @pytest.mark.parametrize(
+        "kind",
+        ["nilpotent", "triangular", "jordan", "similar_rho_1.02", "rotation", "dense_2norm_at_top"],
+    )
+    def test_converged_depth_reads_the_powers_of_t(self, kind, cap, monkeypatch):
+        monkeypatch.setenv("ORBITFRAMES_MAX_TRUNC", str(cap))
+        if kind == "nilpotent":
+            T = np.array([[0.0, 5.0], [0.0, 0.0]])
+        elif kind == "triangular":  # a transient of ||T^n||_2 up to about 30
+            T = np.array([[0.9, 20.0], [0.0, 0.5]])
+        elif kind == "jordan":  # spectral radius 1, powers growing like n
+            T = np.array([[1.0, 1.0], [0.0, 1.0]])
+        elif kind == "similar_rho_1.02":
+            W = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0], [1.0, 0.0, 1.0]])
+            T = W @ np.diag([1.02, 0.5j, -0.9]) @ np.linalg.inv(W)
+        elif kind == "rotation":
+            T = np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])
+        else:  # at ceiling 1000, ||T^512||_2 is below sqrt(eps) but its 1/inf-norm bound is not
+            Z = np.random.default_rng(0).standard_normal((6, 6))
+            T = 0.9645 * Z / np.max(np.abs(np.linalg.eigvals(Z)))
+        depth = orbits.converged_depth(T)
+        assert depth == self.powers_depth(T)
+        assert 64 <= depth <= cap
+        if kind == "dense_2norm_at_top" and cap == 1000:
+            assert depth == 511
 
 
 class TestKernelInvariance:
@@ -910,7 +953,7 @@ class TestUnitarityDefect:
         t = np.array([0.5, 1.2, np.exp(1j)])
         S = np.diag([1.0, 2.0, 3.0])
         spec = OrbitSpec(T=np.diag(t), f0=np.ones(3), index_set="Z", n_max=6)
-        spec.__dict__["period_operator"] = S
+        spec = spec._replace(period_operator=S)
         root, inv_root = np.sqrt(S), np.diag(1.0 / np.sqrt(np.diag(S)))
         W = inv_root @ spec.T @ root
         expected = float(np.linalg.norm(W.conj().T @ W - np.eye(3), 2))
@@ -921,7 +964,7 @@ class TestUnitarityDefect:
 
     def test_diagonal_singular_frame_rejected(self):
         spec = OrbitSpec(T=np.eye(2), f0=seed(2), index_set="Z", n_max=6)
-        spec.__dict__["period_operator"] = np.diag([1.0, 0.0])
+        spec = spec._replace(period_operator=np.diag([1.0, 0.0]))
         with pytest.raises(NumericalError, match="singular"):
             unitarity_defect(spec)
 

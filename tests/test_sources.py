@@ -1,4 +1,5 @@
-"""Source hygiene: every package import is read, and the README's code runs."""
+"""Source hygiene: every package import is read, only ``orbits`` writes a
+spec's ``__dict__``, and the README's code runs."""
 
 import ast
 import pathlib
@@ -38,6 +39,44 @@ def test_every_import_is_read(path):
 def test_unused_import_detector():
     source = "import os\nimport sys  # noqa: F401\nfrom math import pi, tau\nprint(pi)\n"
     assert unused_imports(source) == ["os (line 1)", "tau (line 3)"]
+
+
+def dict_writes(source: str) -> list[int]:
+    """Lines that assign into a ``__dict__``: a subscript store or delete, or a
+    ``.__dict__.update`` call."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            target = node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            target = node.func.value if node.func.attr == "update" else None
+        else:
+            continue
+        if isinstance(target, ast.Attribute) and target.attr == "__dict__":
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p.name != "orbits.py"],
+    ids=[p.name for p in MODULES if p.name != "orbits.py"],
+)
+def test_only_orbits_writes_a_dict(path):
+    # OrbitSpec._replace is the one door into a spec's fields and cached operators.
+    assert dict_writes(path.read_text(encoding="utf-8")) == []
+
+
+def test_dict_write_detector():
+    source = (
+        "a.__dict__['x'] = 1\n"
+        "b.__dict__.update(y=2)\n"
+        "c = d.__dict__.get('z')\n"
+        "del e.__dict__['w']\n"
+        "f.update(v=3)\n"
+        "g.__dict__['u'] += 1\n"
+    )
+    assert dict_writes(source) == [1, 2, 4, 6]
 
 
 def test_readme_python_blocks_run():
