@@ -10,12 +10,11 @@ images W diag W^{-1} are ``orbits.similarity_transport`` of the normal
 pair; they widen the interval by the extreme squared singular values of W.
 
 Both builders know their orbit's eigensystem, T = H diag(lambda) H^-1 with
-f0 = H c, so they hand the window's frame operator and tail in closed form
-to ``OrbitSpec._replace`` (``_fill_closed_form``): ``frame_bounds`` of a
-built pair runs no doubling walk and builds no columns, unless the closed
-form's least eigenvalue is not resolved above its floor, and the automatic
-depth squares T (``converged_depth``).  A spec built by hand, diagonal or
-not, keeps the walk and the columns.
+f0 = H c, and hand it to the ``OrbitSpec`` (``eigensystem``), which reads
+every window's frame operator and tail from it (``closed_form``): the
+automatic depth squares T (``converged_depth``), and ``frame_bounds`` of a
+built pair or of its ``window`` runs no walk and builds no columns unless
+the closed form's least eigenvalue is not resolved above its floor.
 """
 
 from __future__ import annotations
@@ -109,64 +108,13 @@ def build_normal_pair(spec: NormalOrbitSpec, n_max: int | None = None) -> OrbitS
 
     When ``n_max`` is omitted it is ``converged_depth(T)``, the window at
     which T's squarings fall below eps; so is the depth of ``perturb_tau``.
-    The frame operator diag(c) K_N diag(c)* and the tail
-    sum_j |c_j|^2 |mu_j|^2 / (1 - |lambda_j|^2) come filled in
-    (``_fill_closed_form``).
+    The eigensystem is (zeros, coeffs, H = I, growth 1): the frame operator
+    is diag(c) K_N diag(c)* (``OrbitSpec.closed_form``).
     """
     T = np.diag(spec.zeros)
     n_max = converged_depth(T) if n_max is None else n_max
     orbit = OrbitSpec(T=T, f0=spec.coeffs, index_set="N", n_max=int(n_max))
-    return _fill_closed_form(orbit, spec.zeros, spec.coeffs)
-
-
-def _one_minus(z: np.ndarray) -> np.ndarray:
-    """The matrix 1 - z_i conj(z_j), its diagonal formed as (1 - |z_i|)(1 + |z_i|)."""
-    M = 1.0 - np.outer(z, z.conj())
-    r = np.abs(z)
-    np.fill_diagonal(M, (1.0 - r) * (1.0 + r))
-    return M
-
-
-def _fill_closed_form(
-    orbit: OrbitSpec,
-    zeros: np.ndarray,
-    c: np.ndarray,
-    H: np.ndarray | None = None,
-    growth: float = 1.0,
-) -> OrbitSpec:
-    """``orbit`` with its window frame operator and tail read from its eigensystem.
-
-    T = H diag(zeros) H^-1 and f0 = H c, H = None standing for I.  With
-    mu = zeros^(N + 1) (D powers) the window sum is
-    S_N = H diag(c) K_N diag(c)* H*, K_N[i, j] = (1 - mu_i conj(mu_j)) /
-    (1 - lambda_i conj(lambda_j)), and the tail is exact:
-    sum_ij (H* H)_ji c_i conj(c_j) mu_i conj(mu_j) / (1 - lambda_i conj(lambda_j)).
-    The tail is rounded up by (9 L + D + 2 / |1 - lambda_i conj(lambda_j)|) eps
-    of each term's modulus, L = N + 1: the (N + 1)-th powers carry L eps in
-    modulus and 2 pi L eps in phase, the denominators their cancellation.
-    The closed form's eigenvalues are within (D + 2 / (1 - max|lambda|)) eps
-    upper of the window sum's (against 60-digit sums at D <= 6, radii up to
-    1 - 1e-5 and N up to 16000, at most 0.6 of that), times ``growth``, a
-    bound on cond(H)^2, for the assembly by H.  A closed form that overflows
-    returns ``orbit`` as it is, so the walk or the columns judge that orbit.
-    """
-    eps, D, L = np.finfo(float).eps, orbit.dim, orbit.n_max + 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu = zeros**L
-        den = _one_minus(zeros)
-        S = np.outer(c, c.conj()) * (_one_minus(mu) / den)
-        a = c * mu
-        if H is None:
-            den = den.diagonal().real
-            terms = np.abs(a) ** 2 / den
-        else:
-            S = H @ S @ H.conj().T
-            terms = (H.T @ H.conj()) * np.outer(a, a.conj()) / den
-        tail = np.sum(terms.real) + eps * np.sum(np.abs(terms) * (9 * L + D + 2 / np.abs(den)))
-    if not (np.isfinite(S).all() and np.isfinite(tail)):
-        return orbit
-    rtol = eps * growth * (D + 2 / (1.0 - np.max(np.abs(zeros))))
-    return orbit._replace(frame_operator=S, closed_form=(float(rtol), float(tail)))
+    return orbit._replace(eigensystem=(spec.zeros, spec.coeffs, None, 1.0))
 
 
 def certificate_bounds(spec: NormalOrbitSpec) -> tuple[float, float]:
@@ -259,8 +207,8 @@ def perturb_tau(
 
     Rejects a non-finite tau, and tau at the excluded value (relative distance
     at most ``EXCLUDED_TAU_RTOL``), where the seed loses its l-th spectral
-    component.  The orbit's window comes in closed form with H the h_basis
-    and c the seed's components g_j* c along the duals (``_fill_closed_form``).
+    component.  The orbit's eigensystem has H the h_basis, c the seed's
+    components g_j* c along the duals and growth riesz_upper / riesz_lower.
     """
     k, l = _pair_indices(spec, k, l)
     d = complex(spec.zeros[k] - spec.zeros[l])
@@ -324,6 +272,8 @@ def _perturbed_pair(
     # Seed components along the dual system; the perturbed pair is the
     # h-basis transport of the diagonal model with these weights.
     c_dual = g_basis.conj().T @ spec.coeffs
+    for array in (h_basis, g_basis, c_dual):
+        array.setflags(write=False)
     dual_spec = NormalOrbitSpec(zeros=spec.zeros, coeffs=c_dual)
     lo, hi = certificate_bounds(dual_spec)
     cert_lower = lo * block_lo
@@ -337,7 +287,7 @@ def _perturbed_pair(
 
     n_max = converged_depth(T) if n_max is None else n_max
     orbit = OrbitSpec(T=T, f0=spec.coeffs, index_set="N", n_max=int(n_max))
-    orbit = _fill_closed_form(orbit, spec.zeros, c_dual, h_basis, riesz_upper / riesz_lower)
+    orbit = orbit._replace(eigensystem=(spec.zeros, c_dual, h_basis, riesz_upper / riesz_lower))
 
     return PerturbedPair(
         orbit=orbit,

@@ -131,6 +131,8 @@ def build_model_space(h: BlaschkeProduct, n_trunc: int | None = None) -> ModelSp
     check_size("truncation n_trunc", n_trunc)
 
     shift, phi = _compressed_shift(h.zeros)
+    for array in (shift, phi):
+        array.setflags(write=False)
     n = n_trunc
     power = np.linalg.matrix_power(shift, n)
     while True:

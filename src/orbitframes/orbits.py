@@ -62,8 +62,8 @@ class OrbitSpec:
     so every property of one orbit reads the same D x L array (16 D L
     bytes); a builder that knows an operator or the ``spectrum`` in closed
     form hands it over through ``_replace`` (``biinfinite``).  A builder
-    that knows the orbit's eigensystem hands over the one-sided
-    ``frame_operator`` and ``closed_form`` (``constructions``), which
+    that knows the orbit's ``eigensystem`` hands that over (``constructions``);
+    every ``window`` keeps it and reads its own ``closed_form``, which
     ``frame_bounds`` reads with no walk and no columns.  Long one-sided
     windows build no columns either (``frame_bounds``).
     """
@@ -101,10 +101,9 @@ class OrbitSpec:
     def dim(self) -> int:
         return self.T.shape[0]
 
-    #: ``(rtol, tail)`` when a builder handed over ``frame_operator`` from the orbit's
-    #: eigensystem: its eigenvalues are within rtol times the largest of the window
-    #: sum's, and tail rounds up the energy past the window.  None otherwise.
-    closed_form = None
+    #: ``(zeros, c, H, growth)`` when a builder knows the orbit's eigensystem:
+    #: T = H diag(zeros) H^-1, f0 = H c, H None for I, growth >= cond(H)^2.
+    eigensystem = None
 
     def _replace(self, **known) -> OrbitSpec:
         """This spec with validated ``known`` fields and cached operators, each
@@ -123,9 +122,9 @@ class OrbitSpec:
         m, n, built = int(n_max), self.n_max, self.__dict__.get("columns")
         check_size("n_max", m)
         if built is None or m > n:
-            return self._replace(n_max=m)
+            return self._replace(n_max=m, eigensystem=self.eigensystem)
         cut = slice(n - m, n + m + 1) if self.index_set == "Z" else slice(m + 1)
-        return self._replace(n_max=m, columns=built[:, cut])
+        return self._replace(n_max=m, eigensystem=self.eigensystem, columns=built[:, cut])
 
     @cached_property
     def columns(self) -> np.ndarray:
@@ -133,8 +132,49 @@ class OrbitSpec:
         return synthesis_matrix(self)
 
     @cached_property
+    def closed_form(self) -> tuple[np.ndarray, float, float] | None:
+        """``(S_N, rtol, tail)`` read from ``eigensystem`` at this window, or None
+        without one or when it overflows (the walk or the columns judge that orbit).
+
+        With mu = zeros^(N + 1) (D powers) the window sum is
+        S_N = H diag(c) K_N diag(c)* H*, K_N[i, j] = (1 - mu_i conj(mu_j)) /
+        (1 - lambda_i conj(lambda_j)), and the tail is exact:
+        sum_ij (H* H)_ji c_i conj(c_j) mu_i conj(mu_j) / (1 - lambda_i conj(lambda_j)).
+        The tail is rounded up by (9 L + D + 2 / |1 - lambda_i conj(lambda_j)|) eps
+        of each term's modulus, L = N + 1: the (N + 1)-th powers carry L eps in
+        modulus and 2 pi L eps in phase, the denominators their cancellation.
+        S_N's eigenvalues are within rtol = (D + 2 / (1 - max|lambda|)) eps
+        times the largest of the window sum's (against 60-digit sums at D <= 6,
+        radii up to 1 - 1e-5 and N up to 16000, at most 0.6 of that), times
+        ``growth`` for the assembly by H.
+        """
+        if self.eigensystem is None:
+            return None
+        zeros, c, H, growth = self.eigensystem
+        eps, D, L = np.finfo(float).eps, self.dim, self.n_max + 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = zeros**L
+            den = _one_minus(zeros)
+            S = np.outer(c, c.conj()) * (_one_minus(mu) / den)
+            a = c * mu
+            if H is None:
+                den = den.diagonal().real
+                terms = np.abs(a) ** 2 / den
+            else:
+                S = H @ S @ H.conj().T
+                terms = (H.T @ H.conj()) * np.outer(a, a.conj()) / den
+            tail = np.sum(terms.real) + eps * np.sum(np.abs(terms) * (9 * L + D + 2 / np.abs(den)))
+        if not (np.isfinite(S).all() and np.isfinite(tail)):
+            return None
+        S.setflags(write=False)
+        rtol = eps * growth * (D + 2 / (1.0 - np.max(np.abs(zeros))))
+        return S, float(rtol), float(tail)
+
+    @cached_property
     def frame_operator(self) -> np.ndarray:
-        """The truncated frame operator S = U U* of ``columns``."""
+        """The truncated frame operator: S_N of ``closed_form``, else U U* of ``columns``."""
+        if self.closed_form is not None:
+            return self.closed_form[0]
         U = self.columns
         S = U @ U.conj().T
         S.setflags(write=False)
@@ -196,6 +236,14 @@ class FrameReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _one_minus(z: np.ndarray) -> np.ndarray:
+    """The matrix 1 - z_i conj(z_j), its diagonal formed as (1 - |z_i|)(1 + |z_i|)."""
+    M = 1.0 - np.outer(z, z.conj())
+    r = np.abs(z)
+    np.fill_diagonal(M, (1.0 - r) * (1.0 + r))
+    return M
 
 
 def diagonal_of(M: np.ndarray) -> np.ndarray | None:
@@ -314,11 +362,11 @@ def synthesis_matrix(spec: OrbitSpec) -> np.ndarray:
 def frame_bounds(spec: OrbitSpec) -> FrameReport:
     """Extreme eigenvalues of S = U U* for the truncated orbit, and its tail.
 
-    A one-sided window whose ``closed_form`` a builder filled in reads the
-    ``eigvalsh`` of that frame operator and its tail, floor rtol * upper,
+    A one-sided window with a ``closed_form`` (a built pair or its ``window``)
+    reads the ``eigvalsh`` of its S_N and its tail, floor rtol * upper,
     unless the least eigenvalue is not above the floor or sqrt(upper), which
     bounds every column norm, passes ``COLUMN_OVERFLOW``; then it takes the
-    route of the same orbit without the fill-in.  Long one-sided windows read
+    route of the same orbit without the eigensystem.  Long one-sided windows read
     them from a factor and build no columns; the rest clamp the lower bound
     of ``spec.spectrum`` at 0.  The route depends on the spec alone (see
     ``_spectrum``).  Other one-sided windows take their exact tail from the
@@ -364,7 +412,7 @@ def _spectrum(spec: OrbitSpec) -> tuple[np.ndarray, float, float | None]:
     A resolved ``closed_form`` comes first and runs none of these.
     """
     if spec.closed_form is not None:
-        rtol, tail = spec.closed_form
+        _, rtol, tail = spec.closed_form
         eigs = spec.spectrum
         if rtol * eigs[-1] < eigs[0] and eigs[-1] <= COLUMN_OVERFLOW**2:
             return eigs, float(rtol * eigs[-1]), tail

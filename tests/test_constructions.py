@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitframes import (
+    BlaschkeProduct,
     NormalOrbitSpec,
     NumericalError,
     OrbitSpec,
+    build_model_space,
     build_normal_pair,
     certificate_bounds,
     excluded_tau,
@@ -440,7 +442,7 @@ class TestClosedForm:
         report = frame_bounds(pair)
         assert_same_bounds(report, frame_bounds(generic(pair)))
         if n_max > 0:  # resolved: the closed form's floor, not a fallback's
-            assert report.lower_bound_floor == pair.closed_form[0] * report.upper_bound
+            assert report.lower_bound_floor == pair.closed_form[1] * report.upper_bound
 
     @pytest.mark.parametrize("n_max", [0, 256, 4096, 16384])
     @pytest.mark.parametrize("J", [8, 50, 200])
@@ -467,7 +469,7 @@ class TestClosedForm:
         f0 = np.sqrt(1.0 - lam**2)
         n_max = 2000
         pair = build_normal_pair(NormalOrbitSpec(zeros=lam, coeffs=f0), n_max)
-        rtol, _ = pair.closed_form
+        _, rtol, _ = pair.closed_form
         assert pair.spectrum[0] <= rtol * pair.spectrum[-1]
         report = frame_bounds(pair)
         with mpmath.workdps(60):
@@ -480,6 +482,28 @@ class TestClosedForm:
             exact = float(min(mpmath.eigsy(S, eigvals_only=True)))
         assert report.lower_bound == pytest.approx(exact, rel=1e-6)
         assert report.lower_bound_floor < 1e-6 * exact
+
+    def test_ladder_window_falls_back_to_the_walk(self):
+        lam = np.linspace(0.0, 0.9, 16)
+        spec = NormalOrbitSpec(zeros=lam, coeffs=np.sqrt(1.0 - lam**2))
+        window = build_normal_pair(spec, 4096).window(2000)
+        _, rtol, _ = window.closed_form
+        assert window.spectrum[0] <= rtol * window.spectrum[-1]
+        report = frame_bounds(window)
+        assert report == frame_bounds(generic(window))
+        assert report == frame_bounds(build_normal_pair(spec, 2000))
+
+    @pytest.mark.parametrize("J", [2, 50])
+    def test_perturbed_window_keeps_its_closed_form(self, J):
+        # As for a normal pair (test_orbits): the window reports what the
+        # pair perturbed at that n_max reports, and builds no columns.
+        spec = ring_spec(J, 0.95, J) if J > 2 else NormalOrbitSpec(zeros=[0.5, 0.3], coeffs=[1, 1])
+        window = perturb_tau(spec, 0, 1, 0.3j, 4096).orbit.window(256)
+        built = perturb_tau(spec, 0, 1, 0.3j, 256).orbit
+        report = frame_bounds(window)
+        assert report.to_dict() == frame_bounds(built).to_dict()
+        assert report.lower_bound_floor == window.closed_form[1] * report.upper_bound
+        assert "columns" not in window.__dict__
 
     def test_no_walk_and_no_columns(self, monkeypatch):
         pair = build_normal_pair(ring_spec(200, 0.95, 1), 4096)
@@ -517,3 +541,15 @@ class TestClosedForm:
         orbit = OrbitSpec(T=np.diag(spec.zeros), f0=spec.coeffs, index_set="N", n_max=4096)
         assert orbit.closed_form is None
         assert "frame_operator" not in orbit.__dict__
+
+
+def test_records_hold_read_only_arrays():
+    # A write to phi would change later projections and decay profiles, one
+    # to h_basis or c_dual the closed form of every window of the pair.
+    ms = build_model_space(BlaschkeProduct(zeros=[0.5, 0.3j]))
+    pair = perturb_tau(ring_spec(8, 0.9, 1), 0, 1, 0.3j, 64)
+    normal = build_normal_pair(pair.spec, 64)
+    arrays = [ms.shift_matrix, ms.phi, pair.h_basis, pair.g_basis]
+    for array in arrays + [*pair.orbit.eigensystem[:3], *normal.eigensystem[:2]]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0

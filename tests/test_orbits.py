@@ -12,10 +12,12 @@ from orbitframes import orbits
 from orbitframes import (
     BlaschkeProduct,
     CommutatorError,
+    NormalOrbitSpec,
     NumericalError,
     OrbitSpec,
     ShiftInvarianceError,
     build_model_space,
+    build_normal_pair,
     commutant_transport,
     frame_bounds,
     generator_closure,
@@ -542,6 +544,18 @@ class TestFactorRoute:
             spec.window(-1)
         with pytest.raises(ValueError, match="exceeds the ceiling"):
             spec.window(max_truncation() + 1)
+
+    @pytest.mark.parametrize("J", [2, 50])
+    def test_window_of_a_built_pair_keeps_its_closed_form(self, J):
+        # The window reads S_N from the eigensystem at its own n_max, so it
+        # reports what the pair built at that n_max reports, floor included.
+        zeros = [0.5, 0.3] if J == 2 else 0.95 * np.exp(2j * np.pi * np.arange(J) / J)
+        spec = NormalOrbitSpec(zeros=zeros, coeffs=np.ones(J))
+        window = build_normal_pair(spec, 4096).window(256)
+        report = frame_bounds(window)
+        assert report.to_dict() == frame_bounds(build_normal_pair(spec, 256)).to_dict()
+        assert report.lower_bound_floor == window.closed_form[1] * report.upper_bound
+        assert "columns" not in window.__dict__
 
 
 class TestExactTail:

@@ -1,5 +1,5 @@
-"""Source hygiene: every package import is read, only ``orbits`` writes a
-spec's ``__dict__``, and the README's code runs."""
+"""Source hygiene: every package import and ``config`` constant is read, only
+``orbits`` writes a spec's ``__dict__``, and the README's code runs."""
 
 import ast
 import pathlib
@@ -39,6 +39,43 @@ def test_every_import_is_read(path):
 def test_unused_import_detector():
     source = "import os\nimport sys  # noqa: F401\nfrom math import pi, tau\nprint(pi)\n"
     assert unused_imports(source) == ["os (line 1)", "tau (line 3)"]
+
+
+def unread_constants(config: str, modules: list[str]) -> list[str]:
+    """Module-level constants of ``config`` that neither a function of it nor
+    any of ``modules`` reads, as a name or as ``config.<name>``."""
+    body = ast.parse(config).body
+    names = [
+        target.id
+        for node in body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    ]
+    trees = [node for node in body if isinstance(node, ast.FunctionDef)]
+    trees += [ast.parse(source) for source in modules]
+    read = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if not isinstance(getattr(node, "ctx", None), ast.Load):
+            continue
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "config":
+            read.add(node.attr)
+    return [name for name in names if name not in read]
+
+
+def test_every_config_constant_is_read():
+    # A threshold no computation reads is a parameter to delete.
+    config = ROOT / "src" / "orbitframes" / "config.py"
+    modules = [p.read_text(encoding="utf-8") for p in MODULES if p != config]
+    assert unread_constants(config.read_text(encoding="utf-8"), modules) == []
+
+
+def test_unread_constant_detector():
+    config = "A = 1\nB: int = 2\nC = 3\nD = E = 4\n\ndef f():\n    return C\n"
+    modules = ["from .config import A, D\nprint(A)\nD = 5\n", "from . import config\nconfig.E\nconfig.B = 0\n"]
+    assert unread_constants(config, modules) == ["B", "D"]
 
 
 def dict_writes(source: str) -> list[int]:
