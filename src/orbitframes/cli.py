@@ -17,9 +17,11 @@ non-finite number is a numerical error that names its key path.  A
 report is the bytes ``json.dumps(report, sort_keys=True, indent=2)``
 writes, but its arrays of numbers are C-encoded and re-indented; it is
 byte-stable for identical inputs (default float repr, no timestamps).
-Wall time, encoding time and report size go to stderr.  CSV side outputs
-are written when the problem asks for them.  A report's ``tolerances``
-lists the ``config`` constants its kind compares against.
+Wall time, the time to read the problem, encoding time and report size
+go to stderr.  CSV side outputs are written when the problem asks for
+them.  A report's ``tolerances`` lists the ``config`` constants its kind
+compares against.  ``main`` may be called repeatedly in one process; it
+builds its parser once.
 
 Exit codes: 0 success, 1 failed verification criteria, 2 input or
 validation error, 3 numerical error from an inner module.
@@ -28,6 +30,7 @@ validation error, 3 numerical error from an inner module.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -121,13 +124,16 @@ def _check_type(name: str, value) -> None:
         )
 
 
+_signature = functools.cache(inspect.signature)
+
+
 def _bind(function, mapping: dict, what: str) -> dict:
     """``mapping`` bound to ``function``'s keywords, each value type-checked.
 
     A missing or unknown key is a ``ValueError`` that names the key.
     """
     try:
-        arguments = inspect.signature(function).bind(**mapping).arguments
+        arguments = _signature(function).bind(**mapping).arguments
     except TypeError as exc:
         raise ValueError(f"invalid problem file: {what}: {exc}") from None
     for name, value in arguments.items():
@@ -447,12 +453,14 @@ def run_problem(problem: dict) -> dict:
 
 
 def _cmd_run(args) -> int:
+    start = time.perf_counter()
     try:
         with open(args.problem, "r", encoding="utf-8") as fh:
             problem = json.load(fh, parse_constant=_Literal)
     except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read problem file: {exc}", file=sys.stderr)
         return 2
+    read = time.perf_counter() - start
     start = time.perf_counter()
     try:
         report = run_problem(problem)
@@ -471,7 +479,7 @@ def _cmd_run(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    size = f"report {encoding:.3f} s, {len(text)} bytes"
+    size = f"read {read:.3f} s, report {encoding:.3f} s, {len(text)} bytes"
     print(f"completed {problem['kind']} in {elapsed:.3f} s ({size})", file=sys.stderr)
     return 0
 
@@ -485,7 +493,10 @@ def _cmd_verify(args) -> int:
     return 0 if passed == len(results) else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args`` leaves it
+    unchanged, so repeated ``main`` calls share it."""
     parser = argparse.ArgumentParser(
         prog="orbitframes",
         description="Frame analysis of operator orbits: batch runner and self-check.",
@@ -498,8 +509,11 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="run the acceptance battery")
     p_verify.add_argument("--seed", type=int, default=0)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
     return _cmd_verify(args)

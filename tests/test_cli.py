@@ -5,9 +5,11 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -565,6 +567,45 @@ class TestOutputRouting:
         assert first.read_bytes() == second.read_bytes()
 
 
+class TestRepeatedMain:
+    """``main`` builds its parser once per process and stays reusable."""
+
+    PAYLOAD = TestOutputRouting.PAYLOAD
+
+    def test_parser_built_at_most_once(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = cli.argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counted)
+        problem = str(write_problem(tmp_path, self.PAYLOAD))
+        for _ in range(3):
+            assert main(["run", problem, "--out", str(tmp_path / "report.json")]) == 0
+        capsys.readouterr()
+        assert built.count("orbitframes") <= 1
+
+    def test_usage_error_leaves_the_next_run_intact(self, tmp_path, capsys):
+        problem = str(write_problem(tmp_path, self.PAYLOAD))
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", problem, "--tol", "1e-8"])
+        assert exc_info.value.code == 2
+        here, fresh = tmp_path / "here.json", tmp_path / "fresh.json"
+        assert main(["run", problem, "--out", str(here)]) == 0
+        capsys.readouterr()
+        src = str(Path(orbitframes.__file__).parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        subprocess.run(
+            [sys.executable, "-m", "orbitframes", "run", problem, "--out", str(fresh)],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            check=True,
+        )
+        assert here.read_bytes() == fresh.read_bytes()
+
+
 class TestInputGate:
     def test_missing_file_exit_2(self, tmp_path, capsys):
         rc = main(["run", str(tmp_path / "absent.json")])
@@ -1062,8 +1103,27 @@ class TestReportEncoding:
         payload = {"kind": "carleson", "parameters": {"zeros": [[0.5, 0.0]]}}
         assert main(["run", str(write_problem(tmp_path, payload)), "--out", str(out)]) == 0
         err = capsys.readouterr().err
-        assert "s (report " in err
+        assert "s (read " in err and " s, report " in err
         assert f" s, {out.stat().st_size} bytes)" in err
+
+    def test_stderr_times_the_read(self, tmp_path, capsys, monkeypatch):
+        load = json.load
+
+        def slow_load(*args, **kwargs):
+            time.sleep(0.05)
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(cli.json, "load", slow_load)
+        payload = {"kind": "carleson", "parameters": {"zeros": [[0.5, 0.0]]}}
+        problem = str(write_problem(tmp_path, payload))
+        assert main(["run", problem, "--out", str(tmp_path / "report.json")]) == 0
+        err = capsys.readouterr().err
+        fields = re.fullmatch(
+            r"completed carleson in (\S+) s \(read (\S+) s, report (\S+) s, \d+ bytes\)\n", err
+        )
+        assert fields, err
+        run, read, _ = map(float, fields.groups())
+        assert read >= 0.05 > run
 
 
 class TestTolerances:
