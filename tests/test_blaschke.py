@@ -185,6 +185,23 @@ class TestTaylorCoeffs:
         expected = np.array([-a] + [(1 - a * a) * a ** (m - 1) for m in range(1, 6)])
         assert np.max(np.abs(coeffs - expected)) < 1e-15
 
+    def test_near_the_circle_matches_mpmath(self):
+        # w = sqrt(1 - r^2) is formed as sqrt((1 - r)(1 + r)); the direct form
+        # is off by up to 1.8e-9 relative here.  Zeros on the axes keep r exact.
+        import mpmath
+
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(0)
+        radii = 1.0 - np.logspace(-1, -9, 200) * rng.uniform(0.5, 1.0, 200)
+        zeros = radii * np.array([1, -1, 1j, -1j])[rng.integers(0, 4, 200)]
+        with mpmath.workdps(40):
+            for lam, r in zip(zeros, radii):
+                exact = 1 - mpmath.mpf(float(r)) ** 2
+                w = blaschke._compressed_shift(np.array([lam]))[1][0]
+                h1 = taylor_coeffs(BlaschkeProduct(zeros=[lam]), 1).coeffs[1]
+                assert abs(w / mpmath.sqrt(exact) - 1) <= 4 * eps
+                assert abs(h1 / exact - 1) <= 8 * eps
+
     def test_rejects_window_below_degree(self):
         with pytest.raises(ValueError):
             taylor_coeffs(BlaschkeProduct(zeros=[0.1, 0.2, 0.3]), 2)
