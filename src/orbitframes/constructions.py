@@ -7,8 +7,7 @@ normal for tau != 0.  Certificates come from the separation capacity of
 the zero set: measured frame bounds of the truncated orbit always land
 inside [alpha/Delta, beta*Delta] up to the reported tail.  Similarity
 images W diag W^{-1} are ``orbits.similarity_transport`` of the normal
-pair; they widen the interval by the extreme squared singular values of W,
-and keep the eigensystem with H = W.
+pair; they widen the interval by the extreme squared singular values of W.
 
 Both builders know their orbit's eigensystem, T = H diag(lambda) H^-1 with
 f0 = H c, and hand it to the ``OrbitSpec`` (``eigensystem``), which reads

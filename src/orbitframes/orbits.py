@@ -555,26 +555,16 @@ def _transport_operand(spec: OrbitSpec, V: np.ndarray, what: str) -> np.ndarray:
 
 
 def similarity_transport(spec: OrbitSpec, V: np.ndarray) -> OrbitSpec:
-    """Orbit of (V T V^{-1}, V f0); V must be of T's shape, finite and well conditioned.
-
-    A spec with an ``eigensystem`` (zeros, c, H, growth) hands over
-    (zeros, c, V H, growth cond(V)^2), as cond(V H) <= cond(V) cond(H).
-    """
+    """Orbit of (V T V^{-1}, V f0); V must be of T's shape, finite and well conditioned."""
     V = _transport_operand(spec, V, "similarity")
-    cond = check_condition(V, SIMILARITY_COND_MAX, "similarity")
+    check_condition(V, SIMILARITY_COND_MAX, "similarity")
     V_inv = np.linalg.solve(V, np.eye(V.shape[0]))
-    moved = OrbitSpec(
+    return OrbitSpec(
         T=V @ spec.T @ V_inv,
         f0=V @ spec.f0,
         index_set=spec.index_set,
         n_max=spec.n_max,
     )
-    if spec.eigensystem is None:
-        return moved
-    zeros, c, H, growth = spec.eigensystem
-    VH = V.copy() if H is None else V @ H
-    VH.setflags(write=False)
-    return moved._replace(eigensystem=(zeros, c, VH, growth * cond**2))
 
 
 def commutant_transport(spec: OrbitSpec, V: np.ndarray) -> OrbitSpec:
