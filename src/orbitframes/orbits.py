@@ -414,8 +414,9 @@ def _spectrum(spec: OrbitSpec) -> tuple[np.ndarray, float, float | None]:
     if spec.closed_form is not None:
         _, rtol, tail = spec.closed_form
         eigs = spec.spectrum
-        if rtol * eigs[-1] < eigs[0] and eigs[-1] <= COLUMN_OVERFLOW**2:
-            return eigs, float(rtol * eigs[-1]), tail
+        floor = rtol * float(eigs[-1])  # Python floats: inf past the range, no warning
+        if floor < eigs[0] and eigs[-1] <= COLUMN_OVERFLOW**2:
+            return eigs, floor, tail
         spec = spec._replace()  # the same orbit, read from its walk or columns
     D, L, eps = spec.dim, spec.n_max + 1, np.finfo(float).eps
     factor = L * (D * D + FACTOR_COLUMN_NS) > max(np.log2(L), 1.0) * (D**3 + FACTOR_STEP_NS)

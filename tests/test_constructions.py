@@ -273,6 +273,15 @@ class TestPerturbTau:
         pair = perturb_tau(spec, 0, 1, 0.0)
         assert np.array_equal(pair.orbit.T, np.diag(spec.zeros))
 
+    def test_huge_tau_ends_in_numerical_error(self):
+        # growth ~ |tau|^2 puts rtol * upper past the float range: the closed
+        # form reads as unresolved without an overflow warning, and the walk
+        # reports the diverging orbit.
+        spec = NormalOrbitSpec(zeros=[0.5, 0.75], coeffs=[1.0, 1.0])
+        pair = perturb_tau(spec, 0, 1, 3.0175254784398598e53j, 16)
+        with pytest.raises(NumericalError, match="diverges"):
+            frame_bounds(pair.orbit)
+
     def test_generator_entry_and_spectrum(self):
         spec = NormalOrbitSpec(zeros=[0.5, 0.75, 0.875], coeffs=[1.0, 1.0, 1.0])
         tau = 0.1
