@@ -166,11 +166,13 @@ def _compressed_shift(zeros: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     d = len(zeros)
     w = _weights(zeros)
-    c = -np.conj(zeros)
-    A = np.diag(zeros)
-    for j in range(d - 1):
-        A[j + 1 :, j] = w[j] * w[j + 1 :] * np.cumprod(np.r_[1.0, c[j + 1 : d - 1]])
-    phi = w * np.cumprod(np.r_[1.0, c[: d - 1]])
+    c = np.r_[1.0, -np.conj(zeros[: d - 1])]  # c[k] = -conj l_(k-1)
+    # One column cumprod: X[k, j] = c[k] for k > j + 1 and 1 elsewhere, so
+    # entry (k, j) multiplies c[j + 2..k] in order, as a loop over j would.
+    X = np.where(np.tri(d, k=-2, dtype=bool), c[:, None], 1.0)
+    A = np.tril(np.outer(w, w) * np.cumprod(X, axis=0), -1)
+    np.fill_diagonal(A, zeros)
+    phi = w * np.cumprod(c)
     return A, phi
 
 

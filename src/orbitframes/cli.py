@@ -15,8 +15,11 @@ numbers travel as [re, im] pairs.  The ``NaN``, ``Infinity`` and
 ``-Infinity`` literals are rejected, and a report that would hold a
 non-finite number is a numerical error that names its key path.  A
 report is the bytes ``json.dumps(report, sort_keys=True, indent=2)``
-writes, but its arrays of numbers are C-encoded and re-indented; it is
-byte-stable for identical inputs (default float repr, no timestamps).
+writes, but its arrays of numbers are C-encoded and re-indented (a matrix
+of pairs row by row), and it is encoded as a list of pieces that one
+``writelines`` writes once the whole list is built, with no string as
+long as the report; its bytes are those of the joined text, byte-stable
+for identical inputs (default float repr, no timestamps).
 Wall time, the time to read the problem, encoding time and report size
 go to stderr.  CSV side outputs are written when the problem asks for
 them.  A report's ``tolerances`` lists the ``config`` constants its kind
@@ -397,20 +400,42 @@ def _array_text(value: list, level: int) -> str | None:
     return "".join(reopen) + body + "".join(shut)
 
 
-def _encode(value, level: int) -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)`` at nesting ``level``."""
+def _encode(value, level: int, pieces: list) -> None:
+    """Append the text of ``json.dumps(value, sort_keys=True, indent=2)`` at nesting
+    ``level`` to ``pieces``: an array of arrays of arrays (a matrix of [re, im]
+    pairs) row by row, so no text as long as the whole matrix is formed."""
     if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    if type(value) is int:
-        return int.__repr__(value)
-    inner = "\n" + "  " * (level + 1)
-    if isinstance(value, dict) and value:
-        items = (f"{_ESCAPE(k)}: {_encode(v, level + 1)}" for k, v in sorted(value.items()))
-        return "{" + inner + ("," + inner).join(items) + inner[:-2] + "}"
-    if isinstance(value, (list, tuple)) and value:
-        text, items = _array_text(value, level), (_encode(v, level + 1) for v in value)
-        return text or "[" + inner + ("," + inner).join(items) + inner[:-2] + "]"
-    return _COMPACT.encode(value)  # str, bool, None, {}, []; raises what json.dumps raises
+        pieces.append(float.__repr__(value))
+    elif type(value) is int:
+        pieces.append(int.__repr__(value))
+    elif isinstance(value, dict) and value:
+        inner = "\n" + "  " * (level + 1)
+        sep = "{" + inner
+        for k, v in sorted(value.items()):
+            pieces.append(f"{sep}{_ESCAPE(k)}: ")
+            _encode(v, level + 1, pieces)
+            sep = "," + inner
+        pieces.append(inner[:-2] + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        text = None if _rows_of_arrays(value) else _array_text(value, level)
+        if text is not None:
+            pieces.append(text)
+        else:
+            inner = "\n" + "  " * (level + 1)
+            sep = "[" + inner
+            for v in value:
+                pieces.append(sep)
+                _encode(v, level + 1, pieces)
+                sep = "," + inner
+            pieces.append(inner[:-2] + "]")
+    else:  # str, bool, None, {}, []; raises what json.dumps raises
+        pieces.append(_COMPACT.encode(value))
+
+
+def _rows_of_arrays(value: list) -> bool:
+    """Whether the first entry of ``value`` is a nonempty array whose first entry is an array."""
+    row = value[0]
+    return isinstance(row, (list, tuple)) and bool(row) and isinstance(row[0], (list, tuple))
 
 
 def _non_finite(value, path: str):
@@ -425,13 +450,17 @@ def _non_finite(value, path: str):
         yield f"{path} ({float.__repr__(value)})"
 
 
-def _report_text(report: dict) -> str:
-    """``json.dumps(report, sort_keys=True, indent=2, allow_nan=False)`` plus a newline."""
+def _report_text(report: dict) -> list[str]:
+    """The pieces of ``json.dumps(report, sort_keys=True, indent=2, allow_nan=False)``
+    plus a newline, in order; joined, they are that text."""
+    pieces = []
     try:
-        return _encode(report, 0) + "\n"
+        _encode(report, 0, pieces)
     except ValueError:
         where = next(_non_finite(report, ""))[1:]  # the path without its leading dot
         raise NumericalError(f"the report holds a non-finite number: {where}") from None
+    pieces.append("\n")
+    return pieces
 
 
 def run_problem(problem: dict) -> dict:
@@ -465,7 +494,7 @@ def _cmd_run(args) -> int:
     try:
         report = run_problem(problem)
         elapsed = time.perf_counter() - start
-        text = _report_text(report)
+        pieces = _report_text(report)
         encoding = time.perf_counter() - start - elapsed
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -476,10 +505,10 @@ def _cmd_run(args) -> int:
     out_path = args.out or problem.get("output")
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
-    size = f"read {read:.3f} s, report {encoding:.3f} s, {len(text)} bytes"
+        sys.stdout.writelines(pieces)
+    size = f"read {read:.3f} s, report {encoding:.3f} s, {sum(map(len, pieces))} bytes"
     print(f"completed {problem['kind']} in {elapsed:.3f} s ({size})", file=sys.stderr)
     return 0
 

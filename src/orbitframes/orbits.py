@@ -16,6 +16,7 @@ numerical scope here.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -60,9 +61,12 @@ class OrbitSpec:
     The spec owns its orbit: ``columns`` (the synthesis matrix) and the
     operators read from them are built on first use and kept, read-only,
     so every property of one orbit reads the same D x L array (16 D L
-    bytes); a builder that knows an operator or the ``spectrum`` in closed
-    form hands it over through ``_replace`` (``biinfinite``).  A builder
-    that knows the orbit's ``eigensystem`` hands that over (``constructions``);
+    bytes); the passes over it (column norms, the ``period`` scan, U U*)
+    run over fixed blocks of ``_BLOCK`` columns, so a two-sided window
+    holds its one array plus D x D work.  A builder that knows an operator
+    or the ``spectrum`` in closed form hands it over through ``_replace``
+    (``biinfinite``); a builder that knows the orbit's ``eigensystem``
+    hands that over (``constructions``);
     every ``window`` keeps it and reads its own ``closed_form``, which
     ``frame_bounds`` reads with no walk and no columns.  Long one-sided
     windows build no columns either (``frame_bounds``).
@@ -172,46 +176,40 @@ class OrbitSpec:
 
     @cached_property
     def frame_operator(self) -> np.ndarray:
-        """The truncated frame operator: S_N of ``closed_form``, else U U* of ``columns``."""
+        """The truncated frame operator: S_N of ``closed_form``, else U U* of
+        ``columns``, summed over blocks of ``_BLOCK`` columns (``_gram``)."""
         if self.closed_form is not None:
             return self.closed_form[0]
-        U = self.columns
-        S = U @ U.conj().T
-        S.setflags(write=False)
-        return S
+        return _gram(self.columns)
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues of ``frame_operator``: one ``eigvalsh``, or the w
-        of ``eigenbasis`` for a two-sided window that holds no period, whose
-        vectors ``unitarity_defect`` reads."""
-        if self.index_set == "Z" and self.period_operator is None:
-            return self.eigenbasis[0]
+        """Ascending eigenvalues of ``frame_operator``: one ``eigvalsh``."""
         eigs = np.linalg.eigvalsh(self.frame_operator)
         eigs.setflags(write=False)
         return eigs
 
     @cached_property
-    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(w, Q)`` with ``frame_operator`` = Q diag(w) Q*, w ascending: one ``eigh``."""
-        w, Q = np.linalg.eigh(self.frame_operator)
-        w.setflags(write=False)
-        Q.setflags(write=False)
-        return w, Q
+    def period(self) -> int | None:
+        """The least p > 0 with column n + p within ``PERIOD_TOL`` (relative to the
+        largest column norm) of column n across the whole window; None when the
+        window holds no such period.  The column differences are formed one
+        block at a time."""
+        U = self.columns
+        L = U.shape[1]
+        tol = PERIOD_TOL * float(np.max(_column_norms(L, lambda s: U[:, s])))
+        first = _column_norms(L - 1, lambda s: U[:, s.start + 1 : s.stop + 1] - U[:, :1])
+        for p in np.nonzero(first <= tol)[0] + 1:
+            shifted = (U[:, s.start + p : s.stop + p] - U[:, s] for s in _blocks(L - p))
+            if all(np.max(np.linalg.norm(X, axis=0)) <= tol for X in shifted):
+                return int(p)
+        return None
 
     @cached_property
     def period_operator(self) -> np.ndarray | None:
-        """U U* over the first p columns, for the least p > 0 with column n + p
-        within ``PERIOD_TOL`` (relative) of column n across the whole window;
-        None when the window holds no such period."""
-        U = self.columns
-        tol = PERIOD_TOL * float(np.max(np.linalg.norm(U, axis=0)))
-        for p in np.nonzero(np.linalg.norm(U[:, 1:] - U[:, :1], axis=0) <= tol)[0] + 1:
-            if np.max(np.linalg.norm(U[:, p:] - U[:, :-p], axis=0)) <= tol:
-                S = U[:, :p] @ U[:, :p].conj().T
-                S.setflags(write=False)
-                return S
-        return None
+        """U U* over the first ``period`` columns (``_gram``); None without a period."""
+        p = self.period
+        return None if p is None else _gram(self.columns[:, :p])
 
 
 @dataclass(frozen=True)
@@ -338,17 +336,26 @@ def synthesis_matrix(spec: OrbitSpec) -> np.ndarray:
 
     Each side is one ``orbit_columns`` window (of T, then of T^-1), so it
     doubles when D log2 L <= 1.8 L, with L = n_max + 1, and runs the
-    matrix-vector loop otherwise; see there for the error of each route.  Raises
-    ``NumericalError`` when any column norm exceeds the overflow ceiling
-    (spectral radius above 1 on a one-sided orbit, typically).
+    matrix-vector loop otherwise; see there for the error of each route.  A
+    two-sided window is allocated once, (D, 2 n_max + 1), after T^-1's half
+    is built (and T^-1 dropped); that half is copied reversed into place and
+    dropped before T's half is built, so at most one window and one half
+    are held.  Raises ``NumericalError`` when any column norm, taken over
+    blocks of ``_BLOCK`` columns, exceeds the overflow ceiling (spectral
+    radius above 1 on a one-sided orbit, typically).
     """
     # A diverging orbit may overflow to inf or nan; the norm check rejects it.
+    N = spec.n_max
     with np.errstate(over="ignore", invalid="ignore"):
-        cols = orbit_columns(spec.T, spec.f0, spec.n_max)
         if spec.index_set == "Z":
-            backward = orbit_columns(np.linalg.inv(spec.T), spec.f0, spec.n_max)
-            cols = np.concatenate([backward[:, :0:-1], cols], axis=1)
-        norms = np.linalg.norm(cols, axis=0)
+            backward = orbit_columns(np.linalg.inv(spec.T), spec.f0, N)
+            cols = np.empty((spec.dim, 2 * N + 1), dtype=np.complex128)
+            cols[:, :N] = backward[:, :0:-1]
+            del backward  # before the forward half, so only one half is held
+            cols[:, N:] = orbit_columns(spec.T, spec.f0, N)
+        else:
+            cols = orbit_columns(spec.T, spec.f0, N)
+        norms = _column_norms(cols.shape[1], lambda s: cols[:, s])
     if np.any(norms > COLUMN_OVERFLOW) or not np.all(np.isfinite(norms)):
         worst = int(np.argmax(norms))
         raise NumericalError(
@@ -357,6 +364,38 @@ def synthesis_matrix(spec: OrbitSpec) -> np.ndarray:
         )
     cols.setflags(write=False)
     return cols
+
+
+#: Columns per block of the passes over a window (column norms, the period
+#: scan, U U*): each holds 16 D _BLOCK bytes of temporaries at a time.
+_BLOCK = 256
+
+
+def _blocks(n: int):
+    """Slices of [0, n), ``_BLOCK`` columns each but the last, in order."""
+    return (slice(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK))
+
+
+def _column_norms(n: int, block) -> np.ndarray:
+    """The norms of n columns, ``block(s)`` giving the columns s of ``_blocks(n)``."""
+    norms = np.empty(n)
+    for s in _blocks(n):
+        norms[s] = np.linalg.norm(block(s), axis=0)
+    return norms
+
+
+def _gram(U: np.ndarray) -> np.ndarray:
+    """U U*, read-only, summed over blocks of ``_BLOCK`` columns: a window of at
+    most one block is the one product U U*, bit for bit."""
+    S = None
+    for s in _blocks(U.shape[1]):
+        B = U[:, s]
+        if S is None:
+            S = B @ B.conj().T
+        else:
+            S += B @ B.conj().T
+    S.setflags(write=False)
+    return S
 
 
 def frame_bounds(spec: OrbitSpec) -> FrameReport:
@@ -592,16 +631,20 @@ def unitarity_defect(spec: OrbitSpec) -> float:
     """Distance of W = S^{-1/2} T S^{1/2} from being an isometry, ||W* W - I||_2.
 
     Two-sided orbits only.  S is the spec's ``period_operator`` when the
-    window holds an exact period, for which the shift invariance
-    T S T* = S holds exactly (the window sum merely adds whole copies plus
-    a boundary remainder); aperiodic orbits use the full symmetric window
-    and its ``eigenbasis``, the decomposition ``spectrum`` already read.
-    When T and S are both diagonal (a grid pair), W = T and the defect is
-    max_i ||t_i|^2 - 1|, with no factorization.  Otherwise W is read in the
-    eigenbasis S = Q diag(w) Q*, as
-    Y = diag(w^{-1/2}) (Q* T Q) diag(w^{1/2}) = Q* W Q, which has the same
-    defect and forms no square root of S; ||Y* Y - I||_2 is the largest
-    modulus of an ``eigvalsh`` of that Hermitian matrix.
+    window holds an exact period, else the full symmetric window sum
+    ``frame_operator``.  When T and S are both diagonal (a grid pair),
+    W = T and the defect is max_i ||t_i|^2 - 1|, with no factorization.
+    Otherwise it is read from the window's rank-two boundary: with u_n the
+    columns, a = T u_last and b = u_first (a period window: a = T u_{p-1},
+    b = u_0), T S T* - S = a a* - b b* holds exactly, so
+    W W* - I = S^{-1/2} (a a* - b b*) S^{-1/2}, whose norm, that of
+    W* W - I, is the largest |eigenvalue| of the 2 x 2 matrix
+    diag(1, -1) [u v]* [u v] with [u v] = C^-1 [a b] and S = C C* (one
+    ``cholesky`` and one solve; the columns are only read, and a diagonal T
+    reads a and b as t^n f0 without them).  A failed Cholesky is a
+    ``NumericalError``, as is an S whose eigenvalues (the ``spectrum``
+    ``frame_bounds`` reads, or one ``eigvalsh`` of a period operator) span
+    past ``SINGULAR_RTOL``.
     """
     if spec.index_set != "Z":
         raise ValueError("unitarity defect is defined for two-sided orbits")
@@ -610,20 +653,33 @@ def unitarity_defect(spec: OrbitSpec) -> float:
     t = diagonal_of(spec.T)
     s = None if t is None else diagonal_of(S)
     if s is not None:
-        w, Q = np.sort(s.real), None
+        w = np.sort(s.real)
     else:
-        w, Q = spec.eigenbasis if P is None else np.linalg.eigh(S)
+        w = spec.spectrum if P is None else np.linalg.eigvalsh(S)
     if w[0] <= 0.0 or w[0] < SINGULAR_RTOL * w[-1]:
         raise NumericalError(
             f"frame operator numerically singular: eigenvalue range "
             f"[{w[0]:.3e}, {w[-1]:.3e}]"
         )
-    if Q is None:
+    if s is not None:
         return float(np.max(np.abs(np.abs(t) ** 2 - 1.0)))
-    root = np.sqrt(w)
-    Y = (Q.conj().T @ spec.T @ Q) / root[:, None] * root
-    gaps = np.linalg.eigvalsh(Y.conj().T @ Y - np.eye(spec.dim))
-    return float(max(-gaps[0], gaps[-1]))
+    try:
+        C = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        raise NumericalError("frame operator is not numerically positive definite") from None
+    N = spec.n_max
+    q = 2 * N + 1 if P is None else spec.period  # the columns summed into S
+    if t is not None:  # T^n f0 = t^n f0: no window is built (grid pairs)
+        a, b = t ** (q - N) * spec.f0, t ** (-N) * spec.f0
+    else:
+        U = spec.columns
+        a, b = spec.T @ U[:, q - 1], U[:, 0]
+    uv = np.linalg.solve(C, np.stack([a, b], axis=1))
+    (g_aa, g_ab), (_, g_bb) = (uv.conj().T @ uv).tolist()
+    # Eigenvalues of [[g_aa, g_ab], [-conj(g_ab), -g_bb]]: (g_aa - g_bb) / 2 +- r.
+    half, cross = (g_aa.real + g_bb.real) / 2.0, abs(g_ab)
+    r = math.sqrt(max((half - cross) * (half + cross), 0.0))
+    return abs(g_aa.real - g_bb.real) / 2.0 + r
 
 
 def lower_norm_check(spec: OrbitSpec, f: np.ndarray, n_range) -> tuple[float, float]:

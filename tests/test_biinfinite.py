@@ -322,6 +322,17 @@ class TestUnitarityOnGrid:
         spec = build_multiplication_pair(ArcSet(((0.0, math.pi),)), 32, n_max=64)
         assert unitarity_defect(spec) < 1e-12
 
+    def test_window_without_period_reads_its_boundary(self):
+        # p = 64 > 2 n_max: no period operator, a dense window sum, and the
+        # boundary t^n f0 read without building the window.
+        pair = build_multiplication_pair(ARC_SETS["sub_arc"], 64, n_max=30)
+        assert pair.period_operator is None
+        defect = unitarity_defect(pair)
+        assert "columns" not in pair.__dict__
+        expected = unitarity_by_square_roots(pair.T, brute_force_frame_operator(pair))
+        assert defect == pytest.approx(expected, rel=1e-10)
+        assert defect > 0.1
+
     def test_full_circle_pair_is_unitary(self):
         spec = build_multiplication_pair(full_circle(), 16, n_max=40)
         assert unitarity_defect(spec) < 1e-12

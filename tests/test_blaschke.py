@@ -177,6 +177,32 @@ class TestEvaluate:
             evaluate(b, 2.0)
 
 
+def compressed_shift_loop(zeros):
+    """``_compressed_shift`` as one ``cumprod`` per column, the reference the
+    single masked column ``cumprod`` must match bit for bit."""
+    d = len(zeros)
+    w = blaschke._weights(zeros)
+    c = -np.conj(zeros)
+    A = np.diag(zeros)
+    for j in range(d - 1):
+        A[j + 1 :, j] = w[j] * w[j + 1 :] * np.cumprod(np.r_[1.0, c[j + 1 : d - 1]])
+    return A, w * np.cumprod(np.r_[1.0, c[: d - 1]])
+
+
+class TestCompressedShift:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_column_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(250):
+            d = int(rng.integers(1, 41))
+            zeros = np.sqrt(rng.uniform(0.0, 0.99**2, d)) * np.exp(2j * np.pi * rng.uniform(size=d))
+            zeros[rng.uniform(size=d) < 0.15] = 0.0
+            A, phi = blaschke._compressed_shift(zeros)
+            A_ref, phi_ref = compressed_shift_loop(zeros)
+            assert np.array_equal(A, A_ref) and np.array_equal(phi, phi_ref)
+            assert np.array_equal(np.signbit(A.view(float)), np.signbit(A_ref.view(float)))
+
+
 class TestTaylorCoeffs:
     def test_single_factor_series(self):
         # (z - a) / (1 - a z) = -a + (1 - a^2)(z + a z^2 + ...) for real a.

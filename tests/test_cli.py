@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1068,13 +1069,13 @@ class TestReportEncoding:
     @settings(max_examples=400, deadline=None)
     @given(value=JSON)
     def test_matches_pure_encoder(self, value):
-        assert cli._report_text(value) == _pure_text(value)
+        assert "".join(cli._report_text(value)) == _pure_text(value)
 
     @pytest.mark.parametrize("kind", sorted(TestIntakeProperty.BASE))
     def test_reports_of_every_kind(self, kind):
         parameters = TestIntakeProperty.BASE[kind]
         report = cli.run_problem({"kind": kind, "parameters": parameters})
-        assert cli._report_text(report) == _pure_text(report)
+        assert "".join(cli._report_text(report)) == _pure_text(report)
 
     def test_dense_report_skips_pure_encoder(self, monkeypatch):
         """The D = 200 two-sided report's arrays never reach the pure encoder."""
@@ -1096,7 +1097,24 @@ class TestReportEncoding:
         monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
         with pytest.raises(AssertionError, match="pure-Python"):
             json.JSONEncoder(indent=2).iterencode([1.0])
-        assert cli._report_text(report) == expected
+        assert "".join(cli._report_text(report)) == expected
+
+    def test_report_written_in_pieces(self, tmp_path, monkeypatch):
+        # A 200 x 200 matrix of [re, im] pairs is encoded row by row and
+        # written piece by piece: no string as long as the report is formed.
+        rng = np.random.default_rng(1)
+        report = {"kind": "orbit_analysis", "inputs": {"T": rng.standard_normal((200, 200, 2)).tolist()}}
+        monkeypatch.setattr(cli, "run_problem", lambda problem: report)
+        problem = write_problem(tmp_path, {"kind": "carleson", "parameters": {"zeros": [[0.5, 0.0]]}})
+        out = tmp_path / "report.json"
+        tracemalloc.start()
+        try:
+            assert main(["run", str(problem), "--out", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.read_text(encoding="utf-8") == _pure_text(report)
+        assert peak <= 1.3 * out.stat().st_size
 
     def test_stderr_times_the_report(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitframes import orbits
@@ -194,6 +194,21 @@ class TestDiagonalStructure:
         assert len(calls) == 1
         assert report.upper_bound == spec.spectrum[-1]
 
+
+    @pytest.mark.parametrize("index_set, n_max", [("N", 700), ("Z", 300), ("Z", 1024)])
+    def test_blocked_frame_operator_matches_long_double_sum(self, index_set, n_max):
+        rng = np.random.default_rng(n_max)
+        D = 8
+        lam = np.exp(2j * np.pi * rng.uniform(size=D)) * (0.999 if index_set == "N" else 1.0)
+        f0 = rng.standard_normal(D) + 1j * rng.standard_normal(D)
+        spec = OrbitSpec(T=skewed_diagonal(rng, lam), f0=f0, index_set=index_set, n_max=n_max)
+        U = spec.columns.astype(np.clongdouble)
+        assert U.shape[1] > 2 * orbits._BLOCK
+        S = spec.frame_operator
+        assert np.max(np.abs(S - U @ U.conj().T)) <= 1e-14 * np.linalg.norm(S, 2)
+        # A window of one block is the one product U U*, bit for bit.
+        short = spec.window(orbits._BLOCK // 2 - 1)
+        assert np.array_equal(short.frame_operator, short.columns @ short.columns.conj().T)
 
 def skewed_diagonal(rng, lam: np.ndarray) -> np.ndarray:
     """W diag(lam) W^-1 with W = I + 0.3 G / sqrt(2D), G complex Gaussian."""
@@ -894,6 +909,41 @@ class TestCommutantTransport:
             commutant_transport(spec, np.eye(2))
 
 
+def defect_by_eigenbasis(T, f0, n_max: int, period: int | None = None) -> float:
+    """||W* W - I||_2 for W = S^-1/2 T S^1/2 at 30 digits, S the window sum of
+    (T, f0) over |n| <= n_max (or its first ``period`` columns from -n_max on),
+    read in S's eigenbasis S = Q diag(w) Q*: Y = diag(w^-1/2) Q* T Q diag(w^1/2)
+    = Q* W Q, whose ||Y* Y - I||_2 is the largest |eigenvalue| of Y* Y - I."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        D, T = len(f0), mpmath.matrix(np.asarray(T).tolist())
+        x = mpmath.inverse(T) ** n_max * mpmath.matrix(np.asarray(f0).tolist())
+        S = mpmath.zeros(D, D)
+        for _ in range(2 * n_max + 1 if period is None else period):
+            S += x * x.H
+            x = T * x
+        w, Q = mpmath.eighe(S)
+        Y = Q.H * T * Q
+        for i in range(D):
+            for j in range(D):
+                Y[i, j] *= mpmath.sqrt(w[j] / w[i])
+        gaps, _ = mpmath.eighe(Y.H * Y - mpmath.eye(D))
+        return float(max(abs(g) for g in gaps))
+
+
+@st.composite
+def unimodular_similarities(draw):
+    """(T, f0): T = W diag(e^(i theta)) W^-1 with cond(W) <= 10, D in 2..6."""
+    D = draw(st.integers(min_value=2, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    G = (rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))) / np.sqrt(2 * D)
+    W = np.eye(D) + draw(st.floats(min_value=0.0, max_value=1.0)) * G
+    assume(np.linalg.cond(W) <= 10.0)
+    T = W @ np.diag(np.exp(2j * np.pi * rng.uniform(size=D))) @ np.linalg.inv(W)
+    return T, rng.standard_normal(D) + 1j * rng.standard_normal(D)
+
+
 class TestUnitarityDefect:
     def test_one_sided_rejected(self):
         spec = OrbitSpec(T=np.eye(2), f0=seed(2), index_set="N", n_max=8)
@@ -934,28 +984,83 @@ class TestUnitarityDefect:
         assert unitarity_defect(spec) == pytest.approx(expected, rel=1e-10)
 
     def test_aperiodic_window_decomposes_once(self, monkeypatch):
-        # frame_bounds and unitarity_defect share one eigh of the window sum;
-        # the one eigvalsh left is that of Y* Y - I.
+        # frame_bounds reads one eigvalsh of the window sum; unitarity_defect
+        # reuses it for its singular check and adds one cholesky, no eigh.
         rng = np.random.default_rng(8)
         W = np.eye(6) + 0.2 * rng.standard_normal((6, 6))
         T = W @ np.diag(np.exp(1j * rng.uniform(0.0, 6.0, 6))) @ np.linalg.inv(W)
         spec = OrbitSpec(T=T, f0=rng.standard_normal(6), index_set="Z", n_max=64)
         bare = OrbitSpec(T=T, f0=spec.f0, index_set="Z", n_max=64)
         calls = []
-        for name in ("eigh", "eigvalsh"):
+        for name in ("eigh", "eigvalsh", "cholesky"):
             route = getattr(np.linalg, name)
             counted = lambda S, route=route, name=name: calls.append(name) or route(S)  # noqa: E731
             monkeypatch.setattr(np.linalg, name, counted)
         report = frame_bounds(spec)
         defect = unitarity_defect(spec)
-        assert calls == ["eigh", "eigvalsh"]
+        assert calls == ["eigvalsh", "cholesky"]
         assert spec.period_operator is None
-        assert np.array_equal(spec.spectrum, spec.eigenbasis[0])
-        # eigh and eigvalsh of one matrix agree to rounding.
+        assert not hasattr(spec, "eigenbasis")
         eigs = np.linalg.eigvalsh(bare.frame_operator)
+        assert np.array_equal(spec.spectrum, eigs)
         assert report.upper_bound == pytest.approx(eigs[-1], rel=1e-13)
         assert report.lower_bound == pytest.approx(eigs[0], abs=1e-13 * eigs[-1])
         assert 0.0 < defect
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=unimodular_similarities(), n_max=st.integers(min_value=4, max_value=96))
+    def test_boundary_matches_eigenbasis(self, case, n_max):
+        # T S T* - S = a a* - b b* with a = T u_last, b = u_first.  The
+        # comparison is held on frames the window sum conditions well.
+        T, f0 = case
+        spec = OrbitSpec(T=T, f0=f0, index_set="Z", n_max=n_max)
+        assume(spec.period_operator is None)
+        assume(np.linalg.cond(spec.frame_operator) <= 1e4)
+        expected = defect_by_eigenbasis(spec.T, spec.f0, n_max)
+        assert unitarity_defect(spec) == pytest.approx(expected, rel=1e-12)
+
+    def test_period_window_reads_its_own_boundary(self):
+        # A 3-cycle in a skewed basis over 11 columns: one period closes
+        # (a = T u_2 = u_0 = b), the whole window does not.
+        rng = np.random.default_rng(4)
+        W = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
+        T = W @ cycle_matrix(3) @ np.linalg.inv(W)
+        spec = OrbitSpec(T=T, f0=rng.standard_normal(3), index_set="Z", n_max=5)
+        assert spec.period == 3
+        expected = defect_by_eigenbasis(spec.T, spec.f0, 5, period=3)
+        assert expected < 1e-12
+        assert unitarity_defect(spec) == pytest.approx(expected, abs=1e-12)
+        assert defect_by_eigenbasis(spec.T, spec.f0, 5) > 0.1
+
+    def test_failed_cholesky_is_numerical_error(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        T = skewed_diagonal(rng, np.exp(2j * np.pi * rng.uniform(size=3)))
+        spec = OrbitSpec(T=T, f0=rng.standard_normal(3), index_set="Z", n_max=20)
+
+        def fail(S):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        with pytest.raises(NumericalError, match="positive definite"):
+            unitarity_defect(spec)
+
+    def test_two_sided_window_holds_one_window(self):
+        # The window takes 16 D L bytes; building it holds one half more, and
+        # every later pass over it works in blocks of columns.
+        rng = np.random.default_rng(6)
+        D, n_max = 64, 1024
+        T = skewed_diagonal(rng, np.exp(2j * np.pi * rng.uniform(size=D)))
+        f0 = rng.standard_normal(D) + 1j * rng.standard_normal(D)
+        spec = OrbitSpec(T=T, f0=f0, index_set="Z", n_max=n_max)
+        tracemalloc.start()
+        try:
+            frame_bounds(spec)
+            unitarity_defect(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert spec.period_operator is None
+        assert peak <= 1.7 * 16 * D * (2 * n_max + 1)
 
     def test_rank_deficient_frame_rejected(self):
         spec = OrbitSpec(T=0.5 * np.eye(2), f0=seed(2), index_set="Z", n_max=10)
