@@ -417,7 +417,9 @@ def _encode(value, level: int, pieces: list) -> None:
             sep = "," + inner
         pieces.append(inner[:-2] + "}")
     elif isinstance(value, (list, tuple)) and value:
-        text = None if _rows_of_arrays(value) else _array_text(value, level)
+        row = value[0]
+        rows = isinstance(row, (list, tuple)) and row and isinstance(row[0], (list, tuple))
+        text = None if rows else _array_text(value, level)
         if text is not None:
             pieces.append(text)
         else:
@@ -430,12 +432,6 @@ def _encode(value, level: int, pieces: list) -> None:
             pieces.append(inner[:-2] + "]")
     else:  # str, bool, None, {}, []; raises what json.dumps raises
         pieces.append(_COMPACT.encode(value))
-
-
-def _rows_of_arrays(value: list) -> bool:
-    """Whether the first entry of ``value`` is a nonempty array whose first entry is an array."""
-    row = value[0]
-    return isinstance(row, (list, tuple)) and bool(row) and isinstance(row[0], (list, tuple))
 
 
 def _non_finite(value, path: str):
