@@ -58,12 +58,15 @@ __all__ = [
 class OrbitSpec:
     """Operator, seed vector, index set ("N" or "Z"), and truncation.
 
-    The spec owns its orbit: ``columns`` (the synthesis matrix) and the
-    operators read from them are built on first use and kept, read-only,
-    so every property of one orbit reads the same D x L array (16 D L
-    bytes); the passes over it (column norms, the ``period`` scan, U U*)
-    run over fixed blocks of ``_BLOCK`` columns, so a two-sided window
-    holds its one array plus D x D work.  A builder that knows an operator
+    The spec owns its orbit.  What is read from it is built on first use and
+    kept, read-only.  A one-sided window reads ``columns`` (the synthesis
+    matrix, 16 D L bytes), and every pass over it runs over chunks of
+    ``_width(D)`` columns.  A two-sided window is read once, chunk by chunk,
+    by ``_pass``: S, the overflow check, the boundary columns u_-N and u_N
+    and the period candidates.  So ``frame_operator``, ``period`` and
+    ``unitarity_defect`` hold D x D work and a few chunks, and build the
+    window only when a caller asks for ``columns`` or a period candidate
+    must be checked.  A builder that knows an operator
     or the ``spectrum`` in closed form hands it over through ``_replace``
     (``biinfinite``); a builder that knows the orbit's ``eigensystem``
     hands that over (``constructions``);
@@ -176,11 +179,12 @@ class OrbitSpec:
 
     @cached_property
     def frame_operator(self) -> np.ndarray:
-        """The truncated frame operator: S_N of ``closed_form``, else U U* of
-        ``columns``, summed over blocks of ``_BLOCK`` columns (``_gram``)."""
+        """The truncated frame operator: S_N of ``closed_form``; else U U* of a
+        one-sided window's ``columns``, summed chunk by chunk (``_gram``), or a
+        two-sided window's sum from ``_pass``."""
         if self.closed_form is not None:
             return self.closed_form[0]
-        return _gram(self.columns)
+        return self._pass[0] if self.index_set == "Z" else _gram(self.columns)
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -190,19 +194,26 @@ class OrbitSpec:
         return eigs
 
     @cached_property
+    def _pass(self) -> tuple:
+        """``(S, u_-N, u_N, candidates, tol)`` of a two-sided window (``_window_pass``)."""
+        if self.index_set != "Z":
+            raise ValueError("the window pass is defined for two-sided orbits")
+        return _window_pass(self)
+
+    @cached_property
     def period(self) -> int | None:
         """The least p > 0 with column n + p within ``PERIOD_TOL`` (relative to the
         largest column norm) of column n across the whole window; None when the
-        window holds no such period.  The column differences are formed one
-        block at a time."""
-        U = self.columns
-        L = U.shape[1]
-        tol = PERIOD_TOL * float(np.max(_column_norms(L, lambda s: U[:, s])))
-        first = _column_norms(L - 1, lambda s: U[:, s.start + 1 : s.stop + 1] - U[:, :1])
-        for p in np.nonzero(first <= tol)[0] + 1:
-            shifted = (U[:, s.start + p : s.stop + p] - U[:, s] for s in _blocks(L - p))
+        window holds no such period.  Two-sided windows only.  Each candidate
+        of ``_pass`` is held to that all-pairs scan in increasing order, over
+        ``columns`` built only then, one chunk of differences at a time."""
+        *_, candidates, tol = self._pass
+        for p in candidates:
+            U = self.columns
+            blocks = _blocks(U.shape[1] - p, self.dim)
+            shifted = (U[:, s.start + p : s.stop + p] - U[:, s] for s in blocks)
             if all(np.max(np.linalg.norm(X, axis=0)) <= tol for X in shifted):
-                return int(p)
+                return p
         return None
 
     @cached_property
@@ -271,7 +282,9 @@ def orbit_columns(T: np.ndarray, v: np.ndarray, n_max: int) -> np.ndarray:
     """Columns ``T^n v`` for n = 0..n_max, shape (len(v), n_max + 1).
 
     The one orbit routine: every orbit, synthesis matrix, decay profile and
-    Blaschke series is read from it, and it refuses windows past the ceiling.
+    Blaschke series is read from it or from its chunks (``_chunks``; this
+    window is their one chunk as wide as the window), and it refuses
+    windows past the ceiling.
     With D = len(v) and L = n_max + 1 the route follows the flop count
     (``_doubles``): when D log2 L <= 1.8 L it fills the window by doubling,
     columns [m, 2m) being the one product T^m [0, m) before T^m is squared,
@@ -299,23 +312,51 @@ def orbit_columns(T: np.ndarray, v: np.ndarray, n_max: int) -> np.ndarray:
     for name, operand in (("T", T), ("v", v)):
         if not np.isfinite(operand).all():
             raise ValueError(f"{name} must be finite")
-    L = n_max + 1
-    out = np.empty((D, L), dtype=np.complex128)
+    return next(_chunks(T, v, n_max, n_max + 1))
+
+
+def _chunks(T: np.ndarray, v: np.ndarray, n_max: int, width: int):
+    """Successive chunks of the columns T^n v, n = 0..n_max, ``width`` columns
+    each but the last; T complex and square, v a complex vector.
+
+    The route is ``orbit_columns``' over the whole window, L = n_max + 1.
+    When ``_doubles(D, L)`` the first chunk is filled by doubling, which
+    leaves T^width for a power-of-two ``width`` below L, and each later
+    chunk is T^width times the chunk before; that keeps the error of
+    doubling the whole window (against a long-double loop, 5.0e-16 for a
+    d = 20 shift at n = 4096, 4.9e-14 for a dense unimodular D = 50 at
+    n = 1024).  Otherwise, and once a power is not finite, the
+    matrix-vector chain runs on across chunks, so its columns are those of
+    one window.
+    """
+    D, L = v.shape[0], n_max + 1
+    out = np.empty((D, min(width, L)), dtype=np.complex128)
     out[:, 0] = v
-    m, P = 1, T
-    if _doubles(D, L):
-        while m < L and np.isfinite(P).all():
-            k = min(m, L - m)
+    m, P, doubles = 1, T, _doubles(D, L)
+    if doubles:
+        while m < out.shape[1] and np.isfinite(P).all():
+            k = min(m, out.shape[1] - m)
             np.matmul(P, out[:, :k], out=out[:, m : m + k])
             m += k
             if m < L:
                 with np.errstate(over="ignore", invalid="ignore"):
                     P = P @ P
+    power = doubles and m == out.shape[1] and np.isfinite(P).all()
     v = out[:, m - 1]
-    for n in range(m, L):
+    for n in range(m, out.shape[1]):
         v = T @ v
         out[:, n] = v
-    return out
+    yield out
+    for start in range(out.shape[1], L, width):
+        k = min(width, L - start)
+        if power:
+            out = P @ out[:, :k]
+        else:
+            out = np.empty((D, k), dtype=np.complex128)
+            for n in range(k):
+                v = T @ v
+                out[:, n] = v
+        yield out
 
 
 def _doubles(D: int, L: int) -> bool:
@@ -331,64 +372,119 @@ def _doubles(D: int, L: int) -> bool:
     return D * np.log2(L) <= 1.8 * L
 
 
+#: Bytes of one chunk of orbit columns (``_width``).
+_CHUNK_BYTES = 256 * 1024
+
+
+def _width(D: int) -> int:
+    """Columns per chunk of a window of size D: the largest power of two with
+    16 D width <= ``_CHUNK_BYTES`` (64 at D = 200, 256 at D = 50), at least 1."""
+    return 1 << max((_CHUNK_BYTES // (16 * D)).bit_length() - 1, 0)
+
+
+def _blocks(n: int, D: int):
+    """Slices of [0, n), ``_width(D)`` columns each but the last, in order."""
+    w = _width(D)
+    return (slice(i, min(i + w, n)) for i in range(0, n, w))
+
+
 def synthesis_matrix(spec: OrbitSpec) -> np.ndarray:
     """Orbit columns in index order: n = 0..n_max, or -n_max..n_max.
 
-    Each side is one ``orbit_columns`` window (of T, then of T^-1), so it
-    doubles when D log2 L <= 1.8 L, with L = n_max + 1, and runs the
-    matrix-vector loop otherwise; see there for the error of each route.  A
-    two-sided window is allocated once, (D, 2 n_max + 1), after T^-1's half
-    is built (and T^-1 dropped); that half is copied reversed into place and
-    dropped before T's half is built, so at most one window and one half
-    are held.  Raises ``NumericalError`` when any column norm, taken over
-    blocks of ``_BLOCK`` columns, exceeds the overflow ceiling (spectral
-    radius above 1 on a one-sided orbit, typically).
+    A one-sided window is one ``orbit_columns`` window, so it doubles when
+    D log2 L <= 1.8 L, with L = n_max + 1, and runs the matrix-vector loop
+    otherwise; see there for the error of each route.  A two-sided window
+    is allocated once, (D, 2 n_max + 1), and filled in place from the
+    ``_chunks`` of T^-1 (reversed) and of T, the columns ``_pass`` reads.
+    Raises ``NumericalError`` when any column norm exceeds the overflow
+    ceiling (spectral radius above 1 on a one-sided orbit, typically).
     """
     # A diverging orbit may overflow to inf or nan; the norm check rejects it.
-    N = spec.n_max
+    N, D = spec.n_max, spec.dim
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.index_set == "Z":
-            backward = orbit_columns(np.linalg.inv(spec.T), spec.f0, N)
-            cols = np.empty((spec.dim, 2 * N + 1), dtype=np.complex128)
-            cols[:, :N] = backward[:, :0:-1]
-            del backward  # before the forward half, so only one half is held
-            cols[:, N:] = orbit_columns(spec.T, spec.f0, N)
+            cols = np.empty((D, 2 * N + 1), dtype=np.complex128)
+            backward, forward = _sides(spec)
+            for n, chunk in backward:
+                cols[:, N - n - chunk.shape[1] + 1 : N - n + 1] = chunk[:, ::-1]
+            for n, chunk in forward:
+                cols[:, N + n : N + n + chunk.shape[1]] = chunk
         else:
             cols = orbit_columns(spec.T, spec.f0, N)
-        norms = _column_norms(cols.shape[1], lambda s: cols[:, s])
+        norms = np.empty(cols.shape[1])
+        for s in _blocks(cols.shape[1], D):
+            norms[s] = np.linalg.norm(cols[:, s], axis=0)
+    _check_overflow(norms)
+    cols.setflags(write=False)
+    return cols
+
+
+def _sides(spec: OrbitSpec) -> tuple:
+    """The ``_chunks`` of T^-1 and of T from f0 over n_max steps, each as
+    (n, chunk) pairs, chunk holding the orbit's steps n, n + 1, ...: u_0,
+    u_-1, ..., u_-N, then u_0, ..., u_N."""
+
+    def side(M):
+        n = 0
+        for chunk in _chunks(M, spec.f0, spec.n_max, _width(spec.dim)):
+            yield n, chunk
+            n += chunk.shape[1]
+
+    return side(np.linalg.inv(spec.T)), side(spec.T)
+
+
+def _check_overflow(norms: np.ndarray) -> None:
+    """``NumericalError`` naming the first worst column when a norm is not
+    finite or passes ``COLUMN_OVERFLOW``."""
     if np.any(norms > COLUMN_OVERFLOW) or not np.all(np.isfinite(norms)):
         worst = int(np.argmax(norms))
         raise NumericalError(
             f"orbit column {worst} has norm {norms[worst]:.3e}; the orbit "
             f"diverges past {COLUMN_OVERFLOW:.0e} at this truncation"
         )
-    cols.setflags(write=False)
-    return cols
 
 
-#: Columns per block of the passes over a window (column norms, the period
-#: scan, U U*): each holds 16 D _BLOCK bytes of temporaries at a time.
-_BLOCK = 256
+def _window_pass(spec: OrbitSpec) -> tuple:
+    """One pass over a two-sided window's chunks, T^-1's then T's, holding no window.
 
-
-def _blocks(n: int):
-    """Slices of [0, n), ``_BLOCK`` columns each but the last, in order."""
-    return (slice(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK))
-
-
-def _column_norms(n: int, block) -> np.ndarray:
-    """The norms of n columns, ``block(s)`` giving the columns s of ``_blocks(n)``."""
-    norms = np.empty(n)
-    for s in _blocks(n):
-        norms[s] = np.linalg.norm(block(s), axis=0)
-    return norms
+    Returns S = sum_{|n| <= N} u_n u_n* (summed chunk by chunk, read-only),
+    the boundary columns u_-N and u_N, the period candidates in increasing
+    order and their tolerance ``PERIOD_TOL`` times the largest column norm.
+    The column norms, kept in window order, get ``synthesis_matrix``'s
+    overflow check.  A candidate p <= N has ||u_p - u_0|| within the
+    tolerance, one N < p <= 2N has ||u_(p - N) - u_-N|| within it; every
+    p that passes ``period``'s all-pairs scan is among them.
+    """
+    N, D, f0 = spec.n_max, spec.dim, spec.f0
+    norms, gaps = np.empty(2 * N + 1), np.empty((2, N + 1))
+    S = np.zeros((D, D), dtype=np.complex128)
+    backward, forward = _sides(spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, chunk in backward:
+            k = chunk.shape[1]
+            norms[N - n - k + 1 : N - n + 1] = np.linalg.norm(chunk, axis=0)[::-1]
+            B = chunk[:, 1:] if n == 0 else chunk  # u_0 is summed with T's side
+            S += B @ B.conj().T
+        first = chunk[:, -1].copy()
+        for n, chunk in forward:
+            k = chunk.shape[1]
+            norms[N + n : N + n + k] = np.linalg.norm(chunk, axis=0)
+            gaps[0, n : n + k] = np.linalg.norm(chunk - f0[:, None], axis=0)
+            gaps[1, n : n + k] = np.linalg.norm(chunk - first[:, None], axis=0)
+            S += chunk @ chunk.conj().T
+        last = chunk[:, -1].copy()
+    _check_overflow(norms)
+    tol = PERIOD_TOL * float(np.max(norms))
+    near = [np.flatnonzero(gap[1:] <= tol) + 1 for gap in gaps]
+    S.setflags(write=False)
+    return S, first, last, (near[0].tolist() + (near[1] + N).tolist()), tol
 
 
 def _gram(U: np.ndarray) -> np.ndarray:
-    """U U*, read-only, summed over blocks of ``_BLOCK`` columns: a window of at
-    most one block is the one product U U*, bit for bit."""
+    """U U*, read-only, summed over chunks of ``_width(D)`` columns: a window of
+    at most one chunk is the one product U U*, bit for bit."""
     S = None
-    for s in _blocks(U.shape[1]):
+    for s in _blocks(U.shape[1], U.shape[0]):
         B = U[:, s]
         if S is None:
             S = B @ B.conj().T
@@ -635,13 +731,15 @@ def unitarity_defect(spec: OrbitSpec) -> float:
     ``frame_operator``.  When T and S are both diagonal (a grid pair),
     W = T and the defect is max_i ||t_i|^2 - 1|, with no factorization.
     Otherwise it is read from the window's rank-two boundary: with u_n the
-    columns, a = T u_last and b = u_first (a period window: a = T u_{p-1},
-    b = u_0), T S T* - S = a a* - b b* holds exactly, so
+    columns, a = T u_N and b = u_-N (a period window: a = T u_{p-1-N},
+    b = u_-N), T S T* - S = a a* - b b* holds exactly, so
     W W* - I = S^{-1/2} (a a* - b b*) S^{-1/2}, whose norm, that of
     W* W - I, is the largest |eigenvalue| of the 2 x 2 matrix
     diag(1, -1) [u v]* [u v] with [u v] = C^-1 [a b] and S = C C* (one
-    ``cholesky`` and one solve; the columns are only read, and a diagonal T
-    reads a and b as t^n f0 without them).  A failed Cholesky is a
+    ``cholesky`` and one solve).  The window sum and its boundary columns
+    come from the one pass ``_pass``, so no window is built; a period
+    window reads the ``columns`` its period check built, and a diagonal T
+    reads a and b as t^n f0 without either.  A failed Cholesky is a
     ``NumericalError``, as is an S whose eigenvalues (the ``spectrum``
     ``frame_bounds`` reads, or one ``eigvalsh`` of a period operator) span
     past ``SINGULAR_RTOL``.
@@ -671,6 +769,9 @@ def unitarity_defect(spec: OrbitSpec) -> float:
     q = 2 * N + 1 if P is None else spec.period  # the columns summed into S
     if t is not None:  # T^n f0 = t^n f0: no window is built (grid pairs)
         a, b = t ** (q - N) * spec.f0, t ** (-N) * spec.f0
+    elif P is None:
+        _, b, last, *_ = spec._pass
+        a = spec.T @ last
     else:
         U = spec.columns
         a, b = spec.T @ U[:, q - 1], U[:, 0]

@@ -1,5 +1,6 @@
 """Truncated orbit analysis: synthesis, bounds, kernels, transport."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -28,7 +29,7 @@ from orbitframes import (
     synthesis_matrix,
     unitarity_defect,
 )
-from orbitframes.config import max_truncation
+from orbitframes.config import PERIOD_TOL, max_truncation
 
 from helpers import brute_force_tail, power_loop
 
@@ -134,18 +135,23 @@ class TestOrbitSpec:
 
     @pytest.mark.parametrize("index_set, loops", [("N", 1), ("Z", 2)])
     def test_orbit_built_once(self, monkeypatch, index_set, loops):
+        # Each reader walks the orbit once, one walk per side: the columns,
+        # and a two-sided frame operator its own pass, which builds no window.
         calls = []
-        real = orbits.orbit_columns
-        monkeypatch.setattr(
-            orbits, "orbit_columns", lambda *args: calls.append(1) or real(*args)
-        )
+        real = orbits._chunks
+        monkeypatch.setattr(orbits, "_chunks", lambda *args: calls.append(1) or real(*args))
         spec = OrbitSpec(T=np.diag([0.5, 0.8]), f0=np.ones(2), index_set=index_set, n_max=6)
-        assert spec.columns is spec.columns
         assert spec.frame_operator is spec.frame_operator
-        assert len(calls) == loops
+        assert ("columns" in spec.__dict__) == (index_set == "N")
+        assert len(calls) == (loops if index_set == "Z" else 1)
+        assert spec.columns is spec.columns
+        assert len(calls) == (2 * loops if index_set == "Z" else 1)
         assert np.array_equal(spec.columns, synthesis_matrix(spec))
-        U = spec.columns
-        assert np.array_equal(spec.frame_operator, U @ U.conj().T)
+        U, S = spec.columns, spec.frame_operator
+        if index_set == "N":
+            assert np.array_equal(S, U @ U.conj().T)
+        else:
+            assert np.max(np.abs(S - U @ U.conj().T)) <= 1e-14 * np.linalg.norm(S, 2)
         for array in (spec.columns, spec.frame_operator):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -196,19 +202,27 @@ class TestDiagonalStructure:
 
 
     @pytest.mark.parametrize("index_set, n_max", [("N", 700), ("Z", 300), ("Z", 1024)])
-    def test_blocked_frame_operator_matches_long_double_sum(self, index_set, n_max):
+    def test_blocked_frame_operator_matches_long_double_sum(self, index_set, n_max, monkeypatch):
+        # Chunks of 128 columns at D = 8, so every window spans several.
+        monkeypatch.setattr(orbits, "_CHUNK_BYTES", 16 * 8 * 128)
         rng = np.random.default_rng(n_max)
         D = 8
         lam = np.exp(2j * np.pi * rng.uniform(size=D)) * (0.999 if index_set == "N" else 1.0)
         f0 = rng.standard_normal(D) + 1j * rng.standard_normal(D)
         spec = OrbitSpec(T=skewed_diagonal(rng, lam), f0=f0, index_set=index_set, n_max=n_max)
         U = spec.columns.astype(np.clongdouble)
-        assert U.shape[1] > 2 * orbits._BLOCK
+        assert orbits._width(D) == 128 and U.shape[1] > 4 * 128
         S = spec.frame_operator
         assert np.max(np.abs(S - U @ U.conj().T)) <= 1e-14 * np.linalg.norm(S, 2)
-        # A window of one block is the one product U U*, bit for bit.
-        short = spec.window(orbits._BLOCK // 2 - 1)
-        assert np.array_equal(short.frame_operator, short.columns @ short.columns.conj().T)
+        # A one-sided window of one chunk is the one product U U*, bit for
+        # bit; a two-sided one sums T^-1's side and T's.
+        short = spec.window(128 // 2 - 1)
+        V = short.columns
+        if index_set == "N":
+            assert np.array_equal(short.frame_operator, V @ V.conj().T)
+        else:
+            S = short.frame_operator
+            assert np.max(np.abs(S - V @ V.conj().T)) <= 1e-14 * np.linalg.norm(S, 2)
 
 def skewed_diagonal(rng, lam: np.ndarray) -> np.ndarray:
     """W diag(lam) W^-1 with W = I + 0.3 G / sqrt(2D), G complex Gaussian."""
@@ -267,6 +281,29 @@ class TestOrbitColumns:
         got = orbits.orbit_columns(T, v, n)
         scale = float(np.max(np.linalg.norm(want.astype(np.complex128), axis=0)))
         assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("doubling", [True, False], ids=["doubling", "loop"])
+    @pytest.mark.parametrize("T, v, n", orbit_cases())
+    def test_chunks_match_a_long_double_loop(self, T, v, n, doubling, monkeypatch):
+        # Chunks of 64 columns: doubling up to T^64, then T^64 times the chunk
+        # before, keeps the error of doubling the window; the loop's chunks
+        # are its window's columns, bit for bit.
+        monkeypatch.setattr(orbits, "_doubles", lambda D, L: doubling)
+        T, v = T.astype(np.complex128), v.astype(np.complex128)
+        chunks = list(orbits._chunks(T, v, n, 64))
+        assert [c.shape[1] for c in chunks[:-1]] == [64] * (len(chunks) - 1)
+        got = np.concatenate(chunks, axis=1)
+        want = power_loop(T.astype(np.clongdouble), v.astype(np.clongdouble), n)
+        scale = float(np.max(np.linalg.norm(want.astype(np.complex128), axis=0)))
+        assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+        if not doubling:
+            assert np.array_equal(got, orbits.orbit_columns(T, v, n))
+
+    def test_chunk_width_follows_bytes(self):
+        # A power of two with 16 D width <= 256 KiB.
+        assert [orbits._width(D) for D in (1, 25, 50, 64, 200, 16384, 10**5)] == [
+            16384, 512, 256, 256, 64, 1, 1
+        ]
 
     @pytest.mark.parametrize(
         "D, n_max, doubles",
@@ -358,6 +395,27 @@ class TestSynthesisMatrix:
         spec = OrbitSpec(T=np.array([[T]]), f0=np.array([f0]), index_set="N", n_max=4)
         with pytest.raises(NumericalError, match="diverges"):
             synthesis_matrix(spec)
+
+    @pytest.mark.parametrize(
+        "D, t0, f0, n_max, message",
+        [
+            (2, [0.5, 2.0], "ones", 1100, "orbit column 0 has norm nan"),
+            (2, [0.5, 2.0], "e1", 1100, "orbit column 2124 has norm nan"),
+            (64, [0.5, 2.0], "e1", 4096, "orbit column 5120 has norm nan"),
+            (64, [1.05], "ones", 700, "orbit column 1400 has norm 6.800e+14"),
+        ],
+    )
+    def test_two_sided_divergence_names_the_column(self, D, t0, f0, n_max, message):
+        # The pass and the window run the same check over the same norms in
+        # window order: the first worst column, with the same text.
+        t = np.exp(2j * np.pi * np.arange(D) / D)
+        t[: len(t0)] = t0
+        f0 = np.ones(D) if f0 == "ones" else np.eye(D)[1]
+        text = re.escape(message + "; the orbit diverges past 1e+12 at this truncation")
+        for read in (frame_bounds, unitarity_defect, synthesis_matrix):
+            spec = OrbitSpec(T=np.diag(t), f0=f0, index_set="Z", n_max=n_max)
+            with pytest.raises(NumericalError, match=f"^{text}$"):
+                read(spec)
 
     def test_contraction_norms_nonincreasing(self):
         T = np.diag([0.9, 0.5j])
@@ -909,6 +967,17 @@ class TestCommutantTransport:
             commutant_transport(spec, np.eye(2))
 
 
+def all_pairs_period(U: np.ndarray) -> int | None:
+    """The least p > 0 with ||u_(n + p) - u_n|| <= PERIOD_TOL max ||u_n|| over
+    every pair of window columns, by brute force."""
+    L = U.shape[1]
+    tol = PERIOD_TOL * float(np.max(np.linalg.norm(U, axis=0)))
+    for p in range(1, L):
+        if np.max(np.linalg.norm(U[:, p:] - U[:, : L - p], axis=0)) <= tol:
+            return p
+    return None
+
+
 def defect_by_eigenbasis(T, f0, n_max: int, period: int | None = None) -> float:
     """||W* W - I||_2 for W = S^-1/2 T S^1/2 at 30 digits, S the window sum of
     (T, f0) over |n| <= n_max (or its first ``period`` columns from -n_max on),
@@ -1032,6 +1101,46 @@ class TestUnitarityDefect:
         assert unitarity_defect(spec) == pytest.approx(expected, abs=1e-12)
         assert defect_by_eigenbasis(spec.T, spec.f0, 5) > 0.1
 
+    def test_period_past_n_found_through_the_first_column(self):
+        # A 5-cycle over |n| <= 3: no p <= 3 has u_p = u_0, and p = 5 is seen
+        # as u_2 = u_-3.
+        rng = np.random.default_rng(9)
+        W = np.eye(5) + 0.3 * rng.standard_normal((5, 5))
+        T = W @ cycle_matrix(5) @ np.linalg.inv(W)
+        spec = OrbitSpec(T=T, f0=rng.standard_normal(5), index_set="Z", n_max=3)
+        assert spec._pass[3] == [5]
+        assert spec.period == 5 == all_pairs_period(synthesis_matrix(spec))
+        expected = defect_by_eigenbasis(spec.T, spec.f0, 3, period=5)
+        assert unitarity_defect(spec) == pytest.approx(expected, abs=1e-12)
+
+    def test_near_period_candidate_fails_the_scan(self):
+        # u_3 - u_0 is 0.875 * 2^-40 on the decaying coordinate, within the
+        # tolerance, but the backward half grows to norm 1 and breaks the
+        # period there: the candidate builds the columns and gives None.
+        T = np.diag([np.exp(2j * np.pi / 3), 0.5])
+        spec = OrbitSpec(T=T, f0=[1.0, 2.0**-40], index_set="Z", n_max=40)
+        assert 3 in spec._pass[3]
+        assert "columns" not in spec.__dict__
+        assert spec.period is None
+        assert "columns" in spec.__dict__
+        assert all_pairs_period(spec.columns) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(min_value=1, max_value=6),
+        n_max=st.integers(min_value=0, max_value=14),
+        skew=st.floats(min_value=0.0, max_value=0.4),
+        eta=st.sampled_from([0.0, 1e-14, 1e-12, 1e-10, 1e-8]),
+        draw=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_period_matches_the_all_pairs_scan(self, d, n_max, skew, eta, draw):
+        rng = np.random.default_rng(draw)
+        W = np.eye(d) + skew * rng.standard_normal((d, d))
+        assume(np.linalg.cond(W) <= 10.0)
+        T = W @ cycle_matrix(d) @ np.linalg.inv(W) + eta * rng.standard_normal((d, d))
+        spec = OrbitSpec(T=T, f0=rng.standard_normal(d), index_set="Z", n_max=n_max)
+        assert spec.period == all_pairs_period(synthesis_matrix(spec))
+
     def test_failed_cholesky_is_numerical_error(self, monkeypatch):
         rng = np.random.default_rng(2)
         T = skewed_diagonal(rng, np.exp(2j * np.pi * rng.uniform(size=3)))
@@ -1045,10 +1154,10 @@ class TestUnitarityDefect:
             unitarity_defect(spec)
 
     def test_two_sided_window_holds_one_window(self):
-        # The window takes 16 D L bytes; building it holds one half more, and
-        # every later pass over it works in blocks of columns.
+        # The window would take 16 D (2N + 1) bytes.  The bounds and the
+        # defect read one pass over chunks of it and build no window.
         rng = np.random.default_rng(6)
-        D, n_max = 64, 1024
+        D, n_max = 64, 4096
         T = skewed_diagonal(rng, np.exp(2j * np.pi * rng.uniform(size=D)))
         f0 = rng.standard_normal(D) + 1j * rng.standard_normal(D)
         spec = OrbitSpec(T=T, f0=f0, index_set="Z", n_max=n_max)
@@ -1060,7 +1169,8 @@ class TestUnitarityDefect:
         finally:
             tracemalloc.stop()
         assert spec.period_operator is None
-        assert peak <= 1.7 * 16 * D * (2 * n_max + 1)
+        assert "columns" not in spec.__dict__
+        assert peak <= 0.25 * 16 * D * (2 * n_max + 1)
 
     def test_rank_deficient_frame_rejected(self):
         spec = OrbitSpec(T=0.5 * np.eye(2), f0=seed(2), index_set="Z", n_max=10)
