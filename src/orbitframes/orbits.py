@@ -195,10 +195,41 @@ class OrbitSpec:
 
     @cached_property
     def _pass(self) -> tuple:
-        """``(S, u_-N, u_N, candidates, tol)`` of a two-sided window (``_window_pass``)."""
+        """One pass over a two-sided window's chunks, T^-1's then T's, holding no
+        window: ``(S, u_-N, u_N, candidates, tol)``.
+
+        S = sum_{|n| <= N} u_n u_n* is summed chunk by chunk (read-only).  The
+        column norms, kept in window order, get ``synthesis_matrix``'s
+        overflow check.  ``tol`` is ``PERIOD_TOL`` times the largest norm; the
+        period candidates, in increasing order, are the p <= N with
+        ||u_p - u_0|| <= tol and the N < p <= 2N with ||u_(p - N) - u_-N|| <=
+        tol, so every p that passes ``period``'s all-pairs scan is among them.
+        """
         if self.index_set != "Z":
-            raise ValueError("the window pass is defined for two-sided orbits")
-        return _window_pass(self)
+            raise ValueError("the period is defined for two-sided orbits")
+        N, D, f0 = self.n_max, self.dim, self.f0
+        norms, gaps = np.empty(2 * N + 1), np.empty((2, N + 1))
+        S = np.zeros((D, D), dtype=np.complex128)
+        backward, forward = _sides(self)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n, chunk in backward:
+                k = chunk.shape[1]
+                norms[N - n - k + 1 : N - n + 1] = np.linalg.norm(chunk, axis=0)[::-1]
+                B = chunk[:, 1:] if n == 0 else chunk  # u_0 is summed with T's side
+                S += B @ B.conj().T
+            first = chunk[:, -1].copy()
+            for n, chunk in forward:
+                k = chunk.shape[1]
+                norms[N + n : N + n + k] = np.linalg.norm(chunk, axis=0)
+                gaps[0, n : n + k] = np.linalg.norm(chunk - f0[:, None], axis=0)
+                gaps[1, n : n + k] = np.linalg.norm(chunk - first[:, None], axis=0)
+                S += chunk @ chunk.conj().T
+            last = chunk[:, -1].copy()
+        _check_overflow(norms)
+        tol = PERIOD_TOL * float(np.max(norms))
+        near = [np.flatnonzero(gap[1:] <= tol) + 1 for gap in gaps]
+        S.setflags(write=False)
+        return S, first, last, near[0].tolist() + (near[1] + N).tolist(), tol
 
     @cached_property
     def period(self) -> int | None:
@@ -442,42 +473,6 @@ def _check_overflow(norms: np.ndarray) -> None:
             f"orbit column {worst} has norm {norms[worst]:.3e}; the orbit "
             f"diverges past {COLUMN_OVERFLOW:.0e} at this truncation"
         )
-
-
-def _window_pass(spec: OrbitSpec) -> tuple:
-    """One pass over a two-sided window's chunks, T^-1's then T's, holding no window.
-
-    Returns S = sum_{|n| <= N} u_n u_n* (summed chunk by chunk, read-only),
-    the boundary columns u_-N and u_N, the period candidates in increasing
-    order and their tolerance ``PERIOD_TOL`` times the largest column norm.
-    The column norms, kept in window order, get ``synthesis_matrix``'s
-    overflow check.  A candidate p <= N has ||u_p - u_0|| within the
-    tolerance, one N < p <= 2N has ||u_(p - N) - u_-N|| within it; every
-    p that passes ``period``'s all-pairs scan is among them.
-    """
-    N, D, f0 = spec.n_max, spec.dim, spec.f0
-    norms, gaps = np.empty(2 * N + 1), np.empty((2, N + 1))
-    S = np.zeros((D, D), dtype=np.complex128)
-    backward, forward = _sides(spec)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n, chunk in backward:
-            k = chunk.shape[1]
-            norms[N - n - k + 1 : N - n + 1] = np.linalg.norm(chunk, axis=0)[::-1]
-            B = chunk[:, 1:] if n == 0 else chunk  # u_0 is summed with T's side
-            S += B @ B.conj().T
-        first = chunk[:, -1].copy()
-        for n, chunk in forward:
-            k = chunk.shape[1]
-            norms[N + n : N + n + k] = np.linalg.norm(chunk, axis=0)
-            gaps[0, n : n + k] = np.linalg.norm(chunk - f0[:, None], axis=0)
-            gaps[1, n : n + k] = np.linalg.norm(chunk - first[:, None], axis=0)
-            S += chunk @ chunk.conj().T
-        last = chunk[:, -1].copy()
-    _check_overflow(norms)
-    tol = PERIOD_TOL * float(np.max(norms))
-    near = [np.flatnonzero(gap[1:] <= tol) + 1 for gap in gaps]
-    S.setflags(write=False)
-    return S, first, last, (near[0].tolist() + (near[1] + N).tolist()), tol
 
 
 def _gram(U: np.ndarray) -> np.ndarray:

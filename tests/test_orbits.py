@@ -1125,6 +1125,11 @@ class TestUnitarityDefect:
         assert "columns" in spec.__dict__
         assert all_pairs_period(spec.columns) is None
 
+    def test_period_is_two_sided_only(self):
+        spec = OrbitSpec(T=cycle_matrix(3), f0=seed(3), index_set="N", n_max=8)
+        with pytest.raises(ValueError, match="two-sided"):
+            spec.period
+
     @settings(max_examples=40, deadline=None)
     @given(
         d=st.integers(min_value=1, max_value=6),
