@@ -49,8 +49,9 @@ TWO_PI = 2.0 * np.pi
 
 
 def measure(make, run, repeat: int) -> tuple[float, int]:
-    """Best-of-``repeat`` ms of ``run(make())`` and the tracemalloc peak of one
-    more call; ``make()`` runs outside both."""
+    """Best-of-``repeat`` ms of ``run(make())`` after one untimed call, and the
+    tracemalloc peak of one more call; ``make()`` runs outside all three."""
+    run(make())
     best = np.inf
     for _ in range(repeat):
         arg = make()
