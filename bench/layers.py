@@ -1,6 +1,6 @@
 """Layer sweep: best-of-k time and peak traced memory of single layers.
 
-    python bench/layers.py --out BENCH_23.json          # the full sweep
+    python bench/layers.py --out BENCH_<n>.json         # the full sweep
     python bench/layers.py --out /tmp/b.json --tiny     # two sizes per axis, one run each
 
 Run from the root of a source checkout.  It imports only ``orbitframes``
