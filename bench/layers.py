@@ -16,6 +16,12 @@ and writes one JSON object:
 * ``layers``: one row per layer and swept axis, with the best-of-k ms at
   each size, the fitted log-log slope of ms against the axis and the
   tracemalloc peak over the named bytes unit.
+* ``cli``: ``cli.main(["run", problem, "--out", report])`` in-process, with
+  stderr silenced (read, run, encode and write), on generated problem files:
+  the dense two-sided orbit above at D in {50, 200} and n_max = 1024, and a
+  ``model_space`` of ring zeros with ``decay_n_max`` = 2000.  Each row holds
+  the best-of-k ms, the report's bytes and the tracemalloc peak over the
+  problem file's bytes.
 * ``environment``: numpy, BLAS, BLAS threads, Python, CPU count, git sha.
 
 Inputs are built outside the timed call, and each timed call gets a fresh
@@ -26,11 +32,14 @@ No value is gated: the file records what this machine measured.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -43,7 +52,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from orbitframes import blaschke, model_space, orbits  # noqa: E402
+from orbitframes import blaschke, cli, model_space, orbits  # noqa: E402
 
 TWO_PI = 2.0 * np.pi
 
@@ -176,6 +185,54 @@ def taylor_case(n, d=10):
     return (lambda: h), (lambda b: blaschke.taylor_coeffs(b, n)), 16 * d * (n + 1)
 
 
+def pairs(z) -> list:
+    """Complex entries as the nested [re, im] pairs of a problem file."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack([z.real, z.imag], axis=-1).tolist()
+
+
+def cli_problems(Ds, d: int) -> dict:
+    """The problems of the ``cli`` rows, keyed by their names."""
+    problems = {}
+    for D in Ds:
+        T, f0 = dense_unimodular(D)
+        parameters = {"T": pairs(T), "f0": pairs(f0), "index_set": "Z", "n_max": 1024}
+        problems[f"orbit_analysis, dense two-sided, D = {D}, n_max = 1024"] = {
+            "kind": "orbit_analysis",
+            "parameters": parameters,
+        }
+    parameters = {"zeros": pairs(ring(d, 0.9)), "decay_n_max": 2000}
+    problems[f"model_space, d = {d} ring zeros at 0.9, decay_n_max = 2000"] = {
+        "kind": "model_space",
+        "parameters": parameters,
+    }
+    return problems
+
+
+def cli_rows(problems: dict, repeat: int) -> dict:
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, problem in problems.items():
+            path = os.path.join(tmp, "problem.json")
+            report = os.path.join(tmp, "report.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(problem, fh)
+
+            def run(argv):
+                with contextlib.redirect_stderr(io.StringIO()):
+                    if cli.main(argv) != 0:
+                        raise RuntimeError(f"{name}: the run failed")
+
+            ms, peak = measure(lambda: ["run", path, "--out", report], run, repeat)
+            rows.append({
+                "problem": name,
+                "ms": ms,
+                "report_bytes": os.path.getsize(report),
+                "peak_over_problem": peak / os.path.getsize(path),
+            })
+    return {"path": 'cli.main(["run", problem, "--out", report]), stderr silenced', "rows": rows}
+
+
 def environment() -> dict:
     try:
         proc = subprocess.run(["git", "-C", ROOT, "rev-parse", "HEAD"], capture_output=True, text=True)
@@ -225,6 +282,7 @@ def main(argv=None) -> int:
             layer("blaschke.taylor_coeffs", "n", "d = 10 ring zeros at 0.9", "16 d (n + 1)", "O(d^2 n)",
                   sizes(1024, 2048, 4096, 8192, 16383), taylor_case, repeat),
         ],
+        "cli": cli_rows(cli_problems((50, 200), 10), repeat),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)

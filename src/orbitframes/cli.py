@@ -14,12 +14,17 @@ message names them.  A key that asks for work its problem does not do
 numbers travel as [re, im] pairs.  The ``NaN``, ``Infinity`` and
 ``-Infinity`` literals are rejected, and a report that would hold a
 non-finite number is a numerical error that names its key path.  A
-report is the bytes ``json.dumps(report, sort_keys=True, indent=2)``
-writes, but its arrays of numbers are C-encoded and re-indented (a matrix
-of pairs row by row), and it is encoded as a list of pieces that one
-``writelines`` writes once the whole list is built, with no string as
-long as the report; its bytes are those of the joined text, byte-stable
-for identical inputs (default float repr, no timestamps).
+report's ``inputs`` is the text of the problem's ``parameters`` value,
+exactly as the file writes it: ``run`` keeps that span of the file while
+json's C scanner parses it, and splices it back in place of reprinting
+every number.  The rest of a report is the bytes ``json.dumps(report,
+sort_keys=True, indent=2)`` writes, but its arrays of numbers are
+C-encoded and re-indented (a matrix of pairs row by row), and it is
+encoded as a list of pieces that one ``writelines`` writes once the whole
+list is built, with no string as long as the report; its bytes are those
+of the joined text, byte-stable for a given problem file (default float
+repr, no timestamps).  ``run_problem`` returns the parsed parameters
+under ``inputs``.
 Wall time, the time to read the problem, encoding time and report size
 go to stderr.  CSV side outputs are written when the problem asks for
 them.  A report's ``tolerances`` lists the ``config`` constants its kind
@@ -96,6 +101,54 @@ class _Literal:
 
     def __repr__(self) -> str:
         return self.token
+
+
+class _Text(str):
+    """JSON text that ``_encode`` writes as it is: the ``parameters`` value of
+    a problem file, spliced into its report as ``inputs``."""
+
+    __slots__ = ()
+
+
+_DECODER = json.JSONDecoder(parse_constant=_Literal)
+_SPACE = json.decoder.WHITESPACE.match
+
+
+def _read_problem(path: str) -> tuple[object, _Text | None]:
+    """The problem in the file at ``path`` and the text of its ``parameters`` value.
+
+    The file parses as ``json.loads(text, parse_constant=_Literal)`` parses
+    it, with json's own messages: ``json.decoder.JSONObject`` reads the
+    top-level object and hands each of its values to one call of the
+    decoder's C scanner, whose span of the text is kept for ``parameters``
+    (the last one, if the key repeats).  A top level that is not an object
+    goes to ``json.loads`` whole, and its text is None.  Only the slice
+    outlives the call.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    start = _SPACE(text, 0).end()
+    if text[start : start + 1] != "{":
+        return json.loads(text, parse_constant=_Literal), None
+    spans = []
+
+    def scan_once(s, idx):
+        value, end = _DECODER.scan_once(s, idx)
+        spans.append((idx, end))
+        return value, end
+
+    pairs, end = json.decoder.JSONObject(
+        (text, start + 1), _DECODER.strict, scan_once, None, list, {}
+    )
+    end = _SPACE(text, end).end()
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    span = dict(zip([key for key, _ in pairs], spans)).get("parameters")
+    if span is None:
+        return dict(pairs), None
+    piece = text[span[0] : span[1]]
+    del text  # so the whole file and two copies of the slice are never held at once
+    return dict(pairs), _Text(piece)
 
 
 def _check_type(name: str, value) -> None:
@@ -430,6 +483,8 @@ def _encode(value, level: int, pieces: list) -> None:
                 _encode(v, level + 1, pieces)
                 sep = "," + inner
             pieces.append(inner[:-2] + "]")
+    elif type(value) is _Text:
+        pieces.append(value)
     else:  # str, bool, None, {}, []; raises what json.dumps raises
         pieces.append(_COMPACT.encode(value))
 
@@ -480,8 +535,7 @@ def run_problem(problem: dict) -> dict:
 def _cmd_run(args) -> int:
     start = time.perf_counter()
     try:
-        with open(args.problem, "r", encoding="utf-8") as fh:
-            problem = json.load(fh, parse_constant=_Literal)
+        problem, parameters = _read_problem(args.problem)
     except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read problem file: {exc}", file=sys.stderr)
         return 2
@@ -490,7 +544,7 @@ def _cmd_run(args) -> int:
     try:
         report = run_problem(problem)
         elapsed = time.perf_counter() - start
-        pieces = _report_text(report)
+        pieces = _report_text(dict(report, inputs=parameters))
         encoding = time.perf_counter() - start - elapsed
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

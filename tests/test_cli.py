@@ -1102,10 +1102,15 @@ class TestReportEncoding:
     def test_report_written_in_pieces(self, tmp_path, monkeypatch):
         # A 200 x 200 matrix of [re, im] pairs is encoded row by row and
         # written piece by piece: no string as long as the report is formed.
+        # The problem's parameters text "{}" is also the canonical text of {}.
         rng = np.random.default_rng(1)
-        report = {"kind": "orbit_analysis", "inputs": {"T": rng.standard_normal((200, 200, 2)).tolist()}}
+        report = {
+            "kind": "orbit_analysis",
+            "inputs": {},
+            "results": {"T": rng.standard_normal((200, 200, 2)).tolist()},
+        }
         monkeypatch.setattr(cli, "run_problem", lambda problem: report)
-        problem = write_problem(tmp_path, {"kind": "carleson", "parameters": {"zeros": [[0.5, 0.0]]}})
+        problem = write_problem(tmp_path, {"kind": "orbit_analysis", "parameters": {}})
         out = tmp_path / "report.json"
         tracemalloc.start()
         try:
@@ -1125,13 +1130,13 @@ class TestReportEncoding:
         assert f" s, {out.stat().st_size} bytes)" in err
 
     def test_stderr_times_the_read(self, tmp_path, capsys, monkeypatch):
-        load = json.load
+        read = cli._read_problem
 
-        def slow_load(*args, **kwargs):
+        def slow_read(path):
             time.sleep(0.05)
-            return load(*args, **kwargs)
+            return read(path)
 
-        monkeypatch.setattr(cli.json, "load", slow_load)
+        monkeypatch.setattr(cli, "_read_problem", slow_read)
         payload = {"kind": "carleson", "parameters": {"zeros": [[0.5, 0.0]]}}
         problem = str(write_problem(tmp_path, payload))
         assert main(["run", problem, "--out", str(tmp_path / "report.json")]) == 0
@@ -1142,6 +1147,95 @@ class TestReportEncoding:
         assert fields, err
         run, read, _ = map(float, fields.groups())
         assert read >= 0.05 > run
+
+
+def _read_error(text: str) -> str:
+    """The message ``json.loads`` gives for ``text``, as ``run`` prints it."""
+    with pytest.raises(ValueError) as info:
+        json.loads(text, parse_constant=cli._Literal)
+    return f"error: cannot read problem file: {info.value}\n"
+
+
+_PROBLEM = {"kind": "carleson", "parameters": {"zeros": [[0.5, 0.0]]}}
+
+
+class TestInputsText:
+    """A CLI report's ``inputs`` is the problem's ``parameters`` text as read."""
+
+    @pytest.mark.parametrize("kind", sorted(TestIntakeProperty.BASE))
+    def test_report_splices_the_parameters_text(self, kind, tmp_path, capsys):
+        parameters = TestIntakeProperty.BASE[kind]
+        problem = {"kind": kind, "parameters": parameters}
+        out = tmp_path / "report.json"
+        assert main(["run", str(write_problem(tmp_path, problem)), "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        report = json.loads(text)
+        assert report["inputs"] == parameters
+        assert f'"inputs": {json.dumps(parameters)},' in text
+        assert _pure_text(report) == "".join(cli._report_text(cli.run_problem(problem)))
+
+    def test_text_is_written_as_it_is(self):
+        pieces = cli._report_text({"inputs": cli._Text('{"a":  1.50}'), "kind": "x"})
+        assert "".join(pieces) == '{\n  "inputs": {"a":  1.50},\n  "kind": "x"\n}\n'
+
+    SEPARATORS = st.tuples(
+        st.sampled_from([",", ", ", " ,\n "]), st.sampled_from([":", ": ", " :\t"])
+    )
+    LAYOUT = st.fixed_dictionaries(
+        {
+            "indent": st.one_of(st.none(), st.integers(0, 4), st.just("\t")),
+            "separators": SEPARATORS,
+            "sort_keys": st.booleans(),
+        }
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        outer=SEPARATORS,
+        inner=LAYOUT,
+        order=st.permutations(["kind", "parameters"]),
+        names=st.permutations(["zeros", "coeffs", "n_max"]),
+        decoy=st.one_of(st.none(), st.integers(), st.dictionaries(st.text(max_size=3), st.integers())),
+    )
+    def test_any_layout_gives_the_same_report(self, outer, inner, order, names, decoy):
+        base = TestIntakeProperty.BASE["normal_construction"]
+        problem = {"kind": "normal_construction", "parameters": {name: base[name] for name in names}}
+        items = [(key, json.dumps(problem[key], **inner)) for key in order]
+        # The key repeats: the first "parameters" is a decoy, and the last one wins.
+        items.insert(order.index("parameters"), ("parameters", json.dumps(decoy, **inner)))
+        comma, colon = outer
+        text = "{" + comma.join(json.dumps(key) + colon + value for key, value in items) + "}\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "problem.json"
+            path.write_text(text, encoding="utf-8")
+            out = Path(tmp) / "report.json"
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert main(["run", str(path), "--out", str(out)]) == 0
+            report = json.loads(out.read_text(encoding="utf-8"))
+        assert report == json.loads("".join(cli._report_text(cli.run_problem(problem))))
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (json.dumps(_PROBLEM) + " x", _read_error(json.dumps(_PROBLEM) + " x")),
+            ("\ufeff" + json.dumps(_PROBLEM), _read_error("\ufeff" + json.dumps(_PROBLEM))),
+            ("[1, 2]", "error: invalid problem file: problem must be an object, got [1, 2]\n"),
+            (json.dumps(_PROBLEM)[:-8], _read_error(json.dumps(_PROBLEM)[:-8])),
+            (
+                '{"kind": "orbit_analysis", "parameters": {"T": [[[0.5, NaN]]], '
+                '"f0": [[1.0, 0.0]], "index_set": "N", "n_max": 4}}',
+                "error: T must be finite, got NaN\n",
+            ),
+        ],
+        ids=["trailing data", "byte order mark", "top-level array", "truncated", "NaN in T"],
+    )
+    def test_unreadable_file_exit_2(self, text, expected, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
 
 
 class TestTolerances:
