@@ -22,6 +22,17 @@ and writes one JSON object:
   ``model_space`` of ring zeros with ``decay_n_max`` = 2000.  Each row holds
   the best-of-k ms, the report's bytes and the tracemalloc peak over the
   problem file's bytes.
+* ``run_problem``: ``cli.run_problem(problem)`` in-process on a generated
+  problem dict, so no file is read or written, one row per kind at the size
+  of the benchmark's largest op of that kind (``perfbench/workloads.py``):
+  20 zeros up to radius 0.95 for ``carleson``; 20 up to 0.99 with
+  ``decay_n_max`` = 2000 for ``model_space``; the dense two-sided orbit
+  above at D = 200, n_max = 1024 for ``orbit_analysis``; 200 ring zeros at
+  0.98 with n_max = 16384 for ``normal_construction``; 9 zeros at radii
+  1 - 2^(-j-1) for ``perturbation``; two quarter arcs on M = 512 with n_max
+  = 2048 for ``biinfinite``; 2048 samples, 128 per unit interval, with
+  ``period_count`` = 8 for ``translates``.
+  Each row holds the best-of-k ms and the tracemalloc peak in bytes.
 * ``environment``: numpy, BLAS, BLAS threads, Python, CPU count, git sha.
 
 Inputs are built outside the timed call, and each timed call gets a fresh
@@ -233,6 +244,39 @@ def cli_rows(problems: dict, repeat: int) -> dict:
     return {"path": 'cli.main(["run", problem, "--out", report]), stderr silenced', "rows": rows}
 
 
+def run_problem_problems() -> dict:
+    """One problem per kind, keyed by kind, as a problem file would hold it."""
+    rng = np.random.default_rng(0)
+    spread = np.exp(2.4j * np.arange(20))  # about the golden angle apart
+    T, f0 = dense_unimodular(200)
+    boundary = (1.0 - 2.0 ** (-np.arange(9) - 1.0)) * np.exp(1j * rng.uniform(0.0, TWO_PI, 9))
+    weights = rng.uniform(0.5, 1.5, 200) * np.exp(1j * rng.uniform(0.0, TWO_PI, 200))
+    quarter = TWO_PI * 128 / 512
+    omega = np.arange(2 * 8 * 128) / 128 - 8
+    bumps = np.exp(-(omega**2)) * (1.0 + 0.5 * np.sin(3.0 * omega)) ** 2
+    bumps[np.abs(np.mod(omega, 1.0) - 0.5) < 0.1] = 0.0
+    parameters = {
+        "carleson": {"zeros": pairs(np.linspace(0.0, 0.95, 20) * spread)},
+        "model_space": {"zeros": pairs(np.linspace(0.1, 0.99, 20) * spread), "decay_n_max": 2000},
+        "orbit_analysis": {"T": pairs(T), "f0": pairs(f0), "index_set": "Z", "n_max": 1024},
+        "normal_construction": {"zeros": pairs(ring(200, 0.98)), "coeffs": pairs(weights), "n_max": 16384},
+        "perturbation": {
+            "zeros": pairs(boundary), "coeffs": pairs(weights[:9]), "k": 0, "l": 1, "tau": [0.3, 0.1],
+        },
+        "biinfinite": {"arcs": [[0.01, 0.01 + quarter], [3.0, 3.0 + quarter]], "M": 512, "n_max": 2048},
+        "translates": {"fhat_samples": bumps.tolist(), "period_count": 8},
+    }
+    return {kind: {"kind": kind, "parameters": params} for kind, params in parameters.items()}
+
+
+def run_problem_rows(problems: dict, repeat: int) -> dict:
+    rows = []
+    for kind, problem in problems.items():
+        ms, peak = measure(lambda: problem, cli.run_problem, repeat)
+        rows.append({"kind": kind, "ms": ms, "peak_bytes": peak})
+    return {"path": "cli.run_problem(problem) in-process, the problem dict built outside the timed call", "rows": rows}
+
+
 def environment() -> dict:
     try:
         proc = subprocess.run(["git", "-C", ROOT, "rev-parse", "HEAD"], capture_output=True, text=True)
@@ -283,6 +327,7 @@ def main(argv=None) -> int:
                   sizes(1024, 2048, 4096, 8192, 16383), taylor_case, repeat),
         ],
         "cli": cli_rows(cli_problems((50, 200), 10), repeat),
+        "run_problem": run_problem_rows(run_problem_problems(), repeat),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)

@@ -8,7 +8,7 @@ normal and perturbed constructions, and discretized multiplication
 operators on arc sets.
 """
 
-from .coeffs import CoeffVec, inner_product, multiply, restrict
+from .coeffs import CoeffVec, inner_product, multiply
 from .blaschke import (
     BlaschkeProduct,
     carleson_delta,
@@ -65,7 +65,6 @@ __all__ = [
     "CoeffVec",
     "inner_product",
     "multiply",
-    "restrict",
     "BlaschkeProduct",
     "carleson_delta",
     "delta_capacity",

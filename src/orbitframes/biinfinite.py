@@ -109,9 +109,6 @@ class ArcSet:
             inside |= (theta >= start) & (theta < end)
         return inside
 
-    def to_json(self) -> list:
-        return [[start, end] for start, end in self.arcs]
-
 
 def full_circle() -> ArcSet:
     return ArcSet(((0.0, TWO_PI),))

@@ -2,19 +2,20 @@
 
 A problem names a kind, its parameters and optionally an output path.
 This module alone decides what a valid problem is, before any
-computation: each kind's handler takes its parameters as keyword
+computation, and alone knows what a report holds: the library's types
+carry numbers, and each kind's handler builds its report's keys from
+them as plain dicts.  Each handler takes its parameters as keyword
 arguments, so a missing or unknown key is one its signature does not
 bind; each value then meets one type rule keyed by its name (sizes and
 indices are JSON integers, so ``8.0`` or ``true`` is rejected); and each
 numeric payload is parsed in one bulk pass that checks its shape and
 that every entry is a finite JSON number.  Ranges are checked by the
 library, but ``decay_n_max`` and ``bounds_schedule`` entries here, so the
-message names them.  A key that asks for work its problem does not do
-(``decay_csv`` without ``decay_n_max``, say) is rejected too.  Complex
-numbers travel as [re, im] pairs.  The ``NaN``, ``Infinity`` and
-``-Infinity`` literals are rejected, and a report that would hold a
-non-finite number is a numerical error that names its key path.  A
-report's ``inputs`` is the text of the problem's ``parameters`` value,
+message names them.  ``recover_generator`` on a two-sided orbit is
+rejected too.  Complex numbers travel as [re, im] pairs.  The ``NaN``,
+``Infinity`` and ``-Infinity`` literals are rejected, and a report that
+would hold a non-finite number is a numerical error that names its key
+path.  A report's ``inputs`` is the text of the problem's ``parameters`` value,
 exactly as the file writes it: ``run`` keeps that span of the file while
 json's C scanner parses it, and splices it back in place of reprinting
 every number.  The rest of a report is the bytes ``json.dumps(report,
@@ -23,13 +24,13 @@ C-encoded and re-indented (a matrix of pairs row by row), and it is
 encoded as a list of pieces that one ``writelines`` writes once the whole
 list is built, with no string as long as the report; its bytes are those
 of the joined text, byte-stable for a given problem file (default float
-repr, no timestamps).  ``run_problem`` returns the parsed parameters
-under ``inputs``.
+repr, no timestamps).  ``run_problem`` depends on the problem alone and
+writes no file; it returns the report dict, with the parsed parameters
+under ``inputs``, and the report is the one file a run writes.
 Wall time, the time to read the problem, encoding time and report size
-go to stderr.  CSV side outputs are written when the problem asks for
-them.  A report's ``tolerances`` lists the ``config`` constants its kind
-compares against.  ``main`` may be called repeatedly in one process; it
-builds its parser once.
+go to stderr.  A report's ``tolerances`` lists the ``config`` constants
+its kind compares against.  ``main`` may be called repeatedly in one
+process; it builds its parser once.
 
 Exit codes: 0 success, 1 failed verification criteria, 2 input or
 validation error, 3 numerical error from an inner module.
@@ -38,6 +39,7 @@ validation error, 3 numerical error from an inner module.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import inspect
 import json
@@ -58,7 +60,6 @@ from .biinfinite import (
     translates_phi,
 )
 from .blaschke import BlaschkeProduct, carleson_delta, delta_capacity
-from .coeffs import re_im
 from .constructions import (
     NormalOrbitSpec,
     build_normal_pair,
@@ -84,7 +85,7 @@ _CAPACITY_FORMULA = "2/delta^4 * (1 - 2*log(delta))"
 
 #: Names the type rule of ``_check_type`` reads as integers and as strings.
 _INTEGERS = frozenset({"n_max", "trunc_n", "decay_n_max", "k", "l", "M", "period_count"})
-_STRINGS = frozenset({"index_set", "decay_csv", "bounds_csv", "phi_csv", "output"})
+_STRINGS = frozenset({"index_set", "output"})
 
 
 class _Literal:
@@ -238,11 +239,9 @@ def _complex(value, name: str, ndim: int) -> np.ndarray:
     return pairs.view(np.complex128)[..., 0]
 
 
-def _write_csv(path: str, header: list, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
+def _pairs(a) -> list:
+    """Complex ``a`` as nested lists of [re, im] floats, signed zeros kept."""
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def _run_carleson(zeros) -> tuple[dict, dict, dict]:
@@ -257,19 +256,20 @@ def _run_carleson(zeros) -> tuple[dict, dict, dict]:
     return results, certificates, {}
 
 
-def _run_model_space(
-    zeros, trunc_n=None, decay_n_max=None, decay_csv=None
-) -> tuple[dict, dict, dict]:
-    if decay_csv is not None and decay_n_max is None:
-        raise ValueError("invalid problem file: decay_csv needs decay_n_max")
+def _run_model_space(zeros, trunc_n=None, decay_n_max=None) -> tuple[dict, dict, dict]:
     h = BlaschkeProduct(zeros=_complex(zeros, "zeros", 1))
     ms = build_model_space(h, n_trunc=trunc_n)
-    results = ms.to_dict()
+    results = {
+        "zeros": _pairs(h.zeros),
+        "dim": ms.dim,
+        "trunc_n": ms.trunc_n,
+        "shift_matrix": _pairs(ms.shift_matrix),
+        "phi": _pairs(ms.phi),
+        "gram_residual": ms.gram_residual,
+    }
     if decay_n_max is not None:
         config.check_size("decay_n_max", decay_n_max)
         results["decay_profile"] = decay_profile(ms, ms.phi, decay_n_max).tolist()
-        if decay_csv is not None:
-            _write_csv(decay_csv, ["n", "orbit_norm"], enumerate(results["decay_profile"]))
     return results, {}, {"gram_target": config.GRAM_TARGET}
 
 
@@ -280,25 +280,22 @@ def _run_orbit_analysis(
     n_max,
     recover_generator=False,
     bounds_schedule=None,
-    bounds_csv=None,
 ) -> tuple[dict, dict, dict]:
     if recover_generator and index_set == "Z":
         raise ValueError("invalid problem file: recover_generator needs index_set N")
-    if bounds_csv is not None and bounds_schedule is None:
-        raise ValueError("invalid problem file: bounds_csv needs bounds_schedule")
     spec = OrbitSpec(
         T=_complex(T, "T", 2),
         f0=_complex(f0, "f0", 1),
         index_set=index_set,
         n_max=n_max,
     )
-    results = {"frame_report": frame_bounds(spec).to_dict()}
+    results = {"frame_report": dataclasses.asdict(frame_bounds(spec))}
     if spec.index_set == "N":
         U = spec.columns
         if recover_generator:
             recovered, results["kernel_residual"] = generator_closure(U)
             gaps = np.linalg.norm(recovered @ U[:, :-1] - U[:, 1:], axis=0)
-            results["generator"] = re_im(recovered)
+            results["generator"] = _pairs(recovered)
             results["generator_consistency"] = float(gaps.max()) if gaps.size else 0.0
         else:
             results["kernel_residual"] = kernel_shift_invariance(U)
@@ -308,11 +305,8 @@ def _run_orbit_analysis(
         rows = []
         for m in bounds_schedule:
             config.check_size("bounds_schedule entry", m)
-            rows.append(frame_bounds(spec.window(m)).to_dict())
+            rows.append(dataclasses.asdict(frame_bounds(spec.window(m))))
         results["bounds_schedule"] = rows
-        if bounds_csv is not None:
-            keys = ["n_max", "lower_bound", "upper_bound", "parseval_defect"]
-            _write_csv(bounds_csv, keys, [[row[key] for key in keys] for row in rows])
     return results, {}, {"kernel_tol": config.KERNEL_TOL}
 
 
@@ -327,9 +321,16 @@ def _run_normal_construction(zeros, coeffs, n_max=None) -> tuple[dict, dict, dic
     slack = config.CONTAINMENT_SLACK
     contained = rep.lower_bound >= lo - tail - slack and rep.upper_bound <= hi + slack
     results = {
-        "spec": spec.to_dict(),
+        "spec": {
+            "zeros": _pairs(spec.zeros),
+            "coeffs": _pairs(spec.coeffs),
+            "alpha": spec.alpha,
+            "beta": spec.beta,
+            "delta": spec.delta,
+            "capacity": spec.capacity,
+        },
         "n_max": pair.n_max,
-        "frame_report": rep.to_dict(),
+        "frame_report": dataclasses.asdict(rep),
         "certificate_contains_measured": bool(contained),
     }
     certificates = {
@@ -352,10 +353,20 @@ def _run_perturbation(zeros, coeffs, k, l, tau, n_max=None) -> tuple[dict, dict,
     T = pair.orbit.T
     comm = T @ T.conj().T - T.conj().T @ T
     results = {
-        "perturbed": pair.to_dict(),
+        "perturbed": {
+            "k": pair.k,
+            "l": pair.l,
+            "tau": _pairs(pair.tau),
+            "riesz_lower": pair.riesz_lower,
+            "riesz_upper": pair.riesz_upper,
+            "certificate_lower": pair.certificate_lower,
+            "certificate_upper": pair.certificate_upper,
+            "biorthogonality_residual": pair.biorthogonality_residual,
+            "diagonalization_residual": pair.diagonalization_residual,
+        },
         "n_max": pair.orbit.n_max,
-        "frame_report": rep.to_dict(),
-        "excluded_tau": re_im(excluded_tau(spec, k, l)),
+        "frame_report": dataclasses.asdict(rep),
+        "excluded_tau": _pairs(excluded_tau(spec, k, l)),
         "commutator_kk": abs(comm[k, k]),
     }
     certificates = {
@@ -373,7 +384,7 @@ def _run_biinfinite(arcs, M, n_max=None, psi=None) -> tuple[dict, dict, dict]:
     rep = frame_bounds(pair)
     slack = config.CONTAINMENT_SLACK
     results = {
-        "arcs": sigma.to_json(),
+        "arcs": [list(arc) for arc in sigma.arcs],
         "M": M,
         "n_max": pair.n_max,
         "mask_count": pair.dim,
@@ -381,14 +392,14 @@ def _run_biinfinite(arcs, M, n_max=None, psi=None) -> tuple[dict, dict, dict]:
         "arc_measure": sigma.measure,
         "parseval_defect": parseval_defect(pair, M),
         "unitarity_defect": unitarity_defect(pair),
-        "frame_report": rep.to_dict(),
+        "frame_report": dataclasses.asdict(rep),
     }
     if psi is not None:
         psi = _complex(psi, "psi", 1)
         reseeded = commutant_multiplier(pair, psi)
         rep2 = frame_bounds(reseeded)
         mods2 = np.abs(psi) ** 2
-        results["reseeded_report"] = rep2.to_dict()
+        results["reseeded_report"] = dataclasses.asdict(rep2)
         results["reseeded_within_multiplier_bounds"] = bool(
             rep2.lower_bound >= rep.lower_bound * float(np.min(mods2)) - slack
             and rep2.upper_bound <= rep.upper_bound * float(np.max(mods2)) + slack
@@ -397,9 +408,7 @@ def _run_biinfinite(arcs, M, n_max=None, psi=None) -> tuple[dict, dict, dict]:
     return results, {}, {"containment_slack": slack, "window_normalization": window}
 
 
-def _run_translates(
-    fhat_samples, period_count, phi_csv=None
-) -> tuple[dict, dict, dict]:
+def _run_translates(fhat_samples, period_count) -> tuple[dict, dict, dict]:
     samples = _numbers(fhat_samples, "fhat_samples", (None,))
     prof = translates_phi(samples, period_count)
     results = {
@@ -408,9 +417,8 @@ def _run_translates(
         "ess_inf": prof.ess_inf,
         "ess_sup": prof.ess_sup,
         "threshold": prof.threshold,
+        "phi": prof.phi.tolist(),
     }
-    if phi_csv is not None:
-        _write_csv(phi_csv, ["omega", "phi"], zip(prof.omegas.tolist(), prof.phi.tolist()))
     return results, {}, {"support_threshold_rel": config.SUPPORT_THRESHOLD_REL}
 
 

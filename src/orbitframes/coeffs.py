@@ -2,9 +2,8 @@
 
 A square-summable sequence is stored as one contiguous complex block
 together with the absolute index of its first entry.  Everything outside
-the window is zero.  Besides the window type this module keeps window
-restriction, the [re, im] form reports use, and the convolution product
-and pairing of two windows.
+the window is zero.  Besides the window type this module keeps the
+convolution product and pairing of two windows.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ import numpy as np
 
 __all__ = [
     "CoeffVec",
-    "restrict",
-    "re_im",
     "multiply",
     "inner_product",
 ]
@@ -44,29 +41,6 @@ class CoeffVec:
     def hi(self) -> int:
         """Absolute index of the last stored coefficient (lo - 1 if empty)."""
         return self.lo + len(self.coeffs) - 1
-
-    def coeff(self, n: int) -> complex:
-        """Coefficient at absolute index ``n`` (zero outside the window)."""
-        if self.lo <= n <= self.hi:
-            return complex(self.coeffs[n - self.lo])
-        return 0j
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-
-def restrict(a: CoeffVec, lo: int | None, hi: int | None) -> CoeffVec:
-    """Window restriction to [lo, hi] (None leaves a side open)."""
-    new_lo = a.lo if lo is None else max(a.lo, lo)
-    new_hi = a.hi if hi is None else min(a.hi, hi)
-    if new_hi < new_lo:
-        return CoeffVec(0, [])
-    return CoeffVec(new_lo, a.coeffs[new_lo - a.lo : new_hi - a.lo + 1])
-
-
-def re_im(a) -> list:
-    """Complex array ``a`` as nested lists of [re, im] floats, signed zeros kept."""
-    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def multiply(a: CoeffVec, b: CoeffVec) -> CoeffVec:

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blaschke import carleson_delta, delta_capacity, validate_zeros
-from .coeffs import re_im
 from .config import EXCLUDED_TAU_RTOL
 from .errors import NumericalError
 from .orbits import OrbitSpec, converged_depth
@@ -91,16 +90,6 @@ class NormalOrbitSpec:
     @property
     def size(self) -> int:
         return self.zeros.shape[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "zeros": re_im(self.zeros),
-            "coeffs": re_im(self.coeffs),
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "delta": self.delta,
-            "capacity": self.capacity,
-        }
 
 
 def build_normal_pair(spec: NormalOrbitSpec, n_max: int | None = None) -> OrbitSpec:
@@ -174,19 +163,6 @@ class PerturbedPair:
     certificate_upper: float
     biorthogonality_residual: float
     diagonalization_residual: float
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "l": self.l,
-            "tau": [self.tau.real, self.tau.imag],
-            "riesz_lower": self.riesz_lower,
-            "riesz_upper": self.riesz_upper,
-            "certificate_lower": self.certificate_lower,
-            "certificate_upper": self.certificate_upper,
-            "biorthogonality_residual": self.biorthogonality_residual,
-            "diagonalization_residual": self.diagonalization_residual,
-        }
 
 
 def perturb_tau(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, _compressed_shift
 from .config import GRAM_TARGET, check_size, max_truncation
-from .coeffs import CoeffVec, re_im, restrict
+from .coeffs import CoeffVec
 from .errors import NumericalError
 from .orbits import orbit_columns
 
@@ -80,21 +80,10 @@ class ModelSpace:
         return self.h.degree
 
     @property
-    def basis(self) -> tuple[CoeffVec, ...]:
-        """Coefficient windows of the orthonormal basis on [0, trunc_n]."""
-        rows = orbit_columns(self.shift_matrix, self.phi, _window(self)).conj()
-        return tuple(CoeffVec(0, row) for row in rows)
-
-    def to_dict(self) -> dict:
-        """JSON-ready summary (complex entries as [re, im] pairs)."""
-        return {
-            "zeros": re_im(self.h.zeros),
-            "dim": self.dim,
-            "trunc_n": self.trunc_n,
-            "shift_matrix": re_im(self.shift_matrix),
-            "phi": re_im(self.phi),
-            "gram_residual": self.gram_residual,
-        }
+    def basis(self) -> np.ndarray:
+        """The orthonormal basis on [0, trunc_n], shape (dim, trunc_n + 1):
+        row k holds coefficients 0..trunc_n of the k-th basis element."""
+        return orbit_columns(self.shift_matrix, self.phi, _window(self)).conj()
 
 
 def build_model_space(h: BlaschkeProduct, n_trunc: int | None = None) -> ModelSpace:
@@ -163,9 +152,10 @@ def _coordinates(ms: ModelSpace, f: CoeffVec, n: int) -> tuple[np.ndarray, np.nd
     """``basis_coordinates(ms, f)`` and the one orbit window of phi it reads,
     over [0, max(n, deg f)], for a caller that also needs [0, n]."""
     _check_finite(f.coeffs)
-    f = restrict(f, 0, None)
+    lo = max(f.lo, 0)
+    coeffs = f.coeffs[lo - f.lo :]  # empty when the window lies wholly below 0
     U = orbit_columns(ms.shift_matrix, ms.phi, max(n, f.hi))
-    return U[:, f.lo : f.hi + 1] @ f.coeffs, U
+    return U[:, lo : lo + coeffs.size] @ coeffs, U
 
 
 def project_model(ms: ModelSpace, f: CoeffVec) -> CoeffVec:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -273,9 +273,6 @@ class FrameReport:
     n_max: int
     tail_estimate: float | None
     lower_bound_floor: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _one_minus(z: np.ndarray) -> np.ndarray:
@@ -623,16 +620,18 @@ def _finite_columns(frame_columns: np.ndarray) -> np.ndarray:
 
 
 def kernel_shift_invariance(frame_columns: np.ndarray, tol: float = KERNEL_TOL) -> float:
-    """Invariance defect of the synthesis kernel under the right shift.
+    """Invariance defect of the synthesis kernel under the shift, on the window.
 
-    Returns the spectral norm of U R on ker U,
-    ``||U R - (U R V_r*) V_r||_2``, where R is the right shift (column n
-    of U R is column n + 1 of U, the last is zero) and V_r holds the right
-    singular vectors of U whose singular values are at least ``tol`` times
-    the largest.  The value does not depend on a choice of kernel basis;
-    it is exactly 0.0 when the kernel is trivial and near zero exactly
-    when the truncated kernel is shift invariant, which is the
-    finite-window test for the columns being a single operator's orbit.
+    With U_0 = U[:, :-1] and U_1 = U[:, 1:] (the window without its last
+    and without its first column), returns the spectral norm of U_1 on
+    ker U_0, ``||U_1 - (U_1 V_r*) V_r||_2``, where V_r holds the right
+    singular vectors of U_0 whose singular values are at least ``tol``
+    times the largest.  This is the finite-window form of the criterion
+    that the kernel is shift invariant: ker U_0 lies in ker U_1 exactly
+    when one operator maps each column to the next, so no column past the
+    window enters it.  The value does not depend on a choice of kernel
+    basis; it is exactly 0.0 when ker U_0 is trivial (one column included)
+    and near zero exactly when the columns are a single operator's orbit.
     One thin SVD and a few D x L products: O(D^2 L), no L x L factor.
     Columns must be in one-sided index order.
     """
@@ -643,34 +642,38 @@ def kernel_shift_invariance(frame_columns: np.ndarray, tol: float = KERNEL_TOL) 
 
 
 def _shift_kernel(U: np.ndarray, tol: float) -> tuple:
-    """The residual of ``kernel_shift_invariance``, the thin SVD U = W S V* and U R V_r."""
-    W, svals, vh = np.linalg.svd(U, full_matrices=False)
-    V = vh[: int(np.count_nonzero(svals >= tol * svals[0]))]
-    UR = np.pad(U[:, 1:], ((0, 0), (0, 1)))
-    X = UR @ V.conj().T
-    residual = 0.0 if V.shape[0] == U.shape[1] else float(np.linalg.norm(UR - X @ V, 2))
+    """The residual of ``kernel_shift_invariance``, the thin SVD U_0 = W S V* and U_1 V_r."""
+    U0, U1 = U[:, :-1], U[:, 1:]
+    W, svals, vh = np.linalg.svd(U0, full_matrices=False)
+    top = float(svals.max(initial=0.0))
+    V = vh[: int(np.count_nonzero((svals >= tol * top) & (svals > 0.0)))]
+    X = U1 @ V.conj().T
+    residual = 0.0 if V.shape[0] == U0.shape[1] else float(np.linalg.norm(U1 - X @ V, 2))
     return residual, W, svals, X
 
 
 def generator_closure(frame_columns: np.ndarray) -> tuple[np.ndarray, float]:
-    """The generator U R U^+ of one-sided orbit columns, and its kernel residual.
+    """The generator U_1 U_0^+ of one-sided orbit columns, and its kernel residual.
 
-    One thin SVD U = W S V* gives ``kernel_shift_invariance(U)``, which equals
-    ||(U R U^+) U - U R||_2, the frame-capture check and U^+ = V S^-1 W*.
-    ``ShiftInvarianceError`` when the residual exceeds ``KERNEL_TOL * ||U||_2``
-    (a verdict free of the seed's scale); ``NumericalError`` when sigma_min^2
-    <= ``KERNEL_TOL`` sigma_max^2 (frame not captured at this truncation).
+    One thin SVD U_0 = W S V* of the window without its last column gives
+    ``kernel_shift_invariance(U)``, which equals ||(U_1 U_0^+) U_0 - U_1||_2,
+    the frame-capture check and U_0^+ = V S^-1 W*.  ``ShiftInvarianceError``
+    when the residual exceeds ``KERNEL_TOL * ||U_0||_2`` (a verdict free of
+    the seed's scale); ``NumericalError`` when sigma_min(U_0)^2 <=
+    ``KERNEL_TOL`` sigma_max(U_0)^2 (frame not captured at this truncation,
+    as for a single column).
     """
     U = _finite_columns(frame_columns)
     residual, W, svals, X = _shift_kernel(U, KERNEL_TOL)
-    ceiling = KERNEL_TOL * float(svals[0])
+    top = float(svals.max(initial=0.0))
+    ceiling = KERNEL_TOL * top
     if residual > ceiling:
         raise ShiftInvarianceError(residual, ceiling)
     low = float(svals[-1]) ** 2 if svals.size == U.shape[0] else 0.0
-    if low <= KERNEL_TOL * float(svals[0]) ** 2:
+    if low <= KERNEL_TOL * top**2:
         raise NumericalError(
             f"frame not captured at this truncation: smallest frame "
-            f"eigenvalue {low:.3e} against largest {float(svals[0]) ** 2:.3e}"
+            f"eigenvalue {low:.3e} against largest {top**2:.3e}"
         )
     return (X / svals) @ W.conj().T, residual
 

@@ -1,5 +1,6 @@
 """Arc-set grids, two-sided multiplication orbits, translate profiles."""
 
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from orbitframes import (
     translates_phi,
     unitarity_defect,
 )
+from orbitframes.cli import run_problem
 from orbitframes.config import GRID_MASK_MAX
 
 TWO_PI = 2.0 * math.pi
@@ -109,8 +111,11 @@ class TestArcSet:
         assert full_circle().measure == 1.0
 
     def test_to_json_round_trips(self):
+        # The arcs as a biinfinite report writes them build the same arc set.
         sigma = ArcSet(((0.25, 1.0), (2.0, 3.0)))
-        assert ArcSet(tuple(map(tuple, sigma.to_json()))).arcs == sigma.arcs
+        problem = {"kind": "biinfinite", "parameters": {"arcs": [[0.25, 1.0], [2.0, 3.0]], "M": 8}}
+        arcs = json.loads(json.dumps(run_problem(problem)["results"]["arcs"]))
+        assert ArcSet(tuple(map(tuple, arcs))).arcs == sigma.arcs
 
 
 class TestGrid:

@@ -1,6 +1,7 @@
-"""End-to-end CLI checks: intake rule, reports, side files, exit codes."""
+"""End-to-end CLI checks: intake rule, reports, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -114,22 +115,16 @@ class TestModelSpace:
         assert results["gram_residual"] <= 1e-10
 
     def test_decay_profile_and_csv(self, tmp_path, capsys):
-        csv_path = tmp_path / "decay.csv"
+        # The profile n -> ||A^n phi|| is in the report, the one file a run writes.
         payload = {
             "kind": "model_space",
-            "parameters": {
-                "zeros": [[0.6, 0.0]],
-                "decay_n_max": 8,
-                "decay_csv": str(csv_path),
-            },
+            "parameters": {"zeros": [[0.6, 0.0]], "decay_n_max": 8},
         }
         report = run_to_report(tmp_path, payload, capsys)
         profile = report["results"]["decay_profile"]
         assert len(profile) == 9
-        assert profile[1] == pytest.approx(0.6 * profile[0], rel=1e-12)
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "n,orbit_norm"
-        assert len(lines) == 10
+        assert profile == pytest.approx([0.8 * 0.6**n for n in range(9)], rel=1e-12)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json"]
 
 
 class TestOrbitAnalysis:
@@ -203,7 +198,7 @@ class TestOrbitAnalysis:
         rows = run_to_report(tmp_path, payload, capsys)["results"]["bounds_schedule"]
         spec = orbits.OrbitSpec(T=T, f0=f0, index_set="N", n_max=40)
         for row, m in zip(rows, [8, 40, 4096]):
-            assert row == orbits.frame_bounds(spec.window(m)).to_dict()
+            assert row == dataclasses.asdict(orbits.frame_bounds(spec.window(m)))
             assert row["tail_estimate"] is not None
 
     def test_overflowing_block_powers_exit_0(self, tmp_path, capsys):
@@ -237,7 +232,7 @@ class TestOrbitAnalysis:
         assert report["results"]["unitarity_defect"] < 1e-12
 
     def test_bounds_schedule_csv(self, tmp_path, capsys):
-        csv_path = tmp_path / "bounds.csv"
+        # Each schedule row holds its window's bounds; no other file is written.
         payload = {
             "kind": "orbit_analysis",
             "parameters": {
@@ -246,7 +241,6 @@ class TestOrbitAnalysis:
                 "index_set": "N",
                 "n_max": 16,
                 "bounds_schedule": [4, 8, 16],
-                "bounds_csv": str(csv_path),
             },
         }
         report = run_to_report(tmp_path, payload, capsys)
@@ -254,9 +248,27 @@ class TestOrbitAnalysis:
         assert [r["n_max"] for r in rows] == [4, 8, 16]
         uppers = [r["upper_bound"] for r in rows]
         assert uppers[0] < uppers[1] < uppers[2]
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "n_max,lower_bound,upper_bound,parseval_defect"
-        assert len(lines) == 4
+        for row in rows:
+            assert {"lower_bound", "upper_bound", "parseval_defect"} <= set(row)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json"]
+
+    def test_one_step_orbit_recovers_its_generator(self, tmp_path, capsys):
+        # Two columns, f0 and T f0: the window alone names T; the test reads no
+        # column past it.
+        payload = {
+            "kind": "orbit_analysis",
+            "parameters": {
+                "T": [[[0.5, 0.0]]],
+                "f0": [[1.0, 0.0]],
+                "index_set": "N",
+                "n_max": 1,
+                "recover_generator": True,
+            },
+        }
+        results = run_to_report(tmp_path, payload, capsys)["results"]
+        assert results["kernel_residual"] == 0.0
+        assert results["generator"] == [[[0.5, 0.0]]]
+        assert results["generator_consistency"] == 0.0
 
     def test_non_finite_two_sided_operator_exit_2(self, tmp_path, capsys):
         payload = {
@@ -497,17 +509,13 @@ class TestBiinfinite:
 
 class TestTranslates:
     def test_flat_band_with_csv(self, tmp_path, capsys):
+        # phi is the profile on omega_i = i / m; no other file is written.
         m = 64
         x = -2 + np.arange(4 * m) / m
         samples = ((x >= 0.0) & (x < 1.0)).astype(float)
-        csv_path = tmp_path / "phi.csv"
         payload = {
             "kind": "translates",
-            "parameters": {
-                "fhat_samples": samples.tolist(),
-                "period_count": 2,
-                "phi_csv": str(csv_path),
-            },
+            "parameters": {"fhat_samples": samples.tolist(), "period_count": 2},
         }
         report = run_to_report(tmp_path, payload, capsys)
         results = report["results"]
@@ -515,9 +523,8 @@ class TestTranslates:
         assert results["support_measure"] == 1.0
         assert results["ess_inf"] == 1.0
         assert results["ess_sup"] == 1.0
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "omega,phi"
-        assert len(lines) == m + 1
+        assert results["phi"] == [1.0] * m
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json"]
 
 
 class TestOutputRouting:
@@ -664,13 +671,13 @@ class TestInputGate:
             ),
             (
                 "orbit_analysis",
-                {"recover_generator": False, "bounds_csv": "bounds.csv"},
-                "invalid problem file: bounds_csv needs bounds_schedule",
+                {"bounds_schedule": [8], "bounds_csv": "bounds.csv"},
+                "got an unexpected keyword argument 'bounds_csv'",
             ),
             (
                 "model_space",
-                {"decay_n_max": None, "decay_csv": "decay.csv"},
-                "invalid problem file: decay_csv needs decay_n_max",
+                {"decay_csv": "decay.csv"},
+                "got an unexpected keyword argument 'decay_csv'",
             ),
         ],
         ids=["recover_generator", "bounds_csv", "decay_csv"],
@@ -678,10 +685,9 @@ class TestInputGate:
     def test_work_the_problem_does_not_do_exit_2(
         self, kind, parameters, message, tmp_path, capsys
     ):
-        # Each of these used to exit 0 with no generator or file written.
-        # A None value drops that key from the base problem.
+        # A generator a two-sided window does not recover, and a CSV side
+        # file no run writes: each exits 2 and names its key, writing nothing.
         parameters = dict(TestIntakeProperty.BASE[kind], **parameters)
-        parameters = {k: v for k, v in parameters.items() if v is not None}
         for name in ("bounds_csv", "decay_csv"):
             if name in parameters:
                 parameters[name] = str(tmp_path / parameters[name])
@@ -881,7 +887,7 @@ def _same_shape(value, leaf):
 
 class TestIntakeProperty:
     """Any numeric payload, finite or not, and any value of an integer, flag
-    or path parameter ends in exit 0, 2 or 3; any size past the truncation
+    or string parameter ends in exit 0, 2 or 3; any size past the truncation
     ceiling or integer given as another JSON type ends in exit 2."""
 
     BASE = {
@@ -924,21 +930,20 @@ class TestIntakeProperty:
         "biinfinite": ["arcs", "psi"],
         "translates": ["fhat_samples"],
     }
-    #: The integer, flag and path parameters of each kind.
+    #: The integer, flag and string parameters of each kind.
     OTHER = {
         "carleson": [],
-        "model_space": ["trunc_n", "decay_n_max", "decay_csv"],
+        "model_space": ["trunc_n", "decay_n_max"],
         "orbit_analysis": [
             "index_set",
             "n_max",
             "recover_generator",
             "bounds_schedule",
-            "bounds_csv",
         ],
         "normal_construction": ["n_max"],
         "perturbation": ["k", "l", "n_max"],
         "biinfinite": ["M", "n_max"],
-        "translates": ["period_count", "phi_csv"],
+        "translates": ["period_count"],
     }
     FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers())
     LEAF = st.one_of(
@@ -971,8 +976,6 @@ class TestIntakeProperty:
                 else:
                     value = self.SCALAR
                 parameters[name] = data.draw(value, label=name)
-                if name.endswith("_csv") and isinstance(parameters[name], str):
-                    parameters[name] = str(Path(tmp) / parameters[name])
             path = Path(tmp) / "problem.json"
             path.write_text(json.dumps({"kind": kind, "parameters": parameters}))
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -1236,6 +1239,23 @@ class TestInputsText:
         assert main(["run", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == expected
         assert not out.exists()
+
+
+class TestRunProblem:
+    """``run_problem`` is a function of the problem alone; the report is the
+    one file a run writes."""
+
+    @pytest.mark.parametrize("kind", sorted(TestIntakeProperty.BASE))
+    def test_writes_no_file_and_returns_the_report(self, kind, tmp_path, monkeypatch, capsys):
+        problem = {"kind": kind, "parameters": TestIntakeProperty.BASE[kind]}
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        report = cli.run_problem(problem)
+        assert list(workdir.iterdir()) == []
+        loaded = run_to_report(tmp_path, problem, capsys)
+        del report["inputs"], loaded["inputs"]
+        assert json.loads(json.dumps(report)) == loaded
 
 
 class TestTolerances:

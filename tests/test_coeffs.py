@@ -10,7 +10,6 @@ from orbitframes import (
     CoeffVec,
     inner_product,
     multiply,
-    restrict,
     taylor_coeffs,
 )
 
@@ -29,8 +28,10 @@ def monomial(n, c=1.0):
 
 
 def dense(a, lo, hi):
-    """Coefficients of ``a`` on [lo, hi] as one array."""
-    return np.array([a.coeff(n) for n in range(lo, hi + 1)], dtype=np.complex128)
+    """Coefficients of ``a`` on [lo, hi] as one array (zero outside its window)."""
+    out = np.zeros(hi - lo + 1, dtype=np.complex128)
+    out[a.lo - lo : a.hi - lo + 1] = a.coeffs
+    return out
 
 
 def same(a, b):
@@ -51,9 +52,8 @@ class TestBasics:
         a = CoeffVec(-2, [1.0, 2.0, 3.0])
         assert a.lo == -2
         assert a.hi == 0
-        assert len(a) == 3
-        assert a.coeff(-1) == 2.0
-        assert a.coeff(5) == 0.0
+        assert np.array_equal(dense(a, -2, 5), [1.0, 2.0, 3.0, 0, 0, 0, 0, 0])
+        assert CoeffVec(4, []).hi == 3
 
     def test_coeffs_frozen(self):
         a = CoeffVec(0, [1.0, 2.0])
@@ -85,30 +85,6 @@ class TestInnerProduct:
     def test_parseval_square_sum(self, a):
         direct = float(np.sum(np.abs(a.coeffs) ** 2))
         assert abs(inner_product(a, a) - direct) <= PAIRING_TOL * (1.0 + direct)
-
-
-class TestProjections:
-    """Restriction to indices >= 0 and <= -1: the analytic and co-analytic halves."""
-
-    def test_index_filter(self):
-        a = CoeffVec(-1, [1.0, 1.0, 1.0])
-        plus = restrict(a, 0, None)
-        minus = restrict(a, None, -1)
-        assert plus.lo == 0 and plus.hi == 1
-        assert minus.lo == -1 and minus.hi == -1
-
-    @given(coeff_vecs())
-    def test_partition_of_identity(self, a):
-        plus = restrict(a, 0, None)
-        minus = restrict(a, None, -1)
-        assert len(plus) + len(minus) == len(a)
-        assert same(CoeffVec(a.lo, np.concatenate([minus.coeffs, plus.coeffs])), a)
-
-    @given(coeff_vecs())
-    def test_idempotent_and_annihilating(self, a):
-        plus = restrict(a, 0, None)
-        assert same(restrict(plus, 0, None), plus)
-        assert len(restrict(plus, None, -1)) == 0
 
 
 class TestMultiply:
@@ -145,7 +121,7 @@ class TestMultiply:
         # |h| = 1 on the circle, so h * conj(h on the circle) collapses to 1.
         h = taylor_coeffs(BlaschkeProduct(zeros=[0.5]), 60)
         product = multiply(h, CoeffVec(-h.hi, np.conj(h.coeffs[::-1])))
-        assert abs(product.coeff(0) - 1.0) < UNIMODULAR_TOL
+        assert abs(product.coeffs[-product.lo] - 1.0) < UNIMODULAR_TOL
         rest = np.delete(product.coeffs, -product.lo)
         assert float(np.max(np.abs(rest))) < UNIMODULAR_TOL
 
@@ -156,12 +132,3 @@ class TestMultiply:
         before = inner_product(a, b)
         after = inner_product(za, zb)
         assert abs(before - after) <= PAIRING_TOL * (1.0 + abs(before))
-
-
-class TestWindowTools:
-    def test_restrict_open_sides(self):
-        a = CoeffVec(-3, np.arange(7.0))
-        assert restrict(a, None, 0).hi == 0
-        assert restrict(a, -1, None).lo == -1
-        empty = restrict(a, 10, 20)
-        assert len(empty.coeffs) == 0

@@ -1,5 +1,7 @@
 """Seeded diagonal orbits, skewed-basis variants, rank-one perturbations."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from orbitframes import (
     similarity_transport,
     synthesis_matrix,
 )
+from orbitframes.cli import run_problem
 from orbitframes.config import max_truncation
 
 from helpers import brute_force_tail
@@ -79,12 +82,18 @@ class TestNormalOrbitSpec:
         zeros[0] = 0.0  # must not raise; the constructed object owns a copy
 
     def test_to_dict(self):
+        # The spec as the report writes it: the CLI builds the dict.
         spec = NormalOrbitSpec(zeros=[0.5j], coeffs=[2.0])
-        d = spec.to_dict()
+        problem = {
+            "kind": "normal_construction",
+            "parameters": {"zeros": [[0.0, 0.5]], "coeffs": [[2.0, 0.0]], "n_max": 8},
+        }
+        d = run_problem(problem)["results"]["spec"]
         assert d["zeros"] == [[0.0, 0.5]]
         assert d["coeffs"] == [[2.0, 0.0]]
         assert d["delta"] == 1.0
         assert set(d) == {"zeros", "coeffs", "alpha", "beta", "delta", "capacity"}
+        assert [d[k] for k in ("alpha", "beta", "capacity")] == [spec.alpha, spec.beta, spec.capacity]
 
 
 class TestCertificateBounds:
@@ -408,9 +417,13 @@ class TestPerturbTau:
         assert product == pytest.approx(1.0, rel=4 * np.finfo(float).eps, abs=0)
 
     def test_to_dict_keys(self):
-        spec = NormalOrbitSpec(zeros=[0.5, 0.75], coeffs=[1.0, 1.0])
-        d = perturb_tau(spec, 0, 1, 0.05).to_dict()
+        # The perturbed pair as the report writes it: the CLI builds the dict.
+        parameters = {"zeros": [[0.5, 0.0], [0.75, 0.0]], "coeffs": [[1.0, 0.0], [1.0, 0.0]]}
+        problem = {"kind": "perturbation", "parameters": dict(parameters, k=0, l=1, tau=[0.05, 0.0])}
+        d = run_problem(problem)["results"]["perturbed"]
+        pair = perturb_tau(NormalOrbitSpec(zeros=[0.5, 0.75], coeffs=[1.0, 1.0]), 0, 1, 0.05)
         assert d["tau"] == [0.05, 0.0]
+        assert d["riesz_lower"] == pair.riesz_lower and d["k"] == 0 and d["l"] == 1
         assert set(d) >= {
             "riesz_lower",
             "riesz_upper",
@@ -510,7 +523,7 @@ class TestClosedForm:
         window = perturb_tau(spec, 0, 1, 0.3j, 4096).orbit.window(256)
         built = perturb_tau(spec, 0, 1, 0.3j, 256).orbit
         report = frame_bounds(window)
-        assert report.to_dict() == frame_bounds(built).to_dict()
+        assert asdict(report) == asdict(frame_bounds(built))
         assert report.lower_bound_floor == window.closed_form[1] * report.upper_bound
         assert "columns" not in window.__dict__
 

@@ -23,6 +23,7 @@ from orbitframes import (
     taylor_coeffs,
 )
 from orbitframes import model_space
+from orbitframes.cli import run_problem
 from test_blaschke import convolution_coeffs
 
 GRAM_TOL = 1e-10
@@ -116,15 +117,15 @@ class TestReferenceCases:
         assert ms.dim == 1
         assert ms.shift_matrix[0, 0] == 0.0
         assert ms.phi[0] == 1.0
-        assert np.array_equal(ms.basis[0].coeffs, unit(0, ms.trunc_n + 1))
+        assert np.array_equal(ms.basis[0], unit(0, ms.trunc_n + 1))
 
     def test_h_equals_z_squared(self):
         ms = build_model_space(BlaschkeProduct(zeros=[0.0, 0.0]))
         assert ms.dim == 2
         assert np.array_equal(ms.shift_matrix, np.array([[0.0, 0.0], [1.0, 0.0]]))
         assert np.array_equal(ms.phi, np.array([1.0, 0.0]))
-        assert np.array_equal(ms.basis[0].coeffs, unit(0, ms.trunc_n + 1))
-        assert np.array_equal(ms.basis[1].coeffs, unit(1, ms.trunc_n + 1))
+        assert np.array_equal(ms.basis[0], unit(0, ms.trunc_n + 1))
+        assert np.array_equal(ms.basis[1], unit(1, ms.trunc_n + 1))
 
     def test_single_factor(self):
         a = 0.6
@@ -134,8 +135,8 @@ class TestReferenceCases:
         assert abs(ms.phi[0] - 0.8) < 1e-15
         # Basis vector is sqrt(1 - a^2) * (1 + a z + a^2 z^2 + ...).
         e = ms.basis[0]
-        assert abs(e.coeff(0) - 0.8) < 1e-15
-        assert abs(e.coeff(3) - 0.8 * a**3) < 1e-15
+        assert abs(e[0] - 0.8) < 1e-15
+        assert abs(e[3] - 0.8 * a**3) < 1e-15
 
 
 class TestValidation:
@@ -177,7 +178,7 @@ class TestBasisQuality:
     @given(products())
     def test_gram_near_identity(self, h):
         ms = build_model_space(h)
-        rows = np.array([e.coeffs for e in ms.basis])
+        rows = ms.basis
         gram = rows @ rows.conj().T
         assert np.linalg.norm(gram - np.eye(ms.dim), 2) <= GRAM_TOL
         assert ms.gram_residual <= GRAM_TOL
@@ -186,13 +187,13 @@ class TestBasisQuality:
     @given(products())
     def test_rows_match_series_oracle(self, h):
         ms = build_model_space(h)
-        rows = np.array([e.coeffs for e in ms.basis])
+        rows = ms.basis
         assert np.max(np.abs(rows - tm_expansions(h.zeros, ms.trunc_n))) <= 1e-14
 
     def test_rows_match_series_oracle_near_boundary(self):
         h = BlaschkeProduct(zeros=[0.999, -0.5j])
         ms = build_model_space(h)
-        rows = np.array([e.coeffs for e in ms.basis])
+        rows = ms.basis
         assert np.max(np.abs(rows - tm_expansions(h.zeros, ms.trunc_n))) <= 1e-14
 
     @settings(max_examples=30)
@@ -200,7 +201,7 @@ class TestBasisQuality:
     def test_dim_matches_degree(self, h):
         ms = build_model_space(h)
         assert ms.dim == h.degree
-        assert len(ms.basis) == h.degree
+        assert ms.basis.shape == (h.degree, ms.trunc_n + 1)
 
     @settings(max_examples=30)
     @given(products())
@@ -271,6 +272,17 @@ class TestProjection:
         across = project_model(ms, CoeffVec(-2, [5.0, 7.0j, 1.0, 0.5]))
         inside = project_model(ms, CoeffVec(0, [1.0, 0.5]))
         assert np.array_equal(across.coeffs, inside.coeffs)
+
+    def test_window_wholly_below_zero_pairs_with_nothing(self):
+        # The window [-5, -3] ends below -1, where a slice that stops at hi + 1
+        # would count from the end of the orbit window instead.
+        ms = build_model_space(BlaschkeProduct(zeros=[0.3, -0.5j]))
+        f = CoeffVec(-5, [1.0, 2.0, 3.0])
+        coords = basis_coordinates(ms, f)
+        assert coords.shape == (ms.dim,) and not coords.any()
+        out = project_model(ms, f)
+        assert out.lo == 0 and len(out.coeffs) == ms.trunc_n + 1
+        assert not out.coeffs.any()
 
     @settings(max_examples=30)
     @given(products(max_degree=4, r_max=0.7), st.integers(min_value=0, max_value=32))
@@ -438,7 +450,7 @@ class TestDecayProfile:
         ms = build_model_space(h, n_trunc=128)
         rng = np.random.default_rng(h.degree)
         coords = rng.standard_normal(ms.dim) + 1j * rng.standard_normal(ms.dim)
-        f = coords @ np.array([e.coeffs for e in ms.basis])
+        f = coords @ ms.basis
         h_t = taylor_coeffs(h, ms.trunc_n + 8).coeffs
         # Entry j of g is the coefficient at index j - deg(h_t) of f conj(h).
         g = np.convolve(f, h_t[::-1].conj())
@@ -485,8 +497,10 @@ def norm_of(v: CoeffVec) -> float:
 
 class TestSerialization:
     def test_to_dict_shape(self):
-        ms = build_model_space(BlaschkeProduct(zeros=[0.0, 0.0]))
-        d = ms.to_dict()
+        # The model space as the report writes it: the CLI builds the dict.
+        problem = {"kind": "model_space", "parameters": {"zeros": [[0.0, 0.0], [0.0, 0.0]]}}
+        d = run_problem(problem)["results"]
+        assert set(d) == {"zeros", "dim", "trunc_n", "shift_matrix", "phi", "gram_residual"}
         assert d["dim"] == 2
         assert d["shift_matrix"][1][0] == [1.0, 0.0]
         assert d["phi"][0] == [1.0, 0.0]

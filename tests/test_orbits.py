@@ -3,6 +3,7 @@
 import re
 import tracemalloc
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -49,15 +50,18 @@ def seed(d: int) -> np.ndarray:
 
 
 def brute_force_kernel_residual(U: np.ndarray, tol: float = 1e-10) -> float:
-    """||U R N||_2 with N an orthonormal null basis from a full SVD."""
-    L = U.shape[1]
-    _, svals, vh = np.linalg.svd(U, full_matrices=True)
+    """||U_1 N||_2 with U_0, U_1 the window without its last and its first
+    column and N an orthonormal null basis of U_0 from a full SVD: no column
+    past the window enters."""
+    U0, U1 = U[:, :-1], U[:, 1:]
+    if U0.shape[1] == 0:
+        return 0.0
+    _, svals, vh = np.linalg.svd(U0, full_matrices=True)
     rank = int(np.count_nonzero(svals >= tol * svals[0])) if svals[0] > 0 else 0
     N = vh[rank:].conj().T
     if N.shape[1] == 0:
         return 0.0
-    R = np.eye(L, k=-1)
-    return float(np.linalg.norm(U @ R @ N, 2))
+    return float(np.linalg.norm(U1 @ N, 2))
 
 
 @st.composite
@@ -76,6 +80,22 @@ def small_column_matrices(draw):
         dst = draw(st.integers(min_value=0, max_value=L - 1))
         U[:, dst] = U[:, src] if draw(st.booleans()) else 0.0
     return U
+
+
+@st.composite
+def diagonalizable_orbits(draw):
+    """(T, f0, n_max): T = W diag(lambda) W^-1 with D <= 4, spectral radius up
+    to 0.999, eigenvalues spread around the circle and W = I + 0.3 G / sqrt(2D)
+    (G complex Gaussian), f0 = W c with seed weights |c_j| in [0.5, 1.5)."""
+    D = draw(st.integers(min_value=1, max_value=4))
+    radii = np.array(draw(st.lists(st.floats(0.1, 0.999), min_size=D, max_size=D)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    lam = radii * np.exp(2j * np.pi * (np.arange(D) + rng.uniform(-0.2, 0.2, D)) / D)
+    G = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    W = np.eye(D) + 0.3 * G / np.sqrt(2.0 * D)
+    c = rng.uniform(0.5, 1.5, D) * np.exp(2j * np.pi * rng.uniform(size=D))
+    n_max = draw(st.integers(min_value=4 * D, max_value=499))
+    return W @ np.diag(lam) @ np.linalg.inv(W), W @ c, n_max
 
 
 class TestOrbitSpec:
@@ -626,7 +646,7 @@ class TestFactorRoute:
         spec = NormalOrbitSpec(zeros=zeros, coeffs=np.ones(J))
         window = build_normal_pair(spec, 4096).window(256)
         report = frame_bounds(window)
-        assert report.to_dict() == frame_bounds(build_normal_pair(spec, 256)).to_dict()
+        assert asdict(report) == asdict(frame_bounds(build_normal_pair(spec, 256)))
         assert report.lower_bound_floor == window.closed_form[1] * report.upper_bound
         assert "columns" not in window.__dict__
 
@@ -828,14 +848,12 @@ class TestGeneratorClosure:
 
     def test_residual_from_the_same_svd(self):
         # The residual is kernel_shift_invariance(U), and equals
-        # ||(U R U^+) U - U R||_2 for the recovered U R U^+.
+        # ||(U_1 U_0^+) U_0 - U_1||_2 for the recovered U_1 U_0^+.
         ms = build_model_space(BlaschkeProduct(zeros=[0.5, -0.3j, 0.7]))
         U = orbit(ms, 200).T
         T_hat, residual = generator_closure(U)
-        UR = np.zeros_like(U)
-        UR[:, :-1] = U[:, 1:]
         assert residual == kernel_shift_invariance(U)
-        assert abs(residual - np.linalg.norm(T_hat @ U - UR, 2)) < 1e-14
+        assert abs(residual - np.linalg.norm(T_hat @ U[:, :-1] - U[:, 1:], 2)) < 1e-14
 
     def test_counterexample_raises(self):
         d = 10
@@ -854,6 +872,45 @@ class TestGeneratorClosure:
         spec = OrbitSpec(T=T, f0=scale * np.ones(2), index_set="N", n_max=40)
         T_hat, _ = generator_closure(synthesis_matrix(spec))
         assert np.linalg.norm(T_hat - T, 2) < RECOVERY_TOL
+
+    @pytest.mark.parametrize("radius", [0.9, 0.97, 0.99, 0.999])
+    def test_slow_orbit_recovers_its_generator(self, radius):
+        # The columns past the window hold |lambda|^500 of the seed; the test
+        # reads only the window, so a slow orbit is an orbit too.
+        T = radius * np.diag(np.exp(2j * np.pi * (np.arange(4) + 0.1) / 4))
+        spec = OrbitSpec(T=T, f0=np.ones(4), index_set="N", n_max=499)
+        T_hat, _ = generator_closure(synthesis_matrix(spec))
+        assert np.linalg.norm(T_hat - T, 2) <= 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(diagonalizable_orbits())
+    def test_recovers_diagonalizable_generators(self, orbit_data):
+        T, f0, n_max = orbit_data
+        spec = OrbitSpec(T=T, f0=f0, index_set="N", n_max=n_max)
+        T_hat, _ = generator_closure(synthesis_matrix(spec))
+        scale = max(1.0, float(np.linalg.norm(T, 2)))
+        assert np.linalg.norm(T_hat - T, 2) <= 1e-10 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_random_columns_past_the_dimension_are_rejected(self, D, extra, seed_val):
+        # L - 1 > D columns in general position: ker U_0 is nontrivial and U_1
+        # does not vanish on it.
+        rng = np.random.default_rng(seed_val)
+        L = D + 1 + extra
+        U = rng.standard_normal((D, L)) + 1j * rng.standard_normal((D, L))
+        with pytest.raises(ShiftInvarianceError):
+            generator_closure(U)
+
+    def test_one_column_is_not_captured(self):
+        # U_0 is empty: no kernel to test, and no frame to capture.
+        assert kernel_shift_invariance(np.ones((3, 1))) == 0.0
+        with pytest.raises(NumericalError, match="not captured"):
+            generator_closure(np.ones((3, 1)))
 
     def test_rejects_empty_rows(self):
         with pytest.raises(ValueError, match="frame_columns must be a nonempty"):

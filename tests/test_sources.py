@@ -1,5 +1,6 @@
 """Source hygiene: every package import and ``config`` constant is read, only
-``orbits`` writes a spec's ``__dict__``, and the README's code runs."""
+``orbits`` writes a spec's ``__dict__``, only ``cli`` knows the report format
+and writes a file, and the README's code runs."""
 
 import ast
 import pathlib
@@ -114,6 +115,81 @@ def test_dict_write_detector():
         "g.__dict__['u'] += 1\n"
     )
     assert dict_writes(source) == [1, 2, 4, 6]
+
+
+def json_methods(source: str) -> list[str]:
+    """Functions named ``to_dict`` or ``to_json``, with their lines, in order."""
+    found = [
+        (node.lineno, node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name in ("to_dict", "to_json")
+    ]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_type_knows_the_report_format(path):
+    # The report's keys are built in cli; the library's types carry numbers.
+    assert json_methods(path.read_text(encoding="utf-8")) == []
+
+
+def test_json_method_detector():
+    source = (
+        "class A:\n    def to_dict(self):\n        pass\n"
+        "def to_json(x):\n    pass\n"
+        "def to_list(x):\n    pass\n"
+        "d = a.to_dict()\n"
+    )
+    assert json_methods(source) == ["to_dict (line 2)", "to_json (line 4)"]
+
+
+def file_writes(source: str) -> list[int]:
+    """Lines that call ``open`` (a name or an attribute) with a literal mode
+    that writes: a string argument or ``mode=`` made of mode letters only,
+    holding ``w``, ``a``, ``x`` or ``+``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "open":
+            continue
+        for arg in node.args + [kw.value for kw in node.keywords if kw.arg == "mode"]:
+            text = arg.value if isinstance(arg, ast.Constant) else None
+            if isinstance(text, str) and set(text) <= set("rwaxbt+") and set(text) & set("wax+"):
+                lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p.name != "cli.py"],
+    ids=[p.name for p in MODULES if p.name != "cli.py"],
+)
+def test_only_cli_writes_a_file(path):
+    # A run writes one file, its report, and cli writes it.
+    assert file_writes(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_writes_one_file():
+    cli = ROOT / "src" / "orbitframes" / "cli.py"
+    assert len(file_writes(cli.read_text(encoding="utf-8"))) == 1
+
+
+def test_file_write_detector():
+    source = (
+        "open(p, 'w')\n"
+        "open(p)\n"
+        "open(p, 'r', encoding='utf-8')\n"
+        "open(p, mode='a')\n"
+        "path.open('x')\n"
+        "io.open('data.txt', 'rb')\n"
+        "open('a.bin')\n"
+        "path.open(mode='r+')\n"
+        "write(p, 'w')\n"
+    )
+    assert file_writes(source) == [1, 4, 5, 8]
 
 
 def test_readme_python_blocks_run():
