@@ -31,7 +31,11 @@ and writes one JSON object:
   0.98 with n_max = 16384 for ``normal_construction``; 9 zeros at radii
   1 - 2^(-j-1) for ``perturbation``; two quarter arcs on M = 512 with n_max
   = 2048 for ``biinfinite``; 2048 samples, 128 per unit interval, with
-  ``period_count`` = 8 for ``translates``.
+  ``period_count`` = 8 for ``translates``.  An eighth row, again of kind
+  ``orbit_analysis``, is the benchmark's scheduled recover op: a one-sided
+  T = W diag(lambda) W^-1 at D = 8 (radii 0.3 to 0.9, W as above), n_max =
+  499, ``recover_generator`` and ``bounds_schedule`` [62, 124, 249], whose
+  four frame reports read one doubling walk.
   Each row holds the best-of-k ms and the tracemalloc peak in bytes.
 * ``environment``: numpy, BLAS, BLAS threads, Python, CPU count, git sha.
 
@@ -244,8 +248,8 @@ def cli_rows(problems: dict, repeat: int) -> dict:
     return {"path": 'cli.main(["run", problem, "--out", report]), stderr silenced', "rows": rows}
 
 
-def run_problem_problems() -> dict:
-    """One problem per kind, keyed by kind, as a problem file would hold it."""
+def run_problem_problems() -> list:
+    """One problem per kind, then the scheduled recover op, as a problem file would hold them."""
     rng = np.random.default_rng(0)
     spread = np.exp(2.4j * np.arange(20))  # about the golden angle apart
     T, f0 = dense_unimodular(200)
@@ -266,14 +270,21 @@ def run_problem_problems() -> dict:
         "biinfinite": {"arcs": [[0.01, 0.01 + quarter], [3.0, 3.0 + quarter]], "M": 512, "n_max": 2048},
         "translates": {"fhat_samples": bumps.tolist(), "period_count": 8},
     }
-    return {kind: {"kind": kind, "parameters": params} for kind, params in parameters.items()}
+    W = skew(rng, 8)
+    lam = np.linspace(0.3, 0.9, 8) * np.exp(1j * TWO_PI * (np.arange(8) + rng.uniform(-0.2, 0.2, 8)) / 8)
+    scheduled = {
+        "T": pairs(W @ np.diag(lam) @ np.linalg.inv(W)), "f0": pairs(W @ weights[:8]), "index_set": "N",
+        "n_max": 499, "recover_generator": True, "bounds_schedule": [62, 124, 249],
+    }
+    problems = [{"kind": kind, "parameters": params} for kind, params in parameters.items()]
+    return problems + [{"kind": "orbit_analysis", "parameters": scheduled}]
 
 
-def run_problem_rows(problems: dict, repeat: int) -> dict:
+def run_problem_rows(problems: list, repeat: int) -> dict:
     rows = []
-    for kind, problem in problems.items():
+    for problem in problems:
         ms, peak = measure(lambda: problem, cli.run_problem, repeat)
-        rows.append({"kind": kind, "ms": ms, "peak_bytes": peak})
+        rows.append({"kind": problem["kind"], "ms": ms, "peak_bytes": peak})
     return {"path": "cli.run_problem(problem) in-process, the problem dict built outside the timed call", "rows": rows}
 
 

@@ -181,14 +181,13 @@ def parseval_defect(pair: OrbitSpec, M: int) -> float:
 class TranslatesProfile:
     """Periodized energy profile of a translate seed and its support.
 
-    ``phi`` is the unit-periodization of sampled |fhat|^2 on the grid
-    ``omegas`` of [0, 1); ``support_mask`` marks where phi exceeds the
-    reported threshold, ``measure`` that set's fraction, and
+    ``phi`` is the unit-periodization of sampled |fhat|^2 on the uniform
+    grid of [0, 1), slot i at i / len(phi); ``support_mask`` marks where
+    phi exceeds the reported threshold, ``measure`` that set's fraction, and
     ``ess_inf``/``ess_sup`` the frame bounds of the translate system on
     its span (extremes of phi over the support).
     """
 
-    omegas: np.ndarray
     phi: np.ndarray
     support_mask: np.ndarray
     measure: float
@@ -226,12 +225,10 @@ def translates_phi(fhat_samples, period_count: int) -> TranslatesProfile:
         raise ValueError("periodized profile is identically zero")
     threshold = SUPPORT_THRESHOLD_REL * peak
     mask = phi > threshold
-    omegas = np.arange(m) / m
     on = phi[mask]
-    for arr in (omegas, phi, mask):
+    for arr in (phi, mask):
         arr.setflags(write=False)
     return TranslatesProfile(
-        omegas=omegas,
         phi=phi,
         support_mask=mask,
         measure=float(np.count_nonzero(mask)) / m,

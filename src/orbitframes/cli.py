@@ -13,7 +13,8 @@ that every entry is a finite JSON number.  Ranges are checked by the
 library, but ``decay_n_max`` and ``bounds_schedule`` entries here, so the
 message names them.  ``recover_generator`` on a two-sided orbit is
 rejected too.  Complex numbers travel as [re, im] pairs.  The ``NaN``,
-``Infinity`` and ``-Infinity`` literals are rejected, and a report that
+``Infinity`` and ``-Infinity`` literals load as json's floats, which the
+type rule and the finiteness check reject by value, and a report that
 would hold a non-finite number is a numerical error that names its key
 path.  A report's ``inputs`` is the text of the problem's ``parameters`` value,
 exactly as the file writes it: ``run`` keeps that span of the file while
@@ -88,22 +89,6 @@ _INTEGERS = frozenset({"n_max", "trunc_n", "decay_n_max", "k", "l", "M", "period
 _STRINGS = frozenset({"index_set", "output"})
 
 
-class _Literal:
-    """A ``NaN``, ``Infinity`` or ``-Infinity`` token read from a problem file.
-
-    The loader keeps the token instead of a float, so the check that meets
-    it (the type rule or ``_numbers``) rejects it and names the token.
-    """
-
-    __slots__ = ("token",)
-
-    def __init__(self, token: str):
-        self.token = token
-
-    def __repr__(self) -> str:
-        return self.token
-
-
 class _Text(str):
     """JSON text that ``_encode`` writes as it is: the ``parameters`` value of
     a problem file, spliced into its report as ``inputs``."""
@@ -111,26 +96,25 @@ class _Text(str):
     __slots__ = ()
 
 
-_DECODER = json.JSONDecoder(parse_constant=_Literal)
+_DECODER = json.JSONDecoder()
 _SPACE = json.decoder.WHITESPACE.match
 
 
 def _read_problem(path: str) -> tuple[object, _Text | None]:
     """The problem in the file at ``path`` and the text of its ``parameters`` value.
 
-    The file parses as ``json.loads(text, parse_constant=_Literal)`` parses
-    it, with json's own messages: ``json.decoder.JSONObject`` reads the
-    top-level object and hands each of its values to one call of the
-    decoder's C scanner, whose span of the text is kept for ``parameters``
-    (the last one, if the key repeats).  A top level that is not an object
-    goes to ``json.loads`` whole, and its text is None.  Only the slice
-    outlives the call.
+    The file parses as ``json.loads(text)`` parses it, with json's own
+    messages: ``json.decoder.JSONObject`` reads the top-level object and
+    hands each of its values to one call of the decoder's C scanner, whose
+    span of the text is kept for ``parameters`` (the last one, if the key
+    repeats).  A top level that is not an object goes to ``json.loads``
+    whole, and its text is None.  Only the slice outlives the call.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     start = _SPACE(text, 0).end()
     if text[start : start + 1] != "{":
-        return json.loads(text, parse_constant=_Literal), None
+        return json.loads(text), None
     spans = []
 
     def scan_once(s, idx):
@@ -204,7 +188,7 @@ def _numbers(value, name: str, shape: tuple) -> np.ndarray:
     ``shape`` gives the length of each axis, ``None`` for any length.  Every
     leaf must be an ``int`` or a ``float`` (not a ``bool``) whose float64
     value is finite.  Returns the float64 array; any failure is a
-    ``ValueError`` naming the parameter.
+    ``ValueError`` naming the parameter (and the first entry that is not finite).
     """
     value = np.array(value, dtype=object)
     if value.ndim != len(shape) or any(
@@ -213,9 +197,6 @@ def _numbers(value, name: str, shape: tuple) -> np.ndarray:
         dims = ", ".join("n" if want is None else str(want) for want in shape)
         raise ValueError(f"{name} must be a nested list of numbers of shape ({dims})")
     for leaf_type in set(map(type, value.flat)):
-        if leaf_type is _Literal:
-            token = next(x for x in value.flat if type(x) is _Literal)
-            raise ValueError(f"{name} must be finite, got {token}")
         if not issubclass(leaf_type, (int, float)) or issubclass(leaf_type, bool):
             raise ValueError(f"{name} must hold only numbers, got {leaf_type.__name__}")
     try:
@@ -224,8 +205,9 @@ def _numbers(value, name: str, shape: tuple) -> np.ndarray:
         raise ValueError(
             f"{name} holds an integer too large to be a finite float"
         ) from None
-    if not np.isfinite(floats).all():
-        raise ValueError(f"{name} must be finite")
+    finite = np.isfinite(floats)
+    if not finite.all():
+        raise ValueError(f"{name} must be finite, got {floats.flat[np.argmin(finite)]}")
     return floats
 
 

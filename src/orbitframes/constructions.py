@@ -151,7 +151,6 @@ class PerturbedPair:
     """
 
     orbit: OrbitSpec
-    spec: NormalOrbitSpec
     k: int
     l: int
     tau: complex
@@ -267,7 +266,6 @@ def _perturbed_pair(
 
     return PerturbedPair(
         orbit=orbit,
-        spec=spec,
         k=k,
         l=l,
         tau=tau,

@@ -4,7 +4,8 @@ An orbit specification is a matrix T, a seed vector f0, an index set
 (one-sided or two-sided), and a truncation.  The synthesis matrix U stacks
 the orbit as columns; its singular structure carries the frame bounds
 (long one-sided windows read them from a D x D factor F, F F* = U U*, by
-square-root doubling), and the kernel's behavior under the coordinate
+square-root doubling; one orbit walks once, its windows share the walk's
+levels, O(D^2 log L) memory), and the kernel's behavior under the coordinate
 right shift decides whether the columns are the orbit of any single
 bounded operator (the kernel must be shift invariant, in which case the
 generator is recovered in closed form from the shifted pseudoinverse).
@@ -72,7 +73,7 @@ class OrbitSpec:
     hands that over (``constructions``);
     every ``window`` keeps it and reads its own ``closed_form``, which
     ``frame_bounds`` reads with no walk and no columns.  Long one-sided
-    windows build no columns either (``frame_bounds``).
+    windows build no columns either, and every ``window`` shares ``_walk``.
     """
 
     T: np.ndarray
@@ -128,10 +129,17 @@ class OrbitSpec:
         prefix (one-sided) or centred slice (two-sided)."""
         m, n, built = int(n_max), self.n_max, self.__dict__.get("columns")
         check_size("n_max", m)
+        known = {"n_max": m, "eigensystem": self.eigensystem, "_walk": self._walk}
         if built is None or m > n:
-            return self._replace(n_max=m, eigensystem=self.eigensystem)
+            return self._replace(**known)
         cut = slice(n - m, n + m + 1) if self.index_set == "Z" else slice(m + 1)
-        return self._replace(n_max=m, eigensystem=self.eigensystem, columns=built[:, cut])
+        return self._replace(**known, columns=built[:, cut])
+
+    @cached_property
+    def _walk(self) -> list:
+        """The levels (G_k, T^(2^k), p_k, err P_k) that ``_doubling`` has squared,
+        appended with no lock: walk the windows of one spec from one thread."""
+        return []
 
     @cached_property
     def columns(self) -> np.ndarray:
@@ -544,10 +552,10 @@ def _spectrum(spec: OrbitSpec) -> tuple[np.ndarray, float, float | None]:
         floor = rtol * float(eigs[-1])  # Python floats: inf past the range, no warning
         if floor < eigs[0] and eigs[-1] <= COLUMN_OVERFLOW**2:
             return eigs, floor, tail
-        spec = spec._replace()  # the same orbit, read from its walk or columns
+        spec = spec._replace(_walk=spec._walk)  # the same orbit, read from its walk or columns
     D, L, eps = spec.dim, spec.n_max + 1, np.finfo(float).eps
     factor = L * (D * D + FACTOR_COLUMN_NS) > max(np.log2(L), 1.0) * (D**3 + FACTOR_STEP_NS)
-    walk = _doubling(spec.T, spec.f0, L, factor) if spec.index_set == "N" else None
+    walk = _doubling(spec, L, factor) if spec.index_set == "N" else None
     F, f_err, tail = walk or (None, 0.0, None)
     if F is not None:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -559,8 +567,8 @@ def _spectrum(spec: OrbitSpec) -> tuple[np.ndarray, float, float | None]:
     return eigs, float(eps * eigs[-1]), tail
 
 
-def _doubling(T: np.ndarray, f0: np.ndarray, L: int, factor: bool) -> tuple:
-    """One doubling walk of (T, f0) over L terms: F, its error growth, the tail.
+def _doubling(spec: OrbitSpec, L: int, factor: bool) -> tuple:
+    """The doubling walk of (T, f0) over L terms: F, its error growth, the tail.
 
     Smith 1968 in Hammarling's square-root form (1982): G factors the first
     2^k terms, P = T^(2^k), p = sqrt(||P||_1 ||P||_inf) >= ||P||_2 and each
@@ -573,17 +581,31 @@ def _doubling(T: np.ndarray, f0: np.ndarray, L: int, factor: bool) -> tuple:
     and below its last value after that.  As S_inf = G G* + P S_inf P*, the
     tail is at most ||T^L F_inf||_F^2 / (1 - ||P||_2^2), rounded up by
     (L + D (k + 2)) eps for the error of T^L and the products of the walk.
+
+    The levels (G_k, P_k, p_k, err P_k) depend on the orbit alone, so they are
+    read from ``spec._walk``, which every window of the orbit shares, and a
+    level past its end is squared once and appended: a window replays its
+    digits' merges in the same order on the same levels, so F, T^L and the
+    tail are those of a fresh walk, bit for bit.  The list holds O(D^2 log L)
+    numbers, L the longest window walked, for as long as the spec lives.
     """
 
     def merge(A, B):  # R* from the QR of [A, B]*, a factor of A A* + B B*
         return np.linalg.qr(np.hstack([A, B]).conj().T, mode="r").conj().T
 
-    eps, D = np.finfo(float).eps, T.shape[0]
-    G, P, F, TL, F_inf = f0.reshape(-1, 1), T, None, None, None
-    k, top, p_err, f_err, last = 0, L.bit_length() - 1, 0.0, 1.0, np.inf
+    eps, D, walk = np.finfo(float).eps, spec.dim, spec._walk
+    F, TL, F_inf = None, None, None
+    k, top, f_err, last = 0, L.bit_length() - 1, 1.0, np.inf
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            p = q = np.sqrt(np.linalg.norm(P, 1) * np.linalg.norm(P, np.inf))
+            if k == len(walk):  # square once more: level k from level k - 1
+                if k:
+                    G, P, p_err = merge(G, P @ G), P @ P, 2.0 * p * p_err + p * p
+                else:
+                    G, P, p_err = spec.f0.reshape(-1, 1), spec.T, 0.0
+                walk.append((G, P, np.sqrt(np.linalg.norm(P, 1) * np.linalg.norm(P, np.inf)), p_err))
+            G, P, p, p_err = walk[k]
+            q = p
             if F_inf is None and k >= top and eps < p * p < np.inf:
                 q = min(p, np.linalg.norm(P, 2))
             if k <= top:
@@ -597,8 +619,6 @@ def _doubling(T: np.ndarray, f0: np.ndarray, L: int, factor: bool) -> tuple:
             shrinking = q + eps * p_err < min(1.0, last)
             if k >= top and (F_inf is not None or k >= top + 2 and not shrinking):
                 break
-            G, P = merge(G, P @ G), P @ P
-            p_err = 2.0 * p * p_err + p * p
             last, k = q, k + 1
         if F_inf is None:
             return F, f_err, None

@@ -395,7 +395,9 @@ class TestTranslatesPhi:
         assert profile.ess_inf == pytest.approx(0.5, abs=1e-12)
         assert profile.ess_sup == pytest.approx(1.0, abs=1e-12)
         assert profile.measure == 1.0
-        expected = (1.0 - profile.omegas) ** 2 + profile.omegas**2
+        grid_size = profile.phi.shape[0]
+        omegas = np.arange(grid_size) / grid_size
+        expected = (1.0 - omegas) ** 2 + omegas**2
         assert np.max(np.abs(profile.phi - expected)) < 1e-12
 
     def test_threshold_excludes_trace_leakage(self):

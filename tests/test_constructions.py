@@ -569,8 +569,9 @@ def test_records_hold_read_only_arrays():
     # A write to phi would change later projections and decay profiles, one
     # to h_basis or c_dual the closed form of every window of the pair.
     ms = build_model_space(BlaschkeProduct(zeros=[0.5, 0.3j]))
-    pair = perturb_tau(ring_spec(8, 0.9, 1), 0, 1, 0.3j, 64)
-    normal = build_normal_pair(pair.spec, 64)
+    spec = ring_spec(8, 0.9, 1)
+    pair = perturb_tau(spec, 0, 1, 0.3j, 64)
+    normal = build_normal_pair(spec, 64)
     arrays = [ms.shift_matrix, ms.phi, pair.h_basis, pair.g_basis]
     for array in arrays + [*pair.orbit.eigensystem[:3], *normal.eigensystem[:2]]:
         with pytest.raises(ValueError, match="read-only"):

@@ -83,12 +83,13 @@ def small_column_matrices(draw):
 
 
 @st.composite
-def diagonalizable_orbits(draw):
-    """(T, f0, n_max): T = W diag(lambda) W^-1 with D <= 4, spectral radius up
-    to 0.999, eigenvalues spread around the circle and W = I + 0.3 G / sqrt(2D)
-    (G complex Gaussian), f0 = W c with seed weights |c_j| in [0.5, 1.5)."""
-    D = draw(st.integers(min_value=1, max_value=4))
-    radii = np.array(draw(st.lists(st.floats(0.1, 0.999), min_size=D, max_size=D)))
+def diagonalizable_orbits(draw, dims=(1, 4), max_radius=0.999):
+    """(T, f0, n_max): T = W diag(lambda) W^-1 with D in ``dims`` (1 to 4),
+    spectral radius up to ``max_radius`` (0.999), eigenvalues spread around
+    the circle and W = I + 0.3 G / sqrt(2D) (G complex Gaussian), f0 = W c
+    with seed weights |c_j| in [0.5, 1.5)."""
+    D = draw(st.integers(*dims))
+    radii = np.array(draw(st.lists(st.floats(0.1, max_radius), min_size=D, max_size=D)))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     lam = radii * np.exp(2j * np.pi * (np.arange(D) + rng.uniform(-0.2, 0.2, D)) / D)
     G = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
@@ -253,12 +254,12 @@ def skewed_diagonal(rng, lam: np.ndarray) -> np.ndarray:
 
 def counted_operator(T: np.ndarray, calls: list) -> np.ndarray:
     """T as an array that appends to ``calls`` for each matrix product it, or
-    a power of it, takes part in."""
+    a power of it, takes part in: whether the product is a squaring P @ P."""
 
     class Counted(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
             if ufunc is np.matmul:
-                calls.append(1)
+                calls.append(inputs[0] is inputs[1])
             if "out" in kwargs:
                 kwargs["out"] = tuple(np.asarray(x) for x in kwargs["out"])
             result = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
@@ -649,6 +650,51 @@ class TestFactorRoute:
         assert asdict(report) == asdict(frame_bounds(build_normal_pair(spec, 256)))
         assert report.lower_bound_floor == window.closed_form[1] * report.upper_bound
         assert "columns" not in window.__dict__
+
+
+class TestSharedWalk:
+    """Every window of a one-sided orbit reads, and extends, its spec's one walk."""
+
+    def test_schedule_windows_square_no_more_than_the_spec(self):
+        # n_max = 1999 and its schedule rows 249, 499, 999 (as a workload's
+        # recover op asks for them) all take the factor route at D = 4.
+        rng = np.random.default_rng(3)
+        T = skewed_diagonal(rng, np.linspace(0.3, 0.9, 4) * np.exp(0.5j * np.pi * np.arange(4)))
+        f0 = rng.standard_normal(4) + 0j
+        squarings, reports = [], []
+        for schedule in ([], [249, 499, 999]):
+            calls = []
+            spec = OrbitSpec(T=T, f0=f0, index_set="N", n_max=1999)
+            spec = spec._replace(T=counted_operator(spec.T, calls))
+            reports.append([frame_bounds(spec)])
+            for m in schedule:
+                window = spec.window(m)
+                reports[-1].append(frame_bounds(window))
+                assert window._walk is spec._walk
+                assert "columns" not in window.__dict__
+            squarings.append(sum(calls))
+        assert squarings[0] == squarings[1] == len(spec._walk) - 1 > 0
+        assert reports[1][0] == reports[0][0]
+        for m, report in zip([249, 499, 999], reports[1][1:]):
+            assert report == frame_bounds(OrbitSpec(T=T, f0=f0, index_set="N", n_max=m))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        orbit=diagonalizable_orbits(dims=(2, 6), max_radius=0.95),
+        cuts=st.lists(st.one_of(st.integers(0, 40), st.integers(150, 4000)), min_size=1, max_size=6),
+    )
+    def test_windows_in_any_order_match_fresh_specs_bit_for_bit(self, orbit, cuts):
+        # Cuts up to 40 take the columns route, from 150 the factor route
+        # (D <= 6); each window walks only as far as its own digits need.
+        T, f0, _ = orbit
+        spec = OrbitSpec(T=T, f0=f0, index_set="N", n_max=2000)
+        for m in cuts:
+            window = spec.window(m)
+            got = frame_bounds(window)
+            want = frame_bounds(OrbitSpec(T=T, f0=f0, index_set="N", n_max=m))
+            assert [repr(v) for v in asdict(got).values()] == [repr(v) for v in asdict(want).values()]
+            assert ("columns" in window.__dict__) == (m <= 40)
+            assert window._walk is spec._walk
 
 
 class TestExactTail:
