@@ -12,9 +12,10 @@ pair; they widen the interval by the extreme squared singular values of W.
 Both builders know their orbit's eigensystem, T = H diag(lambda) H^-1 with
 f0 = H c, and hand it to the ``OrbitSpec`` (``eigensystem``), which reads
 every window's frame operator and tail from it (``closed_form``): the
-automatic depth squares T (``converged_depth``), and ``frame_bounds`` of a
-built pair or of its ``window`` runs no walk and builds no columns unless
-the closed form's least eigenvalue is not resolved above its floor.
+automatic depth reads max|lambda| and the growth (``_auto_depth``), and
+``frame_bounds`` of a built pair or of its ``window`` runs no walk and
+builds no columns unless the closed form's least eigenvalue is not resolved
+above its floor.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blaschke import carleson_delta, delta_capacity, validate_zeros
-from .config import EXCLUDED_TAU_RTOL
+from .config import EXCLUDED_TAU_RTOL, max_truncation
 from .errors import NumericalError
-from .orbits import OrbitSpec, converged_depth
+from .orbits import OrbitSpec
 
 __all__ = [
     "NormalOrbitSpec",
@@ -95,15 +96,30 @@ class NormalOrbitSpec:
 def build_normal_pair(spec: NormalOrbitSpec, n_max: int | None = None) -> OrbitSpec:
     """One-sided orbit of (diag(zeros), coeffs), its window in closed form.
 
-    When ``n_max`` is omitted it is ``converged_depth(T)``, the window at
-    which T's squarings fall below eps; so is the depth of ``perturb_tau``.
-    The eigensystem is (zeros, coeffs, H = I, growth 1): the frame operator
-    is diag(c) K_N diag(c)* (``OrbitSpec.closed_form``).
+    When ``n_max`` is omitted it is ``_auto_depth(zeros, 1)``, read from
+    max|lambda| alone; ``perturb_tau`` passes its growth as well.  The
+    eigensystem is (zeros, coeffs, H = I, growth 1): the frame operator is
+    diag(c) K_N diag(c)* (``OrbitSpec.closed_form``).
     """
     T = np.diag(spec.zeros)
-    n_max = converged_depth(T) if n_max is None else n_max
+    n_max = _auto_depth(spec.zeros, 1.0) if n_max is None else n_max
     orbit = OrbitSpec(T=T, f0=spec.coeffs, index_set="N", n_max=int(n_max))
     return orbit._replace(eigensystem=(spec.zeros, spec.coeffs, None, 1.0))
+
+
+def _auto_depth(zeros: np.ndarray, growth: float) -> int:
+    """The window 2^k - 1 at the first k up to the ceiling's top binary digit
+    with growth * r^(2^(k+1)) <= eps, r = max|lambda| squared as a float k
+    times, clamped to [64, ceiling]; the ceiling when no k passes.  With
+    growth >= cond(H)^2, ||T^n||_2^2 <= growth * max|lambda|^(2n), so
+    ||T^(N+1)||_2^2 <= eps below the ceiling, and no matrix product runs."""
+    cap, eps = max_truncation(), np.finfo(float).eps
+    r = float(np.max(np.abs(zeros)))
+    for k in range((cap + 1).bit_length()):
+        if growth * r * r <= eps:
+            return min(cap, max(64, 2**k - 1))
+        r *= r
+    return cap
 
 
 def certificate_bounds(spec: NormalOrbitSpec) -> tuple[float, float]:
@@ -186,9 +202,7 @@ def perturb_tau(
     components g_j* c along the duals and growth riesz_upper / riesz_lower.
     """
     k, l = _pair_indices(spec, k, l)
-    d = complex(spec.zeros[k] - spec.zeros[l])
-    if d == 0:
-        raise ValueError("the two selected zeros coincide; no eigenbasis splits them")
+    d = complex(spec.zeros[k] - spec.zeros[l])  # nonzero: the spec's zeros are separated
     tau = complex(tau)
     if not np.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
@@ -212,25 +226,20 @@ def _perturbed_pair(
             f"the perturbed orbit drops a spectral direction"
         )
 
-    J = spec.size
+    J, kl = spec.size, np.ix_([k, l], [k, l])
     T = np.diag(spec.zeros).astype(np.complex128)
     T[l, k] += tau
 
     h_basis = np.eye(J, dtype=np.complex128)
     g_basis = np.eye(J, dtype=np.complex128)
-    h_basis[l, k] = tau
-    h_basis[k, k] = d
-    g_basis[k, l] = -np.conj(tau) / np.conj(d)
-    g_basis[k, k] = 1.0 / np.conj(d)
+    h_basis[kl] = [[d, 0.0], [tau, 1.0]]
+    g_basis[kl] = [[1.0 / np.conj(d), -np.conj(tau) / np.conj(d)], [0.0, 1.0]]
 
-    biorth = float(
-        np.linalg.norm(g_basis.conj().T @ h_basis - np.eye(J), 2)
-    )
-    diag_res = float(
-        np.linalg.norm(
-            T - h_basis @ np.diag(spec.zeros) @ g_basis.conj().T, 2
-        )
-    )
+    # G*H - I and T - H diag(lambda) G* vanish exactly outside rows and
+    # columns k and l, so each spectral norm is its 2x2 block's.
+    H, G = h_basis[kl], g_basis[kl]
+    biorth = float(np.linalg.norm(G.conj().T @ H - np.eye(2), 2))
+    diag_res = float(np.linalg.norm(T[kl] - H @ np.diag(spec.zeros[[k, l]]) @ G.conj().T, 2))
 
     # Gram of the dual system deviates from identity only on a 2x2 block
     # whose inverse spectrum has the closed form below.  Its eigenvalues
@@ -260,9 +269,10 @@ def _perturbed_pair(
             f"[{cert_lower:.3e}, {cert_upper:.3e}])"
         )
 
-    n_max = converged_depth(T) if n_max is None else n_max
+    growth = riesz_upper / riesz_lower
+    n_max = _auto_depth(spec.zeros, growth) if n_max is None else n_max
     orbit = OrbitSpec(T=T, f0=spec.coeffs, index_set="N", n_max=int(n_max))
-    orbit = orbit._replace(eigensystem=(spec.zeros, c_dual, h_basis, riesz_upper / riesz_lower))
+    orbit = orbit._replace(eigensystem=(spec.zeros, c_dual, h_basis, growth))
 
     return PerturbedPair(
         orbit=orbit,

@@ -35,7 +35,6 @@ from .config import (
     SINGULAR_RTOL,
     TWO_SIDED_COND_MAX,
     check_size,
-    max_truncation,
 )
 from .errors import CommutatorError, NumericalError, ShiftInvarianceError
 
@@ -45,7 +44,6 @@ __all__ = [
     "orbit_columns",
     "synthesis_matrix",
     "frame_bounds",
-    "converged_depth",
     "kernel_shift_invariance",
     "generator_closure",
     "similarity_transport",
@@ -212,6 +210,9 @@ class OrbitSpec:
         period candidates, in increasing order, are the p <= N with
         ||u_p - u_0|| <= tol and the N < p <= 2N with ||u_(p - N) - u_-N|| <=
         tol, so every p that passes ``period``'s all-pairs scan is among them.
+        Short windows peak above their own bytes (1.4-2.7 times at n_max = 256,
+        D = 25-200, ``BENCH_23.json``): up to ``_width(D)`` steps one chunk is a
+        whole side, held with its gaps, and past it the D x D work dominates.
         """
         if self.index_set != "Z":
             raise ValueError("the period is defined for two-sided orbits")
@@ -516,24 +517,6 @@ def frame_bounds(spec: OrbitSpec) -> FrameReport:
         tail_estimate=tail,
         lower_bound_floor=floor,
     )
-
-
-def converged_depth(T: np.ndarray) -> int:
-    """Window 2^k_inf - 1 of ``_doubling`` over the ceiling's window, clamped to
-    [64, ceiling], read from T's squarings P = T^(2^k) alone: as in the walk,
-    sqrt(||P||_1 ||P||_inf) >= ||P||_2, which the SVD gives at the ceiling's
-    top digit; a k_inf past that digit, or none, gives the ceiling."""
-    cap, eps, P = max_truncation(), np.finfo(float).eps, np.asarray(T)
-    top = (cap + 1).bit_length() - 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(top + 1):
-            p = q = np.sqrt(np.linalg.norm(P, 1) * np.linalg.norm(P, np.inf))
-            if k == top and eps < p * p < np.inf:
-                q = min(p, np.linalg.norm(P, 2))
-            if q * q <= eps:
-                return min(cap, max(64, 2**k - 1))
-            P = P @ P
-    return cap
 
 
 def _spectrum(spec: OrbitSpec) -> tuple[np.ndarray, float, float | None]:

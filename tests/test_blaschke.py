@@ -171,6 +171,12 @@ class TestEvaluate:
         b = BlaschkeProduct(zeros=zeros)
         assert np.max(np.abs(evaluate(b, zeros))) < 1e-15
 
+    def test_scalar_point_gives_a_python_complex(self):
+        value = evaluate(BlaschkeProduct(zeros=[0.5, -0.25j]), 0.5j)
+        assert type(value) is complex
+        expected = (0.5j - 0.5) / (1.0 - 0.25j) * (0.75j / (1.0 + 0.125))
+        assert value == pytest.approx(expected, rel=1e-15)
+
     def test_pole_guard(self):
         b = BlaschkeProduct(zeros=[0.5])
         with pytest.raises(NumericalError):

@@ -356,6 +356,43 @@ class TestPerturbation:
         assert results["perturbed"]["biorthogonality_residual"] < 1e-12
         assert report["certificates"]["lower"] > 0.0
 
+    def test_automatic_depth(self, tmp_path, capsys):
+        # max|lambda| = 0.875 and growth near 1: 0.875^(2^9) is the first
+        # squared power below eps, so the depth is 2^8 - 1.
+        zeros = [0.5, 0.75, 0.875]
+        payload = {
+            "kind": "perturbation",
+            "parameters": {
+                "zeros": [[z, 0.0] for z in zeros],
+                "coeffs": [[math.sqrt(1.0 - z * z), 0.0] for z in zeros],
+                "k": 0,
+                "l": 1,
+                "tau": [0.1, 0.0],
+            },
+        }
+        assert run_to_report(tmp_path, payload, capsys)["results"]["n_max"] == 255
+
+    def test_commutator_kk_is_the_dense_entry(self, tmp_path, capsys):
+        # The report reads |(TT* - T*T)_kk| from row and column k of T.
+        zeros = [[0.5, 0.1], [-0.3, 0.6], [0.2, -0.7]]
+        payload = {
+            "kind": "perturbation",
+            "parameters": {
+                "zeros": zeros,
+                "coeffs": [[1.0, 0.5], [0.3, -1.0], [0.8, 0.0]],
+                "k": 2,
+                "l": 0,
+                "tau": [0.7, -1.3],
+                "n_max": 8,
+            },
+        }
+        results = run_to_report(tmp_path, payload, capsys)["results"]
+        T = np.diag([complex(*z) for z in zeros])
+        T[0, 2] = 0.7 - 1.3j
+        dense = abs((T @ T.conj().T - T.conj().T @ T)[2, 2])
+        assert results["commutator_kk"] == pytest.approx(dense, rel=1e-14)
+        assert results["commutator_kk"] == pytest.approx(abs(0.7 - 1.3j) ** 2, rel=1e-14)
+
     def test_excluded_tau_exit_2(self, tmp_path, capsys):
         payload = {
             "kind": "perturbation",
@@ -619,6 +656,11 @@ class TestInputGate:
         rc = main(["run", str(tmp_path / "absent.json")])
         assert rc == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_missing_parameters_exit_2(self, tmp_path, capsys):
+        rc = main(["run", str(write_problem(tmp_path, {"kind": "carleson"}))])
+        assert rc == 2
+        assert "missing a required argument: 'parameters'" in capsys.readouterr().err
 
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

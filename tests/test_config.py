@@ -3,7 +3,10 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import orbitframes
+from orbitframes.config import max_truncation
 
 PACKAGE = Path(orbitframes.__file__).parent
 
@@ -31,3 +34,13 @@ def test_no_threshold_literal_outside_registry():
         for line, value in threshold_literals(path.read_text(encoding="utf-8"))
     ]
     assert hits == [], "thresholds belong in config.py:\n" + "\n".join(hits)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [("abc", "must be an integer, got 'abc'"), ("0", "must be positive, got 0")],
+)
+def test_ceiling_variable_is_checked(raw, message, monkeypatch):
+    monkeypatch.setenv("ORBITFRAMES_MAX_TRUNC", raw)
+    with pytest.raises(ValueError, match=f"ORBITFRAMES_MAX_TRUNC {message}"):
+        max_truncation()

@@ -171,6 +171,66 @@ class TestBuildNormalPair:
         assert build_normal_pair(spec, n_max=97).n_max == 97
 
 
+def powers_depth(T):
+    """The first k <= top with ||T^(2^k)||^2 <= eps, from np.linalg.matrix_power,
+    the 2-norm replacing sqrt(||.||_1 ||.||_inf) only at k = top."""
+    cap, eps = max_truncation(), np.finfo(float).eps
+    top = (cap + 1).bit_length() - 1
+    for k in range(top + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            P = np.linalg.matrix_power(T, 2**k)
+            p = q = np.sqrt(np.linalg.norm(P, 1) * np.linalg.norm(P, np.inf))
+            if k == top and eps < p * p < np.inf:
+                q = min(p, np.linalg.norm(P, 2))
+        if q * q <= eps:
+            return min(cap, max(64, 2**k - 1))
+    return cap
+
+
+class TestAutomaticDepth:
+    @pytest.mark.parametrize("cap", [100, 1000, 16384])
+    def test_normal_depth_is_the_powers_depth(self, cap, monkeypatch):
+        # On diagonal T the depth read from max|lambda| is the one T's own
+        # squarings give, for radii up to the disk's margin.
+        monkeypatch.setenv("ORBITFRAMES_MAX_TRUNC", str(cap))
+        rng = np.random.default_rng(cap)
+        radii = [0.1, 0.5, 0.9, 0.99, 0.999, 0.9999, 1 - 1e-6, 1 - 1e-8, 1 - 1e-10]
+        specs = [NormalOrbitSpec(zeros=[0.0], coeffs=[1.0])]  # T = 0, nilpotent
+        for r in radii + list(rng.uniform(0.0, 1.0, 12)):
+            # a rotated zero at 1 - 1e-10 may round past the disk's margin
+            angle = rng.uniform(0.0, 2.0 * np.pi) if r < 0.9999 else 0.0
+            zeros = r * np.exp(1j * np.array([angle, angle + 2.0])) * [1.0, rng.uniform()]
+            specs.append(NormalOrbitSpec(zeros=zeros, coeffs=[1.0, 0.5j]))
+        for spec in specs:
+            depth = build_normal_pair(spec).n_max
+            assert depth == powers_depth(np.diag(spec.zeros))
+            assert 64 <= depth <= cap
+        spec = NormalOrbitSpec(zeros=[0.5, 0.99], coeffs=[1.0, 1.0])
+        assert build_normal_pair(spec).n_max == min(cap, 2**11 - 1)
+        assert build_normal_pair(NormalOrbitSpec(zeros=[0.1, 0.2], coeffs=[1.0, 1.0])).n_max == 64
+
+    @pytest.mark.parametrize("cap", [100, 1000, 16384])
+    def test_perturbed_depth_bounds_the_next_power(self, cap, monkeypatch):
+        # ||T^(N+1)||_2^2 <= eps by matrix_power at every depth N below the
+        # ceiling, also through a transient of ||T^n||_2 up to about 30 (the
+        # first pair: T = [[0.9, 20], [0, 0.5]]).
+        monkeypatch.setenv("ORBITFRAMES_MAX_TRUNC", str(cap))
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(cap)
+        pairs = [perturb_tau(NormalOrbitSpec(zeros=[0.9, 0.5], coeffs=[1.0, 1.0]), 1, 0, 20.0)]
+        for seed in range(40):
+            spec = random_spec(seed, size=int(rng.integers(2, 7)), r_hi=0.999)
+            k, l = rng.choice(spec.size, 2, replace=False)
+            tau = 3.0 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
+            pairs.append(perturb_tau(spec, int(k), int(l), tau))
+        for pair in pairs:
+            T, N = np.asarray(pair.orbit.T), pair.orbit.n_max
+            assert 64 <= N <= cap
+            if N < cap:
+                assert np.linalg.norm(np.linalg.matrix_power(T, N + 1), 2) ** 2 <= eps
+        assert pairs[0].orbit.n_max == min(cap, 2**8 - 1)
+
+
 def riesz_pair(spec, W, n_max=None):
     """The skewed-basis orbit (W diag(zeros) W^{-1}, W coeffs)."""
     return similarity_transport(build_normal_pair(spec, n_max=n_max), W)
@@ -312,6 +372,34 @@ class TestPerturbTau:
         assert pair.g_basis[k, k] == 1.0 / np.conj(d)
         assert pair.biorthogonality_residual < RESIDUAL_TOL
         assert pair.diagonalization_residual < RESIDUAL_TOL
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_residuals_are_the_dense_ones(self, seed):
+        # G*H - I and T - H diag(lambda) G* are exactly 0 outside rows and
+        # columns k and l; their spectral norms are the 2x2 blocks'.
+        rng = np.random.default_rng(seed)
+        spec = random_spec(seed, size=6)
+        k, l = (int(i) for i in rng.choice(6, 2, replace=False))
+        pair = perturb_tau(spec, k, l, 2.0 * rng.uniform() * np.exp(2j * np.pi * rng.uniform()))
+        H, G, T = pair.h_basis, pair.g_basis, np.asarray(pair.orbit.T)
+        biorth = G.conj().T @ H - np.eye(6)
+        diag_res = T - H @ np.diag(spec.zeros) @ G.conj().T
+        outside = np.ones((6, 6), dtype=bool)
+        outside[np.ix_([k, l], [k, l])] = False
+        for dense, residual in [
+            (biorth, pair.biorthogonality_residual),
+            (diag_res, pair.diagonalization_residual),
+        ]:
+            assert not np.any(dense[outside])
+            assert residual == pytest.approx(np.linalg.norm(dense, 2), abs=4 * np.finfo(float).eps)
+            assert residual < RESIDUAL_TOL
+
+    @pytest.mark.parametrize("zeros", [[0.3, 0.5, 0.3], [0.0, 0.0]])
+    def test_coinciding_zeros_never_reach_the_pair(self, zeros):
+        # perturb_tau divides by lambda_k - lambda_l; the spec refuses a
+        # repeated zero before any pair is built.
+        with pytest.raises(ValueError, match="separation constant must be positive, got 0.0"):
+            NormalOrbitSpec(zeros=zeros, coeffs=[1.0] * len(zeros))
 
     def test_dual_gram_block_spectrum(self):
         spec = NormalOrbitSpec(zeros=[0.5, 0.75, 0.875], coeffs=[1.0, 1.0, 1.0])
@@ -538,7 +626,7 @@ class TestClosedForm:
         assert report.lower_bound > report.lower_bound_floor > 0.0
 
     def test_automatic_depth_runs_no_walk(self, monkeypatch):
-        # converged_depth squares T; the walk would merge by QR.  With
+        # The automatic depth reads max|lambda|; the walk would merge by QR.  With
         # max|lambda| <= 0.952, T^(2^9) is the first power squared below eps.
         def refused(*args, **kwargs):
             raise AssertionError("np.linalg.qr called")
