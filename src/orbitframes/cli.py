@@ -16,25 +16,20 @@ rejected too.  Complex numbers travel as [re, im] pairs.  The ``NaN``,
 ``Infinity`` and ``-Infinity`` literals load as json's floats, which the
 type rule and the finiteness check reject by value, and a report that
 would hold a non-finite number is a numerical error that names its key
-path.  A report's ``inputs`` is the text of the problem's ``parameters`` value,
-exactly as the file writes it: ``run`` keeps that span of the file while
-json's C scanner parses it, and splices it back in place of reprinting
-every number.  The rest of a report is the bytes ``json.dumps(report,
-sort_keys=True, indent=2)`` writes, but its arrays of numbers are
-C-encoded and re-indented (a matrix of pairs row by row), and it is
-encoded as a list of pieces that one ``writelines`` writes once the whole
-list is built, with no string as long as the report; its bytes are those
-of the joined text, byte-stable for a given problem file (default float
-repr, no timestamps).  ``run_problem`` depends on the problem alone and
-writes no file; it returns the report dict, with the parsed parameters
-under ``inputs``, and the report is the one file a run writes.
-Wall time, the time to read the problem, encoding time and report size
-go to stderr.  A report's ``tolerances`` lists the ``config`` constants
-its kind compares against.  ``main`` may be called repeatedly in one
-process; it builds its parser once.
+path.  A report is json's compact text, ``json.dumps(report, sort_keys=True,
+separators=(",", ":"))`` and a newline (``python -m json.tool`` lays one out
+for reading), but its ``inputs`` is the problem's ``parameters`` text as the
+file writes it, kept while json's C scanner parses the file.  One
+``writelines`` writes it as pieces (a matrix of pairs row by row), with no
+string as long as the report.  It is byte-stable for a given problem file and
+the one file a run writes: ``run_problem``, a function of the problem alone,
+writes none and returns the report dict, the parsed parameters as ``inputs``.
+Wall time, the time to read the problem, encoding time and report size go to
+stderr.  A report's ``tolerances`` lists the ``config`` constants its kind
+compares against.  Repeated ``main`` calls in one process share one parser.
 
-Exit codes: 0 success, 1 failed verification criteria, 2 input or
-validation error, 3 numerical error from an inner module.
+Exit codes: 0 success, 1 failed verification criteria, 2 input, validation
+or report-path error, 3 numerical error from an inner module.
 """
 
 from __future__ import annotations
@@ -419,62 +414,33 @@ def _problem_keys(kind, parameters, output=None) -> None:
     signature, and the function is never called."""
 
 
-_COMPACT = json.JSONEncoder(check_circular=False, allow_nan=False, separators=(",", ":"))
+_COMPACT = json.JSONEncoder(
+    check_circular=False, allow_nan=False, separators=(",", ":"), sort_keys=True
+)
 _ESCAPE = json.encoder.encode_basestring_ascii
 
 
-def _array_text(value: list, level: int) -> str | None:
-    """``_encode``'s text for an array whose numbers all sit equally deep, else None:
-    the C encoder's compact text, re-indented by one ``str.replace`` per depth."""
-    text = _COMPACT.encode(value)
-    k = len(text) - len(text.rstrip("]"))
-    if '"' in text or "{" in text or "[]" in text or text[:k] != "[" * k:
-        return None
-    if text.count("[") != k + sum(text.count("]" * j + "," + "[" * j) for j in range(1, k)):
-        return None  # a bracket outside the ends and the ]...],[...[ separators
-    pad = ["\n" + "  " * (level + n) for n in range(k + 1)]
-    shut = [pad[n] + "]" for n in range(k - 1, -1, -1)]  # shut[:j] closes j levels
-    reopen = ["[" + pad[n] for n in range(1, k + 1)]  # reopen[-j:] opens j levels
-    body = text[k:-k].replace(",", "," + pad[k])
-    for j in range(k - 1, 0, -1):  # longest first: "],[" is inside "]],[["
-        sep = "".join(shut[:j]) + "," + pad[k - j] + "".join(reopen[-j:])
-        body = body.replace("]" * j + "," + pad[k] + "[" * j, sep)
-    return "".join(reopen) + body + "".join(shut)
-
-
-def _encode(value, level: int, pieces: list) -> None:
-    """Append the text of ``json.dumps(value, sort_keys=True, indent=2)`` at nesting
-    ``level`` to ``pieces``: an array of arrays of arrays (a matrix of [re, im]
-    pairs) row by row, so no text as long as the whole matrix is formed."""
-    if isinstance(value, float) and math.isfinite(value):
-        pieces.append(float.__repr__(value))
-    elif type(value) is int:
-        pieces.append(int.__repr__(value))
-    elif isinstance(value, dict) and value:
-        inner = "\n" + "  " * (level + 1)
-        sep = "{" + inner
-        for k, v in sorted(value.items()):
-            pieces.append(f"{sep}{_ESCAPE(k)}: ")
-            _encode(v, level + 1, pieces)
-            sep = "," + inner
-        pieces.append(inner[:-2] + "}")
-    elif isinstance(value, (list, tuple)) and value:
-        row = value[0]
-        rows = isinstance(row, (list, tuple)) and row and isinstance(row[0], (list, tuple))
-        text = None if rows else _array_text(value, level)
-        if text is not None:
-            pieces.append(text)
-        else:
-            inner = "\n" + "  " * (level + 1)
-            sep = "[" + inner
-            for v in value:
-                pieces.append(sep)
-                _encode(v, level + 1, pieces)
-                sep = "," + inner
-            pieces.append(inner[:-2] + "]")
-    elif type(value) is _Text:
+def _encode(value, pieces: list) -> None:
+    """Append ``_COMPACT.encode(value)`` to ``pieces``, dicts key by key and a matrix
+    of [re, im] pairs row by row (so no piece is as long as it), a ``_Text`` as it is."""
+    row = value[0] if isinstance(value, (list, tuple)) and value else None
+    if type(value) is _Text:
         pieces.append(value)
-    else:  # str, bool, None, {}, []; raises what json.dumps raises
+    elif isinstance(value, dict) and value:
+        sep = "{"
+        for k, v in sorted(value.items()):
+            pieces.append(f"{sep}{_ESCAPE(k)}:")
+            _encode(v, pieces)
+            sep = ","
+        pieces.append("}")
+    elif isinstance(row, (list, tuple)) and row and isinstance(row[0], (list, tuple)):
+        sep = "["
+        for row in value:
+            pieces.append(sep)
+            _encode(row, pieces)
+            sep = ","
+        pieces.append("]")
+    else:  # raises what json.dumps raises
         pieces.append(_COMPACT.encode(value))
 
 
@@ -491,11 +457,11 @@ def _non_finite(value, path: str):
 
 
 def _report_text(report: dict) -> list[str]:
-    """The pieces of ``json.dumps(report, sort_keys=True, indent=2, allow_nan=False)``
-    plus a newline, in order; joined, they are that text."""
+    """The pieces of ``json.dumps(report, sort_keys=True, separators=(",", ":"),
+    allow_nan=False)`` plus a newline, in order; joined, they are that text."""
     pieces = []
     try:
-        _encode(report, 0, pieces)
+        _encode(report, pieces)
     except ValueError:
         where = next(_non_finite(report, ""))[1:]  # the path without its leading dot
         raise NumericalError(f"the report holds a non-finite number: {where}") from None
@@ -543,8 +509,12 @@ def _cmd_run(args) -> int:
         return 3
     out_path = args.out or problem.get("output")
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.writelines(pieces)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.writelines(pieces)
     size = f"read {read:.3f} s, report {encoding:.3f} s, {sum(map(len, pieces))} bytes"
@@ -559,6 +529,13 @@ def _cmd_verify(args) -> int:
     passed = sum(1 for r in results if r.passed)
     print(f"{passed}/{len(results)} criteria passed")
     return 0 if passed == len(results) else 1
+
+
+def _seed(text: str) -> int:
+    """``verify --seed``: each criterion seeds numpy with seed + 1000 * index."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 @functools.cache
@@ -576,15 +553,13 @@ def _parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="report path (overrides the file's 'output')")
 
     p_verify = sub.add_parser("verify", help="run the acceptance battery")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed, default=0)
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    return _cmd_verify(args)
+    return _cmd_run(args) if args.command == "run" else _cmd_verify(args)
 
 
 if __name__ == "__main__":

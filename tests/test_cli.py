@@ -611,6 +611,22 @@ class TestOutputRouting:
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("where", ["--out a directory", "output in a missing directory"])
+    def test_unwritable_report_path_exit_2(self, where, tmp_path, capsys):
+        reports = tmp_path / "reports"
+        if where == "--out a directory":
+            reports.mkdir()
+            argv = ["run", str(write_problem(tmp_path, self.PAYLOAD)), "--out", str(reports)]
+        else:
+            payload = dict(self.PAYLOAD, output=str(reports / "report.json"))
+            argv = ["run", str(write_problem(tmp_path, payload))]
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write report: ")
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestRepeatedMain:
     """``main`` builds its parser once per process and stays reusable."""
@@ -1082,9 +1098,9 @@ class TestIntakeProperty:
         assert "k must be an integer, got 1.0" in err
 
 
-def _pure_text(value) -> str:
-    """The reference encoding: CPython's pure-Python indenting encoder."""
-    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
+def _compact_text(value) -> str:
+    """The reference encoding: json's compact text with sorted keys."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 _FLOATS = st.one_of(
@@ -1104,7 +1120,7 @@ def _uniform(depth: int):
 
 
 class TestReportEncoding:
-    """``_report_text`` writes the bytes of ``json.dumps(indent=2)``."""
+    """``_report_text`` writes the bytes of json's compact text with sorted keys."""
 
     JSON = st.recursive(
         st.one_of(_NUMBERS, _TEXT),
@@ -1119,14 +1135,14 @@ class TestReportEncoding:
 
     @settings(max_examples=400, deadline=None)
     @given(value=JSON)
-    def test_matches_pure_encoder(self, value):
-        assert "".join(cli._report_text(value)) == _pure_text(value)
+    def test_matches_json_dumps(self, value):
+        assert "".join(cli._report_text(value)) == _compact_text(value)
 
     @pytest.mark.parametrize("kind", sorted(TestIntakeProperty.BASE))
     def test_reports_of_every_kind(self, kind):
         parameters = TestIntakeProperty.BASE[kind]
         report = cli.run_problem({"kind": kind, "parameters": parameters})
-        assert "".join(cli._report_text(report)) == _pure_text(report)
+        assert "".join(cli._report_text(report)) == _compact_text(report)
 
     def test_dense_report_skips_pure_encoder(self, monkeypatch):
         """The D = 200 two-sided report's arrays never reach the pure encoder."""
@@ -1140,7 +1156,7 @@ class TestReportEncoding:
         report = cli.run_problem({"kind": "orbit_analysis", "parameters": parameters})
         report["inputs"]["T"] = rng.standard_normal((200, 200, 2)).tolist()
         report["inputs"]["f0"] = rng.standard_normal((200, 2)).tolist()
-        expected = _pure_text(report)
+        expected = _compact_text(report)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the pure-Python encoder ran")
@@ -1169,7 +1185,7 @@ class TestReportEncoding:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert out.read_text(encoding="utf-8") == _pure_text(report)
+        assert out.read_text(encoding="utf-8") == _compact_text(report)
         assert peak <= 1.3 * out.stat().st_size
 
     def test_stderr_times_the_report(self, tmp_path, capsys):
@@ -1222,12 +1238,12 @@ class TestInputsText:
         text = out.read_text(encoding="utf-8")
         report = json.loads(text)
         assert report["inputs"] == parameters
-        assert f'"inputs": {json.dumps(parameters)},' in text
-        assert _pure_text(report) == "".join(cli._report_text(cli.run_problem(problem)))
+        assert f'"inputs":{json.dumps(parameters)},' in text
+        assert _compact_text(report) == "".join(cli._report_text(cli.run_problem(problem)))
 
     def test_text_is_written_as_it_is(self):
         pieces = cli._report_text({"inputs": cli._Text('{"a":  1.50}'), "kind": "x"})
-        assert "".join(pieces) == '{\n  "inputs": {"a":  1.50},\n  "kind": "x"\n}\n'
+        assert "".join(pieces) == '{"inputs":{"a":  1.50},"kind":"x"}\n'
 
     SEPARATORS = st.tuples(
         st.sampled_from([",", ", ", " ,\n "]), st.sampled_from([":", ": ", " :\t"])
@@ -1323,3 +1339,17 @@ class TestVerifyCommand:
         assert rc == 0
         assert "11/11 criteria passed" in captured.out
         assert "FAIL" not in captured.out
+
+    @pytest.mark.parametrize("seed", ["-1", "-5000", "1.5", "x"])
+    def test_seed_not_a_non_negative_integer_exit_2(self, seed, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_battery", lambda seed: pytest.fail("the battery ran"))
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--seed", seed])
+        assert info.value.code == 2
+        assert f"--seed: must be a non-negative integer, got {seed!r}" in capsys.readouterr().err
+
+    def test_seed_reaches_the_battery(self, monkeypatch, capsys):
+        seeds = []
+        monkeypatch.setattr(cli, "run_battery", lambda seed: seeds.append(seed) or [])
+        assert main(["verify", "--seed", "5000"]) == 0
+        assert seeds == [5000]
