@@ -35,7 +35,10 @@ and writes one JSON object:
   ``orbit_analysis``, is the benchmark's scheduled recover op: a one-sided
   T = W diag(lambda) W^-1 at D = 8 (radii 0.3 to 0.9, W as above), n_max =
   499, ``recover_generator`` and ``bounds_schedule`` [62, 124, 249], whose
-  four frame reports read one doubling walk.
+  four frame reports read one doubling walk.  A ninth row, again of kind
+  ``biinfinite``, is the benchmark's reseeded grid op: a half arc on M =
+  512 (D = 256) with n_max = 512 and ``psi`` of modulus in [0.5, 1.5],
+  whose reseeded extremes are roots of the secular equation.
   Each row holds the best-of-k ms and the tracemalloc peak in bytes.
 * ``environment``: numpy, BLAS, BLAS threads, Python, CPU count, git sha.
 
@@ -67,7 +70,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from orbitframes import blaschke, cli, model_space, orbits  # noqa: E402
+from orbitframes import biinfinite, blaschke, cli, model_space, orbits  # noqa: E402
 
 TWO_PI = 2.0 * np.pi
 
@@ -249,7 +252,8 @@ def cli_rows(problems: dict, repeat: int) -> dict:
 
 
 def run_problem_problems() -> list:
-    """One problem per kind, then the scheduled recover op, as a problem file would hold them."""
+    """One problem per kind, then the scheduled recover op and the reseeded grid
+    op, as a problem file would hold them."""
     rng = np.random.default_rng(0)
     spread = np.exp(2.4j * np.arange(20))  # about the golden angle apart
     T, f0 = dense_unimodular(200)
@@ -276,8 +280,15 @@ def run_problem_problems() -> list:
         "T": pairs(W @ np.diag(lam) @ np.linalg.inv(W)), "f0": pairs(W @ weights[:8]), "index_set": "N",
         "n_max": 499, "recover_generator": True, "bounds_schedule": [62, 124, 249],
     }
+    half = [[TWO_PI / 1024, TWO_PI * 513 / 1024]]
+    D = int(np.count_nonzero(biinfinite.ArcSet(tuple(map(tuple, half))).contains(TWO_PI * np.arange(512) / 512)))
+    psi = rng.uniform(0.5, 1.5, D) * np.exp(1j * rng.uniform(0.0, TWO_PI, D))
+    reseeded = {"arcs": half, "M": 512, "n_max": 512, "psi": pairs(psi)}
     problems = [{"kind": kind, "parameters": params} for kind, params in parameters.items()]
-    return problems + [{"kind": "orbit_analysis", "parameters": scheduled}]
+    return problems + [
+        {"kind": "orbit_analysis", "parameters": scheduled},
+        {"kind": "biinfinite", "parameters": reseeded},
+    ]
 
 
 def run_problem_rows(problems: list, repeat: int) -> dict:

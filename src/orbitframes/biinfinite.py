@@ -3,22 +3,31 @@
 A union of arcs is sampled on the M-th roots of unity w^k; multiplication
 by the variable on the arcs becomes T = diag(w^(k_j)) over the in-mask
 indices k_j, and the constant function the seed M^(-1/2) 1.  The pair
-carries both frame operators in closed form and builds no columns: the
-window sum over |n| <= n_max is the Dirichlet kernel
-(1/M) sum_n w^(n (k_i - k_j)), and the sum over one period
-p = M / gcd(M, k_1, ..., k_D) is (p/M) I, as distinct indices differ by a
-nonzero residue and the p-th roots of unity sum to zero.  The full grid
-(p = M) gives exactly I, the discrete Fourier orthogonality that anchors
-the zero-defect reference cases; proper sub-arcs are overcomplete.
+carries its frame operators in closed form and builds no columns.  Write
+2 n_max + 1 = q M + r with 0 <= r < M: the window holds every residue mod M
+q times and the r residues R = {-n_max, ..., r - 1 - n_max} once more, so
+its sum is S_N = q I + (1/M) U_R U_R* with U_R[j, s] = w^(k_j s), s in R,
+as distinct indices differ by a nonzero residue and the roots of unity sum
+to zero.  The sum over one period p = M / gcd(M, k_1, ..., k_D) is (p/M) I
+for the same reason.  The full grid (p = M) gives exactly I, the discrete
+Fourier orthogonality that anchors the zero-defect reference cases; proper
+sub-arcs are overcomplete.
 
-The pairs keep their diagonal structure, so no grid computation runs an
-SVD or an ``eigh``: T's condition is max|t| / min|t|, and with T and the
-period operator both diagonal the unitarity defect is max ||t|^2 - 1|.
-On the full grid the window sum is sum_r count_r v_r v_r* / M over the
-orthogonal Fourier vectors v_r (count_r window indices with residue r mod
-M), so its ``spectrum`` is the residue counts and the frame bounds are
-exact integers.  On sub-arcs it is one real ``eigvalsh`` per frame
-operator, reseeded ones included.
+The frame bounds come from q and the r x r Gram (1/M) U_R* U_R, whose
+eigenvalues, padded with D - r zeros, are those of S_N - q I.  On the full
+grid the Gram is I_r, so the spectrum is the window's residue counts; with
+r = 1 it is D / M, so the bounds are q and q + D / M (every window of whole
+periods plus one index); otherwise, while r < D, one ``eigvalsh`` of the
+Gram, and the lower bound is q.  No eigensolver runs for r <= 1, and no
+D x D window sum is formed: the Dirichlet kernel (1/M) sum_n w^(n (k_i -
+k_j)), the ifft of the residue counts, is built only where something reads
+it (a window shorter than its period, whose unitarity defect takes the
+Cholesky route, or a reseeding with r > 1).  A reseeded pair with r <= 1 is
+a diagonal plus a rank-one term, q diag(|psi|^2) + (psi v)(psi v)*, and its
+extremes are roots of the secular equation, found by bisection.  The pairs
+keep their diagonal structure, so no grid computation runs an SVD or an
+``eigh``: T's condition is max|t| / min|t|, and with T and the period
+operator both diagonal the unitarity defect is max ||t|^2 - 1|.
 
 Window sums over a symmetric truncation are averaged per period
 (factor M / (2 n_max + 1)) so the reported defect decreases with depth
@@ -124,10 +133,12 @@ def build_multiplication_pair(
     (one endpoint cell per arc side).  T is the diagonal of in-mask roots
     and the seed is the constant function under quadrature normalization,
     sqrt(1/M) at every masked point.  Depth defaults to one full period
-    (n_max = M).  ``frame_operator``, ``period_operator`` (module docstring)
-    and the full grid's ``spectrum``, the window's residue counts, go in by
-    ``OrbitSpec._replace``; a mask past ``GRID_MASK_MAX`` points is rejected
-    before any D x D array is allocated.
+    (n_max = M).  The ``spectrum`` from the residue counts and the Gram
+    (module docstring), ``period_operator``, ``rank_one`` = (q, v) when r <=
+    1, and ``frame_operator`` only where it is read go in by
+    ``OrbitSpec._replace``; otherwise a read of ``frame_operator`` sums the
+    window as any two-sided spec does.  A mask past ``GRID_MASK_MAX`` points
+    is rejected before any D x D array is allocated.
     """
     M = int(M)
     if M < 1:
@@ -145,14 +156,27 @@ def build_multiplication_pair(
     T = np.diag(np.exp(1j * angles[k]))
     f0 = np.full(k.size, math.sqrt(1.0 / M), dtype=np.complex128)
     pair = OrbitSpec(T=T, f0=f0, index_set="Z", n_max=M if n_max is None else n_max)
-    N, p = pair.n_max, M // math.gcd(M, *k.tolist())
-    # The kernel is the ifft of the window's residue counts, real as the window is symmetric.
-    counts = np.bincount(np.arange(-N, N + 1) % M, minlength=M)
-    kernel = np.fft.ifft(counts).real
-    known = {"frame_operator": kernel[np.subtract.outer(k, k) % M]}
-    known["period_operator"] = (p / M) * np.eye(k.size) if p <= 2 * N else None
-    if k.size == M:  # S = sum_r counts_r v_r v_r* / M over orthogonal Fourier vectors v_r
-        known["spectrum"] = np.sort(counts).astype(float)
+    D, N, p = k.size, pair.n_max, M // math.gcd(M, *k.tolist())
+    q, r = divmod(2 * N + 1, M)
+    known = {"period_operator": (p / M) * np.eye(D) if p <= 2 * N else None}
+    if r > 1 or p > 2 * N:  # read by commutant_multiplier and by unitarity_defect
+        # The kernel is the ifft of the window's residue counts, real as the window is symmetric.
+        counts = np.full(M, q)
+        counts[(np.arange(r) - N) % M] += 1
+        kernel = np.fft.ifft(counts).real
+        known["frame_operator"] = kernel[np.subtract.outer(k, k) % M]
+    if r <= 1:  # S = q I + v v*, v = f0 u with u_j = w^(-N k_j)
+        known["rank_one"] = (q, f0 * np.exp(1j * angles[(-N * k) % M]) if r else None)
+    if D == M:  # the Gram is I_r: S's eigenvalues are the residue counts
+        known["spectrum"] = np.repeat([float(q), q + 1.0], [M - r, r])
+    elif r <= 1:  # the Gram is ||v||^2 = D / M
+        known["spectrum"] = np.full(D, float(q))
+        known["spectrum"][-1] = (q * M + r * D) / M
+    elif r < D:  # the Gram's entry (s, t) is ifft(mask)[t - s], Toeplitz
+        g = np.fft.ifft(np.bincount(k, minlength=M))
+        s = np.arange(r)
+        gram = np.maximum(np.linalg.eigvalsh(g[np.subtract.outer(s, s) % M]), 0.0)
+        known["spectrum"] = q + np.concatenate([np.zeros(D - r), gram])
     return pair._replace(**known)
 
 
@@ -248,9 +272,13 @@ def commutant_multiplier(pair: OrbitSpec, psi_samples) -> OrbitSpec:
     reported.  The accepted orbit's frame bounds sit inside
     [A min|psi|^2, B max|psi|^2] for the original bounds A, B.  T must be
     diagonal, so diag(psi) commutes with it and the reseeded frame operator
-    is diag(psi) S diag(conj(psi)).  As for ``synthesis_matrix``, a column
-    psi f0 (a grid orbit's columns share its norm) past ``COLUMN_OVERFLOW``
-    is a ``NumericalError``.
+    is diag(psi) S diag(conj(psi)).  When the pair knows S = q I + v v*
+    (``rank_one``), the reseeded ``spectrum`` holds only its least and
+    largest eigenvalue, read from the secular equation
+    (``_secular_extremes``), and the reseeded window sum is not formed;
+    otherwise it is ``eigvalsh`` of the real diag(|psi|) S diag(|psi|).  As
+    for ``synthesis_matrix``, a column psi f0 (a grid orbit's columns share
+    its norm) past ``COLUMN_OVERFLOW`` is a ``NumericalError``.
     """
     t = diagonal_of(pair.T)
     if t is None:
@@ -279,8 +307,50 @@ def commutant_multiplier(pair: OrbitSpec, psi_samples) -> OrbitSpec:
         norm = float(np.linalg.norm(f0))
     if not norm <= COLUMN_OVERFLOW:
         raise NumericalError(f"reseeded orbit column norm {norm:.3e} passes {COLUMN_OVERFLOW:.0e}")
+    if pair.rank_one is not None:  # S' = q diag(|psi|^2) + (psi v)(psi v)*
+        q, v = pair.rank_one
+        d = q * (psi.real**2 + psi.imag**2)  # not mods**2, which doubles abs's rounding
+        extremes = (d.min(), d.max()) if v is None else _secular_extremes(d, np.abs(psi * v) ** 2)
+        return pair._replace(f0=f0, spectrum=np.array(extremes, dtype=float))
     S = pair.frame_operator
     # diag(psi) = diag(|psi|) diag(psi / |psi|), whose unitary factor commutes
     # with diag(|psi|): the same spectrum from a real matrix when S is real.
     spectrum = np.linalg.eigvalsh(mods[:, None] * S * mods)
     return pair._replace(f0=f0, frame_operator=psi[:, None] * S * psi.conj(), spectrum=spectrum)
+
+
+def _secular_extremes(d: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """Least and largest eigenvalue of diag(d) + z z* with |z|^2 = w > 0, d real.
+
+    They are the outer roots of the secular equation 1 + sum_j w_j / (d_j - x)
+    = 0, whose left side increases between its poles d_j (Golub, SIAM Rev. 15,
+    1973): the largest root lies in [d_K + w_K, d_K + sum w], d_K = max d, and
+    the least in (d_(1), d_(2)), or is d_(1) when the two least d are equal.
+    Each root is bisected as x = o + tau about the pole o nearer to it, the
+    denominators formed as (d_j - o) - tau (Bunch, Nielsen and Sorensen,
+    Numer. Math. 31, 1978), so no difference of nearby numbers is rounded.
+    """
+    top = int(np.argmax(d))
+    high = d[top] + _bisect(d - d[top], w, w[top], np.sum(w))
+    if d.size == 1:
+        return high, high
+    low, second = np.partition(d, 1)[:2]
+    half = 0.5 * (second - low)
+    if half == 0.0:
+        return low, high
+    if 1.0 + np.sum(w / (d - low - half)) >= 0.0:  # the root is nearer d_(1)
+        return low + _bisect(d - low, w, 0.0, half), high
+    return second + _bisect(d - second, w, -half, 0.0), high
+
+
+def _bisect(delta: np.ndarray, w: np.ndarray, lo: float, hi: float) -> float:
+    """The tau in [lo, hi] where 1 + sum w / (delta - tau), increasing there, changes
+    sign, bisected until no float lies strictly between the bracket's ends."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return float(hi)
+        if 1.0 + np.sum(w / (delta - mid)) < 0.0:
+            lo = mid
+        else:
+            hi = mid

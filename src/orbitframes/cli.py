@@ -21,15 +21,17 @@ separators=(",", ":"))`` and a newline (``python -m json.tool`` lays one out
 for reading), but its ``inputs`` is the problem's ``parameters`` text as the
 file writes it, kept while json's C scanner parses the file.  One
 ``writelines`` writes it as pieces (a matrix of pairs row by row), with no
-string as long as the report.  It is byte-stable for a given problem file and
-the one file a run writes: ``run_problem``, a function of the problem alone,
-writes none and returns the report dict, the parsed parameters as ``inputs``.
+string as long as the report.  It is byte-stable for a given problem file,
+numpy build and BLAS thread count, and the one file a run writes:
+``run_problem``, a function of the problem alone, writes none and returns
+the report dict, the parsed parameters as ``inputs``.
 Wall time, the time to read the problem, encoding time and report size go to
 stderr.  A report's ``tolerances`` lists the ``config`` constants its kind
 compares against.  Repeated ``main`` calls in one process share one parser.
 
 Exit codes: 0 success, 1 failed verification criteria, 2 input, validation
-or report-path error, 3 numerical error from an inner module.
+or report-writing error (an unwritable path, a stdout pipe closed early), 3
+numerical error from an inner module.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import functools
 import inspect
 import json
 import math
+import os
 import reprlib
 import sys
 import time
@@ -516,7 +519,15 @@ def _cmd_run(args) -> int:
             print(f"error: cannot write report: {exc}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.writelines(pieces)
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # The interpreter flushes stdout again at exit: point it at devnull
+            # so that flush does not raise too (Python's ``signal`` docs, SIGPIPE).
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     size = f"read {read:.3f} s, report {encoding:.3f} s, {sum(map(len, pieces))} bytes"
     print(f"completed {problem['kind']} in {elapsed:.3f} s ({size})", file=sys.stderr)
     return 0

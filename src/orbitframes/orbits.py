@@ -96,7 +96,7 @@ class OrbitSpec:
         n_max = int(self.n_max)
         check_size("n_max", n_max)
         if self.index_set == "Z":
-            check_condition(T, TWO_SIDED_COND_MAX, "invertible two-sided generator")
+            _gate_two_sided(self, T)
         T.setflags(write=False)
         f0.setflags(write=False)
         object.__setattr__(self, "T", T)
@@ -111,11 +111,19 @@ class OrbitSpec:
     #: T = H diag(zeros) H^-1, f0 = H c, H None for I, growth >= cond(H)^2.
     eigensystem = None
 
+    #: ``(q, v)`` when a builder knows the window sum as S_N = q I + v v*, v a
+    #: vector, or None for S_N = q I (``biinfinite``'s grid pairs with at most
+    #: one residue past whole periods); ``commutant_multiplier`` reads it.
+    rank_one = None
+
     def _replace(self, **known) -> OrbitSpec:
         """This spec with validated ``known`` fields and cached operators, each
-        array made read-only; T keeps the gates it passed.  Builders write only here."""
+        array made read-only; T keeps the gates it passed, and its ``_inverse``.
+        Builders write only here."""
         spec = object.__new__(OrbitSpec)
         spec.__dict__.update(T=self.T, f0=self.f0, index_set=self.index_set, n_max=self.n_max)
+        if "_inverse" in self.__dict__:
+            spec.__dict__["_inverse"] = self._inverse
         for value in known.values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
@@ -138,6 +146,13 @@ class OrbitSpec:
         """The levels (G_k, T^(2^k), p_k, err P_k) that ``_doubling`` has squared,
         appended with no lock: walk the windows of one spec from one thread."""
         return []
+
+    @cached_property
+    def _inverse(self) -> np.ndarray:
+        """T^-1, read-only: the two-sided gate's LU inverse, else one ``inv`` here."""
+        inverse = np.linalg.inv(self.T)
+        inverse.setflags(write=False)
+        return inverse
 
     @cached_property
     def columns(self) -> np.ndarray:
@@ -194,7 +209,12 @@ class OrbitSpec:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues of ``frame_operator``: one ``eigvalsh``."""
+        """Ascending eigenvalues of ``frame_operator``: one ``eigvalsh``.
+
+        A builder that hands it over may hand only the least and the largest
+        (``biinfinite``'s reseeded grid pairs): ``frame_bounds``,
+        ``unitarity_defect`` and ``biinfinite.parseval_defect`` read nothing else.
+        """
         eigs = np.linalg.eigvalsh(self.frame_operator)
         eigs.setflags(write=False)
         return eigs
@@ -313,6 +333,36 @@ def check_condition(M: np.ndarray, ceiling: float, what: str) -> float:
     if not np.isfinite(cond) or cond > ceiling:
         raise ValueError(f"{what} needs condition below {ceiling:.0e}, got {cond:.3e}")
     return cond
+
+
+def _gate_two_sided(spec: OrbitSpec, T: np.ndarray) -> None:
+    """``check_condition`` of a two-sided generator at ``TWO_SIDED_COND_MAX``, run
+    only for a T that fails the cheaper tests, so that its SVD and message decide.
+
+    A diagonal T passes on max|t| / min|t|, as ``check_condition`` reads it,
+    with no second pass over T.  A dense T is inverted once by LU, kept as
+    ``spec._inverse``, and passes when D ||T||_1 ||T^-1||_1 is at most the
+    ceiling, as kappa_2 <= D kappa_1; otherwise, or when ``inv`` finds T
+    singular, the SVD decides.
+    """
+    d = diagonal_of(T)
+    if d is not None:
+        low = float(np.min(np.abs(d)))
+        if low > 0.0 and float(np.max(np.abs(d))) / low <= TWO_SIDED_COND_MAX:
+            return
+    else:
+        try:
+            inverse = np.linalg.inv(T)
+        except np.linalg.LinAlgError:
+            inverse = None
+        if inverse is not None:
+            inverse.setflags(write=False)
+            object.__setattr__(spec, "_inverse", inverse)
+            with np.errstate(over="ignore", invalid="ignore"):
+                bound = T.shape[0] * np.linalg.norm(T, 1) * np.linalg.norm(inverse, 1)
+            if bound <= TWO_SIDED_COND_MAX:
+                return
+    check_condition(T, TWO_SIDED_COND_MAX, "invertible two-sided generator")
 
 
 def orbit_columns(T: np.ndarray, v: np.ndarray, n_max: int) -> np.ndarray:
@@ -467,7 +517,7 @@ def _sides(spec: OrbitSpec) -> tuple:
             yield n, chunk
             n += chunk.shape[1]
 
-    return side(np.linalg.inv(spec.T)), side(spec.T)
+    return side(spec._inverse), side(spec.T)
 
 
 def _check_overflow(norms: np.ndarray) -> None:
@@ -635,8 +685,11 @@ def kernel_shift_invariance(frame_columns: np.ndarray, tol: float = KERNEL_TOL) 
     window enters it.  The value does not depend on a choice of kernel
     basis; it is exactly 0.0 when ker U_0 is trivial (one column included)
     and near zero exactly when the columns are a single operator's orbit.
-    One thin SVD and a few D x L products: O(D^2 L), no L x L factor.
-    Columns must be in one-sided index order.
+    It is read from one tall QR of the stacked [U_0; U_1]* (``_shift_kernel``),
+    whose 2D x min(L - 1, 2D) factor carries U_0's singular values and what
+    U_1 does on its row space: O(D^2 L), no L x L factor, and after the QR
+    no product as long as the window.  Columns must be in one-sided index
+    order.
     """
     U = _finite_columns(frame_columns)
     if not 0.0 < tol < 1.0:
@@ -645,22 +698,32 @@ def kernel_shift_invariance(frame_columns: np.ndarray, tol: float = KERNEL_TOL) 
 
 
 def _shift_kernel(U: np.ndarray, tol: float) -> tuple:
-    """The residual of ``kernel_shift_invariance``, the thin SVD U_0 = W S V* and U_1 V_r."""
-    U0, U1 = U[:, :-1], U[:, 1:]
-    W, svals, vh = np.linalg.svd(U0, full_matrices=False)
+    """The residual of ``kernel_shift_invariance``, W and S of the thin SVD
+    U_0 = W S V*, and U_1 V_r*, all read from one tall QR.
+
+    [U_0; U_1] = K Q* with Q* Q = I from ``qr([U_0; U_1]*, mode="r")``, so K =
+    [K_0; K_1] is 2D x min(L - 1, 2D) and U_i = K_i Q*.  The SVD K_0 = W S V~*
+    gives U_0's W and S, and V = V~ Q*; so U_1 V_r* = K_1 V~_r* and the residual
+    is ||K_1 - K_1 V~_r* V~_r||_2, with no product as long as the window.
+    """
+    D = U.shape[0]
+    K = np.linalg.qr(np.vstack([U[:, :-1], U[:, 1:]]).conj().T, mode="r").conj().T
+    K0, K1 = K[:D], K[D:]
+    W, svals, vh = np.linalg.svd(K0, full_matrices=False)
     top = float(svals.max(initial=0.0))
     V = vh[: int(np.count_nonzero((svals >= tol * top) & (svals > 0.0)))]
-    X = U1 @ V.conj().T
-    residual = 0.0 if V.shape[0] == U0.shape[1] else float(np.linalg.norm(U1 - X @ V, 2))
+    X = K1 @ V.conj().T
+    residual = 0.0 if V.shape[0] == K0.shape[1] else float(np.linalg.norm(K1 - X @ V, 2))
     return residual, W, svals, X
 
 
 def generator_closure(frame_columns: np.ndarray) -> tuple[np.ndarray, float]:
     """The generator U_1 U_0^+ of one-sided orbit columns, and its kernel residual.
 
-    One thin SVD U_0 = W S V* of the window without its last column gives
-    ``kernel_shift_invariance(U)``, which equals ||(U_1 U_0^+) U_0 - U_1||_2,
-    the frame-capture check and U_0^+ = V S^-1 W*.  ``ShiftInvarianceError``
+    The tall QR of ``kernel_shift_invariance`` gives U_0 = W S V* and U_1 V*
+    through its small factor (``_shift_kernel``), hence that residual, which
+    equals ||(U_1 U_0^+) U_0 - U_1||_2, the frame-capture check and the
+    generator (U_1 V*) S^-1 W* with U_0^+ = V S^-1 W*.  ``ShiftInvarianceError``
     when the residual exceeds ``KERNEL_TOL * ||U_0||_2`` (a verdict free of
     the seed's scale); ``NumericalError`` when sigma_min(U_0)^2 <=
     ``KERNEL_TOL`` sigma_max(U_0)^2 (frame not captured at this truncation,
@@ -810,7 +873,7 @@ def lower_norm_check(spec: OrbitSpec, f: np.ndarray, n_range) -> tuple[float, fl
     ns = sorted(ns)
     forward = [n for n in ns if n >= 0]
     backward = [-n for n in ns if n < 0]
-    inverse = np.linalg.inv(spec.T) if backward else None
+    inverse = spec._inverse if backward else None
     mins = []
     for adjoint in (False, True):
         norms = []

@@ -43,6 +43,19 @@ CLOSED_FORM_CASES = [
 ]
 
 
+def mask_size(arcs, M):
+    return int(np.count_nonzero(ARC_SETS[arcs].contains(TWO_PI * np.arange(M) / M)))
+
+
+#: Sub-arc windows with fewer residues past whole periods than grid points
+#: (r < D): the closed-form cases and the benchmark's grid sizes.
+SUB_ARC_CASES = [
+    (M, arcs, n)
+    for M, arcs, n in CLOSED_FORM_CASES + [(M, a, n) for M in (128, 512) for a in ARC_SETS for n in (M, 4 * M)]
+    if arcs != "full_circle" and (2 * n + 1) % M < mask_size(arcs, M)
+]
+
+
 def residue_counts(M, N):
     """Number of window indices n in [-N, N] in each residue class mod M."""
     counts = [0] * M
@@ -303,13 +316,29 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("M, arcs, n", CLOSED_FORM_CASES)
     def test_reseeded_spectrum_matches_complex_eigvalsh(self, M, arcs, n):
+        # With one residue past whole periods (n = 0 and n = M) the reseeded
+        # spectrum holds only its extremes, all that the reports read.
         pair = build_multiplication_pair(ARC_SETS[arcs], M, n_max=n)
         rng = np.random.default_rng(3 * M + n)
         psi = rng.uniform(0.5, 2.0, pair.dim) * np.exp(2j * np.pi * rng.uniform(size=pair.dim))
         reseeded = commutant_multiplier(pair, psi)
         oracle = np.linalg.eigvalsh(psi[:, None] * pair.frame_operator * psi.conj())
-        assert np.max(np.abs(reseeded.spectrum - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+        held = [0, -1] if pair.rank_one is not None else slice(None)
+        assert np.max(np.abs(reseeded.spectrum - oracle[held])) <= 1e-14 * np.max(np.abs(oracle))
         assert not reseeded.spectrum.flags.writeable
+
+    @pytest.mark.parametrize("M, arcs, n", SUB_ARC_CASES)
+    def test_sub_arc_bounds_are_exact(self, M, arcs, n):
+        # S_N = q I + (1/M) U_R U_R* with U_R of r < D columns: the lower bound
+        # is q, and with r = 1 the upper is q + D / M, rounded once.
+        pair = build_multiplication_pair(ARC_SETS[arcs], M, n_max=n)
+        q, r = divmod(2 * n + 1, M)
+        report = frame_bounds(pair)
+        assert report.lower_bound == q
+        if r == 1:
+            assert report.upper_bound == (q * M + pair.dim) / M
+        oracle = np.linalg.eigvalsh(brute_force_frame_operator(pair))
+        assert abs(report.upper_bound - oracle[-1]) <= 1e-13 * oracle[-1]
 
     @pytest.mark.parametrize("M, arcs, n", CLOSED_FORM_CASES)
     def test_parseval_defect_matches_svd_norm(self, M, arcs, n):
@@ -320,6 +349,83 @@ class TestSpectrum:
             S = (M / (2.0 * n + 1.0)) * brute_force_frame_operator(pair)
         expected = float(np.linalg.norm(S - np.eye(pair.dim), 2))
         assert grid_parseval_defect(pair, M) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+
+
+def exact_reseeded_extremes(pair, M, psi):
+    """Least and largest eigenvalue at 50 digits of the reseeded window sum
+    sum_{|n| <= N} (psi t^n f0)(psi t^n f0)*, t the exact M-th roots of unity
+    of the mask and f0 = M^(-1/2) 1, psi as its floats."""
+    import mpmath
+
+    k = np.rint(np.angle(np.diagonal(pair.T)) % TWO_PI * M / TWO_PI).astype(int).tolist()
+    N = pair.n_max
+    with mpmath.workdps(50):
+        sums = {}
+        for a in k:
+            for b in k:
+                if a - b not in sums:
+                    terms = (mpmath.expjpi(mpmath.mpf(2 * n * (a - b)) / M) for n in range(-N, N + 1))
+                    sums[a - b] = mpmath.fsum(terms)
+        z = [mpmath.mpc(float(x.real), float(x.imag)) for x in psi]
+        S = mpmath.matrix(len(k))
+        for i, a in enumerate(k):
+            for j, b in enumerate(k):
+                S[i, j] = z[i] * mpmath.conj(z[j]) * sums[a - b] / M
+        eigs = mpmath.eighe(S, eigvals_only=True)
+        return min(eigs), max(eigs)
+
+
+class TestSecularExtremes:
+    @pytest.mark.parametrize("arcs", ["sub_arc", "two_arcs"])
+    @pytest.mark.parametrize("n", [0, 32, 128])
+    @pytest.mark.parametrize("spread", [3.0, 1e6])
+    def test_reseeded_extremes_against_50_digits(self, arcs, n, spread):
+        # One residue past whole periods (q = 0, 2, 8): the extremes are roots
+        # of the secular equation.  The lower bound holds to its floor; the
+        # upper, which carries no floor of its own, to two: the rounding of
+        # q |psi_K|^2 and of the root's last addition.
+        M = 32
+        pair = build_multiplication_pair(ARC_SETS[arcs], M, n_max=n)
+        rng = np.random.default_rng([n, int(spread)])
+        mods = spread ** rng.uniform(-0.5, 0.5, pair.dim)
+        psi = mods * np.exp(2j * np.pi * rng.uniform(size=pair.dim))
+        report = frame_bounds(commutant_multiplier(pair, psi))
+        low, high = exact_reseeded_extremes(pair, M, psi)
+        assert abs(report.lower_bound - low) <= report.lower_bound_floor
+        assert abs(report.upper_bound - high) <= 2 * report.lower_bound_floor
+
+    def test_equal_least_moduli_give_a_pole(self):
+        # Two masked points with the least |psi|: their difference vector is
+        # orthogonal to the rank-one term, so q |psi|^2 is an eigenvalue.
+        pair = build_multiplication_pair(ARC_SETS["sub_arc"], 16)
+        psi = np.linspace(1.0, 2.0, pair.dim).astype(complex)
+        psi[1] = 1j
+        reseeded = commutant_multiplier(pair, psi)
+        assert reseeded.spectrum[0] == 2.0
+        oracle = np.linalg.eigvalsh(brute_force_frame_operator(reseeded))
+        assert abs(reseeded.spectrum[-1] - oracle[-1]) <= 1e-14 * oracle[-1]
+
+    def test_one_point_mask(self):
+        # D = 1: the one eigenvalue |psi|^2 (q + 1 / M).
+        pair = build_multiplication_pair(ArcSet(((0.0, 0.1),)), 16)
+        assert pair.dim == 1
+        reseeded = commutant_multiplier(pair, [3.0])
+        np.testing.assert_array_equal(reseeded.spectrum, [9.0 * 33 / 16] * 2)
+
+    def test_plain_and_reseeded_pairs_build_no_kernel(self, monkeypatch):
+        # With r = 1 and a whole period inside the window nothing reads the
+        # D x D window sum, so no ifft kernel is built.
+        calls = []
+        real = np.fft.ifft
+        monkeypatch.setattr(np.fft, "ifft", lambda *a, **k: calls.append(1) or real(*a, **k))
+        for arcs in ("sub_arc", "two_arcs", "full_circle"):
+            pair = build_multiplication_pair(ARC_SETS[arcs], 64)
+            frame_bounds(pair), grid_parseval_defect(pair, 64), unitarity_defect(pair)
+            reseeded = commutant_multiplier(pair, np.linspace(0.5, 1.5, pair.dim))
+            frame_bounds(reseeded)
+            assert "frame_operator" not in pair.__dict__
+            assert "frame_operator" not in reseeded.__dict__
+        assert calls == []
 
 
 class TestUnitarityOnGrid:

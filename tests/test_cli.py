@@ -506,18 +506,20 @@ class TestBiinfinite:
 
 
     @pytest.mark.parametrize(
-        "arcs, M, psi, eigvalsh_calls",
+        "arcs, M, psi",
         [
-            ([[0.0, 6.283185307179586]], 16, False, 0),
-            ([[0.0, 3.141592653589793]], 16, True, 2),
-            ([[0.3, 1.2], [3.0, 4.5]], 32, False, 1),
+            ([[0.0, 6.283185307179586]], 16, False),
+            ([[0.0, 3.141592653589793]], 16, True),
+            ([[0.3, 1.2], [3.0, 4.5]], 32, False),
         ],
         ids=["full_circle", "sub_arc_psi", "two_arcs"],
     )
-    def test_no_svd_or_eigh(self, tmp_path, capsys, monkeypatch, arcs, M, psi, eigvalsh_calls):
+    def test_no_svd_or_eigh(self, tmp_path, capsys, monkeypatch, arcs, M, psi):
         # Diagonal T and period operator: no condition SVD, no eigh for the
-        # unitarity defect, no 2-norm SVD; one eigvalsh per frame report off
-        # the full circle, whose spectrum is the window's residue counts.
+        # unitarity defect, no 2-norm SVD.  At n_max = M one residue is left
+        # past whole periods (r = 1), so no frame report runs an eigvalsh: the
+        # pair's spectrum is q and q + D / M, the reseeded pair's extremes are
+        # roots of the secular equation.
         calls = {"svd": 0, "cond": 0, "eigh": 0, "eigvalsh": 0, "norm_2": 0}
 
         def counted(name, real):
@@ -541,7 +543,7 @@ class TestBiinfinite:
             params["psi"] = [[1.5, 0.5]] * (M // 2 - 1) + [[0.5, 0.0]]
         report = run_to_report(tmp_path, {"kind": "biinfinite", "parameters": params}, capsys)
         assert ("reseeded_report" in report["results"]) == psi
-        assert calls == {"svd": 0, "cond": 0, "eigh": 0, "eigvalsh": eigvalsh_calls, "norm_2": 0}
+        assert calls == {"svd": 0, "cond": 0, "eigh": 0, "eigvalsh": 0, "norm_2": 0}
 
 
 class TestTranslates:
@@ -626,6 +628,27 @@ class TestOutputRouting:
         assert captured.out == ""
         assert captured.err.startswith("error: cannot write report: ")
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_closed_stdout_pipe_exit_2(self, tmp_path):
+        # A reader that has gone (``| head -c 10``): exit 2 with one line on
+        # stderr, and no traceback from the interpreter's last flush.
+        src = str(Path(orbitframes.__file__).parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "orbitframes", "run", str(write_problem(tmp_path, self.PAYLOAD))],
+                env=dict(os.environ, PYTHONPATH=path),
+                stdout=write,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot write report: [Errno 32] Broken pipe")
+        assert "Traceback" not in proc.stderr
 
 
 class TestRepeatedMain:

@@ -147,6 +147,30 @@ class TestOrbitSpec:
             with pytest.raises(ValueError, match=r"invertible .* got inf"):
                 OrbitSpec(T=np.diag(d), f0=seed(2), index_set="Z", n_max=4)
 
+    @pytest.mark.parametrize(
+        "T", [[[1.0, 2.0], [2.0, 4.0]], [[1.0, 1.0], [0.0, 1e-13]]], ids=["singular", "ill_conditioned"]
+    )
+    def test_two_sided_dense_gate_message(self, T):
+        # Past the LU route the SVD decides, with the message it always gave.
+        cond = float(np.linalg.cond(np.array(T, dtype=np.complex128)))
+        with pytest.raises(ValueError) as info:
+            OrbitSpec(T=T, f0=seed(2), index_set="Z", n_max=4)
+        assert str(info.value) == (
+            f"invertible two-sided generator needs condition below 1e+12, got {cond:.3e}"
+        )
+
+    def test_two_sided_dense_gate_reads_the_lu_inverse(self, monkeypatch):
+        # kappa_2 <= D ||T||_1 ||T^-1||_1: a well conditioned D = 50 generator
+        # passes on its LU inverse, which every window and pass reuses.
+        rng = np.random.default_rng(50)
+        T = skewed_diagonal(rng, np.exp(2j * np.pi * (np.arange(50) + rng.uniform(-0.3, 0.3, 50)) / 50))
+        f0 = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+        monkeypatch.setattr(np.linalg, "cond", None)
+        spec = OrbitSpec(T=T, f0=f0, index_set="Z", n_max=64)
+        frame_bounds(spec), unitarity_defect(spec), frame_bounds(spec.window(16))
+        assert spec.window(16)._inverse is spec._inverse
+        np.testing.assert_allclose(spec._inverse @ T, np.eye(50), atol=1e-12)
+
     def test_arrays_frozen(self):
         spec = OrbitSpec(T=np.eye(2), f0=seed(2), index_set="N", n_max=4)
         with pytest.raises(ValueError):
@@ -1315,14 +1339,15 @@ class TestLowerNormCheck:
             lower_norm_check(spec, seed(2), [0, 1.7])
 
     def test_one_inverse_for_both_passes(self, monkeypatch):
+        # The spec's condition gate forms T^-1 once; both passes reuse it.
         rng = np.random.default_rng(11)
         d = 4
         T = np.eye(d) + 0.3 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        spec = OrbitSpec(T=T, f0=seed(d), index_set="Z", n_max=8)
-        f = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         calls = []
         real = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda *a: calls.append(1) or real(*a))
+        spec = OrbitSpec(T=T, f0=seed(d), index_set="Z", n_max=8)
+        f = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         _, adj = lower_norm_check(spec, f, range(-5, 3))
         assert len(calls) == 1
         # The adjoint pass against its own inverse, inv(T*), as a second route.
