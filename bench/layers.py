@@ -40,6 +40,11 @@ and writes one JSON object:
   512 (D = 256) with n_max = 512 and ``psi`` of modulus in [0.5, 1.5],
   whose reseeded extremes are roots of the secular equation.
   Each row holds the best-of-k ms and the tracemalloc peak in bytes.
+* ``battery``: ``acceptance.run_battery(seed=0)`` in-process, the
+  acceptance battery that ``orbitframes verify`` prints, after one untimed
+  run: the best-of-k total ms, and one row per criterion of that run with
+  its index, name, verdict and ms (its ``CriterionResult.elapsed``).  A
+  criterion over its time budget reads ``passed`` false.
 * ``environment``: numpy, BLAS, BLAS threads, Python, CPU count, git sha.
 
 Inputs are built outside the timed call, and each timed call gets a fresh
@@ -70,7 +75,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from orbitframes import biinfinite, blaschke, cli, model_space, orbits  # noqa: E402
+from orbitframes import acceptance, biinfinite, blaschke, cli, model_space, orbits  # noqa: E402
 
 TWO_PI = 2.0 * np.pi
 
@@ -299,6 +304,18 @@ def run_problem_rows(problems: list, repeat: int) -> dict:
     return {"path": "cli.run_problem(problem) in-process, the problem dict built outside the timed call", "rows": rows}
 
 
+def battery_rows(repeat: int) -> dict:
+    acceptance.run_battery(seed=0)
+    runs = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        results = acceptance.run_battery(seed=0)
+        runs.append((1e3 * (time.perf_counter() - t0), results))
+    ms, results = min(runs, key=lambda run: run[0])
+    rows = [{"index": r.index, "name": r.name, "passed": r.passed, "ms": 1e3 * r.elapsed} for r in results]
+    return {"path": "acceptance.run_battery(seed=0) in-process", "ms": ms, "rows": rows}
+
+
 def environment() -> dict:
     try:
         proc = subprocess.run(["git", "-C", ROOT, "rev-parse", "HEAD"], capture_output=True, text=True)
@@ -350,6 +367,7 @@ def main(argv=None) -> int:
         ],
         "cli": cli_rows(cli_problems((50, 200), 10), repeat),
         "run_problem": run_problem_rows(run_problem_problems(), repeat),
+        "battery": battery_rows(repeat),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)

@@ -13,7 +13,6 @@ from .blaschke import (
     BlaschkeProduct,
     carleson_delta,
     delta_capacity,
-    evaluate,
     taylor_coeffs,
     validate_zeros,
 )
@@ -22,21 +21,16 @@ from .model_space import (
     basis_coordinates,
     build_model_space,
     decay_profile,
-    minimal_polynomial_check,
-    orbit,
     project_model,
     projected_monomial,
 )
 from .orbits import (
     FrameReport,
     OrbitSpec,
-    commutant_transport,
     frame_bounds,
     generator_closure,
     kernel_shift_invariance,
-    lower_norm_check,
     orbit_columns,
-    similarity_transport,
     synthesis_matrix,
     unitarity_defect,
 )
@@ -53,11 +47,9 @@ from .biinfinite import (
     TranslatesProfile,
     build_multiplication_pair,
     commutant_multiplier,
-    full_circle,
     translates_phi,
 )
-from .biinfinite import parseval_defect as grid_parseval_defect
-from .errors import CommutatorError, NumericalError, ShiftInvarianceError
+from .errors import NumericalError, ShiftInvarianceError
 
 __version__ = "0.1.0"
 
@@ -68,26 +60,20 @@ __all__ = [
     "BlaschkeProduct",
     "carleson_delta",
     "delta_capacity",
-    "evaluate",
     "taylor_coeffs",
     "validate_zeros",
     "ModelSpace",
     "basis_coordinates",
     "build_model_space",
     "decay_profile",
-    "minimal_polynomial_check",
-    "orbit",
     "project_model",
     "projected_monomial",
     "FrameReport",
     "OrbitSpec",
-    "commutant_transport",
     "frame_bounds",
     "generator_closure",
     "kernel_shift_invariance",
-    "lower_norm_check",
     "orbit_columns",
-    "similarity_transport",
     "synthesis_matrix",
     "unitarity_defect",
     "NormalOrbitSpec",
@@ -100,10 +86,7 @@ __all__ = [
     "TranslatesProfile",
     "build_multiplication_pair",
     "commutant_multiplier",
-    "full_circle",
-    "grid_parseval_defect",
     "translates_phi",
-    "CommutatorError",
     "NumericalError",
     "ShiftInvarianceError",
     "__version__",

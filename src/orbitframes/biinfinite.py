@@ -54,7 +54,6 @@ TWO_PI = 2.0 * math.pi
 
 __all__ = [
     "ArcSet",
-    "full_circle",
     "build_multiplication_pair",
     "parseval_defect",
     "TranslatesProfile",
@@ -117,10 +116,6 @@ class ArcSet:
         for start, end in self.arcs:
             inside |= (theta >= start) & (theta < end)
         return inside
-
-
-def full_circle() -> ArcSet:
-    return ArcSet(((0.0, TWO_PI),))
 
 
 def build_multiplication_pair(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import CoeffVec
-from .config import EPS_DISK, POLE_TOL, UNIMODULAR_TOL
+from .config import EPS_DISK, UNIMODULAR_TOL
 from .errors import NumericalError
 from .orbits import orbit_columns
 
@@ -24,7 +24,6 @@ __all__ = [
     "BlaschkeProduct",
     "carleson_delta",
     "delta_capacity",
-    "evaluate",
     "taylor_coeffs",
 ]
 
@@ -124,29 +123,6 @@ def delta_capacity(delta: float) -> float:
             f"range; the zeros are too weakly separated for a certificate"
         )
     return capacity
-
-
-def evaluate(b: BlaschkeProduct, z):
-    """Evaluate the product at a point or array of points.
-
-    Raises ``NumericalError`` when a point is within ``POLE_TOL`` of a
-    factor pole ``1 / conj(l_j)``.
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    out = np.full(z.shape, b.constant, dtype=np.complex128)
-    for lam in b.zeros:
-        den = 1.0 - np.conj(lam) * z
-        bad = np.abs(den) < POLE_TOL
-        if np.any(bad):
-            where = z[bad].reshape(-1)[0] if z.shape else complex(z)
-            raise NumericalError(
-                f"evaluation point {where} is within {POLE_TOL:.1e} of the "
-                f"pole of the factor with zero {lam}"
-            )
-        out = out * (z - lam) / den
-    if out.shape == ():
-        return complex(out)
-    return out
 
 
 def _weights(zeros: np.ndarray) -> np.ndarray:

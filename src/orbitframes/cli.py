@@ -237,6 +237,8 @@ def _run_carleson(zeros) -> tuple[dict, dict, dict]:
 
 
 def _run_model_space(zeros, trunc_n=None, decay_n_max=None) -> tuple[dict, dict, dict]:
+    if decay_n_max is not None:
+        config.check_size("decay_n_max", decay_n_max)
     h = BlaschkeProduct(zeros=_complex(zeros, "zeros", 1))
     ms = build_model_space(h, n_trunc=trunc_n)
     results = {
@@ -248,7 +250,6 @@ def _run_model_space(zeros, trunc_n=None, decay_n_max=None) -> tuple[dict, dict,
         "gram_residual": ms.gram_residual,
     }
     if decay_n_max is not None:
-        config.check_size("decay_n_max", decay_n_max)
         results["decay_profile"] = decay_profile(ms, ms.phi, decay_n_max).tolist()
     return results, {}, {"gram_target": config.GRAM_TARGET}
 
@@ -263,6 +264,8 @@ def _run_orbit_analysis(
 ) -> tuple[dict, dict, dict]:
     if recover_generator and index_set == "Z":
         raise ValueError("invalid problem file: recover_generator needs index_set N")
+    for m in bounds_schedule or ():
+        config.check_size("bounds_schedule entry", m)
     spec = OrbitSpec(
         T=_complex(T, "T", 2),
         f0=_complex(f0, "f0", 1),
@@ -282,10 +285,7 @@ def _run_orbit_analysis(
     else:
         results["unitarity_defect"] = unitarity_defect(spec)
     if bounds_schedule is not None:
-        rows = []
-        for m in bounds_schedule:
-            config.check_size("bounds_schedule entry", m)
-            rows.append(dataclasses.asdict(frame_bounds(spec.window(m))))
+        rows = [dataclasses.asdict(frame_bounds(spec.window(m))) for m in bounds_schedule]
         results["bounds_schedule"] = rows
     return results, {}, {"kernel_tol": config.KERNEL_TOL}
 

@@ -15,8 +15,6 @@ GRID_MASK_MAX = 2048
 EPS_DISK = 1e-10
 #: Largest ||c| - 1| accepted for the constant of a Blaschke product.
 UNIMODULAR_TOL = 1e-12
-#: Distance to a factor pole below which evaluation refuses to proceed.
-POLE_TOL = 1e-12
 #: Basis Gram residual the model-space window doubling aims for.
 GRAM_TARGET = 1e-10
 #: Column norm past which an orbit is declared numerically divergent.
@@ -27,14 +25,10 @@ FACTOR_COLUMN_NS = 2500
 FACTOR_STEP_NS = 40000
 #: Condition ceiling for generators on two-sided index sets.
 TWO_SIDED_COND_MAX = 1e12
-#: Condition ceiling for similarity transports and commutant multipliers.
-SIMILARITY_COND_MAX = 1e10
 #: Relative tolerance for detecting an exactly periodic orbit column sequence.
 PERIOD_TOL = 1e-10
 #: Relative kernel rank cut, and generator_closure's residual and frame-capture limits.
 KERNEL_TOL = 1e-10
-#: Commutator ceiling of ``commutant_transport``, relative to ||T|| ||V||.
-COMMUTATOR_RTOL = 1e-10
 #: Smallest frame eigenvalue ratio ``unitarity_defect`` accepts as invertible.
 SINGULAR_RTOL = 1e-14
 #: Relative distance to the excluded perturbation value that is rejected.

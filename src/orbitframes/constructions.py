@@ -5,9 +5,10 @@ diag(lambda_j) with seed weights c_j, and a rank-one perturbation
 diag + tau * e_l e_k^* that stays similar to the diagonal but is never
 normal for tau != 0.  Certificates come from the separation capacity of
 the zero set: measured frame bounds of the truncated orbit always land
-inside [alpha/Delta, beta*Delta] up to the reported tail.  Similarity
-images W diag W^{-1} are ``orbits.similarity_transport`` of the normal
-pair; they widen the interval by the extreme squared singular values of W.
+inside [alpha/Delta, beta*Delta] up to the reported tail.  A similarity
+image, the orbit of (W diag W^{-1}, W c), is an ``OrbitSpec`` built from
+those two; it widens the interval by the extreme squared singular values
+of W.
 
 Both builders know their orbit's eigensystem, T = H diag(lambda) H^-1 with
 f0 = H c, and hand it to the ``OrbitSpec`` (``eigensystem``), which reads

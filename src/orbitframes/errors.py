@@ -9,7 +9,7 @@ carrying the measured quantity that triggered the rejection.  Failures of the nu
 
 from __future__ import annotations
 
-__all__ = ["NumericalError", "ShiftInvarianceError", "CommutatorError"]
+__all__ = ["NumericalError", "ShiftInvarianceError"]
 
 
 class NumericalError(RuntimeError):
@@ -29,19 +29,4 @@ class ShiftInvarianceError(ValueError):
             f"kernel is not shift invariant: residual {residual:.6e} "
             f"exceeds tolerance {tol:.1e}; the columns are not the orbit "
             f"of a single bounded operator at this truncation"
-        )
-
-
-class CommutatorError(ValueError):
-    """Candidate operator does not commute with the generator.
-
-    ``commutator_norm`` is the measured spectral norm of VT - TV.
-    """
-
-    def __init__(self, commutator_norm: float, bound: float):
-        self.commutator_norm = float(commutator_norm)
-        self.bound = float(bound)
-        super().__init__(
-            f"operator does not commute with the generator: "
-            f"commutator norm {commutator_norm:.6e} exceeds {bound:.6e}"
         )

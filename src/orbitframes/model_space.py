@@ -29,9 +29,7 @@ __all__ = [
     "basis_coordinates",
     "project_model",
     "projected_monomial",
-    "orbit",
     "decay_profile",
-    "minimal_polynomial_check",
 ]
 
 
@@ -188,11 +186,6 @@ def projected_monomial(ms: ModelSpace, m: int) -> np.ndarray:
     return orbit_columns(ms.shift_matrix, ms.phi, m)[:, m]
 
 
-def orbit(ms: ModelSpace, n_max: int) -> np.ndarray:
-    """Coordinates of ``A^n phi`` for n = 0..n_max, shape (n_max + 1, dim)."""
-    return orbit_columns(ms.shift_matrix, ms.phi, n_max).T
-
-
 def decay_profile(ms: ModelSpace, f: np.ndarray, n_max: int) -> np.ndarray:
     """Norms ``||A^n f||`` for n = 0..n_max of a coordinate vector f.
 
@@ -205,12 +198,3 @@ def decay_profile(ms: ModelSpace, f: np.ndarray, n_max: int) -> np.ndarray:
         raise ValueError(f"expected a coordinate vector of length {ms.dim}")
     _check_finite(f)
     return np.linalg.norm(orbit_columns(ms.shift_matrix, f, n_max), axis=0)
-
-
-def minimal_polynomial_check(ms: ModelSpace) -> float:
-    """Spectral norm of ``prod_j (A - l_j I)``; near zero when h annihilates A."""
-    d = ms.dim
-    acc = np.eye(d, dtype=np.complex128)
-    for lam in ms.h.zeros:
-        acc = (ms.shift_matrix - lam * np.eye(d)) @ acc
-    return float(np.linalg.norm(acc, 2))

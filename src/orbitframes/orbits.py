@@ -18,7 +18,6 @@ numerical scope here.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,17 +25,15 @@ import numpy as np
 
 from .config import (
     COLUMN_OVERFLOW,
-    COMMUTATOR_RTOL,
     FACTOR_COLUMN_NS,
     FACTOR_STEP_NS,
     KERNEL_TOL,
     PERIOD_TOL,
-    SIMILARITY_COND_MAX,
     SINGULAR_RTOL,
     TWO_SIDED_COND_MAX,
     check_size,
 )
-from .errors import CommutatorError, NumericalError, ShiftInvarianceError
+from .errors import NumericalError, ShiftInvarianceError
 
 __all__ = [
     "OrbitSpec",
@@ -46,10 +43,7 @@ __all__ = [
     "frame_bounds",
     "kernel_shift_invariance",
     "generator_closure",
-    "similarity_transport",
-    "commutant_transport",
     "unitarity_defect",
-    "lower_norm_check",
 ]
 
 
@@ -318,38 +312,20 @@ def diagonal_of(M: np.ndarray) -> np.ndarray | None:
     return d if np.count_nonzero(M) == np.count_nonzero(d) else None
 
 
-def check_condition(M: np.ndarray, ceiling: float, what: str) -> float:
-    """The condition number of ``M``; a ``ValueError`` unless it is below ``ceiling``.
-
-    A diagonal ``M`` reads it as max|m_ii| / min|m_ii| (inf when one is 0);
-    the rest take ``np.linalg.cond``, one SVD.
-    """
-    d = diagonal_of(M)
-    if d is None:
-        cond = float(np.linalg.cond(M))
-    else:
-        low, high = float(np.min(np.abs(d))), float(np.max(np.abs(d)))
-        cond = high / low if low > 0.0 else np.inf  # Python floats overflow to inf
-    if not np.isfinite(cond) or cond > ceiling:
-        raise ValueError(f"{what} needs condition below {ceiling:.0e}, got {cond:.3e}")
-    return cond
-
-
 def _gate_two_sided(spec: OrbitSpec, T: np.ndarray) -> None:
-    """``check_condition`` of a two-sided generator at ``TWO_SIDED_COND_MAX``, run
-    only for a T that fails the cheaper tests, so that its SVD and message decide.
+    """A ``ValueError`` naming T's condition number unless it is below
+    ``TWO_SIDED_COND_MAX``.
 
-    A diagonal T passes on max|t| / min|t|, as ``check_condition`` reads it,
-    with no second pass over T.  A dense T is inverted once by LU, kept as
+    A diagonal T reads it as max|t| / min|t| (inf when one is 0), with no
+    second pass over T and no SVD.  A dense T is inverted once by LU, kept as
     ``spec._inverse``, and passes when D ||T||_1 ||T^-1||_1 is at most the
     ceiling, as kappa_2 <= D kappa_1; otherwise, or when ``inv`` finds T
-    singular, the SVD decides.
+    singular, ``np.linalg.cond`` (one SVD) reads it.
     """
     d = diagonal_of(T)
     if d is not None:
-        low = float(np.min(np.abs(d)))
-        if low > 0.0 and float(np.max(np.abs(d))) / low <= TWO_SIDED_COND_MAX:
-            return
+        low, high = float(np.min(np.abs(d))), float(np.max(np.abs(d)))
+        cond = high / low if low > 0.0 else np.inf  # Python floats overflow to inf
     else:
         try:
             inverse = np.linalg.inv(T)
@@ -362,7 +338,12 @@ def _gate_two_sided(spec: OrbitSpec, T: np.ndarray) -> None:
                 bound = T.shape[0] * np.linalg.norm(T, 1) * np.linalg.norm(inverse, 1)
             if bound <= TWO_SIDED_COND_MAX:
                 return
-    check_condition(T, TWO_SIDED_COND_MAX, "invertible two-sided generator")
+        cond = float(np.linalg.cond(T))
+    if not np.isfinite(cond) or cond > TWO_SIDED_COND_MAX:
+        raise ValueError(
+            f"invertible two-sided generator needs condition below "
+            f"{TWO_SIDED_COND_MAX:.0e}, got {cond:.3e}"
+        )
 
 
 def orbit_columns(T: np.ndarray, v: np.ndarray, n_max: int) -> np.ndarray:
@@ -744,49 +725,6 @@ def generator_closure(frame_columns: np.ndarray) -> tuple[np.ndarray, float]:
     return (X / svals) @ W.conj().T, residual
 
 
-def _transport_operand(spec: OrbitSpec, V: np.ndarray, what: str) -> np.ndarray:
-    """V as a finite complex matrix of T's shape, checked before any product."""
-    V = np.asarray(V, dtype=np.complex128)
-    if V.shape != spec.T.shape:
-        raise ValueError(f"{what} V must be {spec.dim}x{spec.dim}, got shape {V.shape}")
-    if not np.isfinite(V).all():
-        raise ValueError(f"{what} V must be finite")
-    return V
-
-
-def similarity_transport(spec: OrbitSpec, V: np.ndarray) -> OrbitSpec:
-    """Orbit of (V T V^{-1}, V f0); V must be of T's shape, finite and well conditioned."""
-    V = _transport_operand(spec, V, "similarity")
-    check_condition(V, SIMILARITY_COND_MAX, "similarity")
-    V_inv = np.linalg.solve(V, np.eye(V.shape[0]))
-    return OrbitSpec(
-        T=V @ spec.T @ V_inv,
-        f0=V @ spec.f0,
-        index_set=spec.index_set,
-        n_max=spec.n_max,
-    )
-
-
-def commutant_transport(spec: OrbitSpec, V: np.ndarray) -> OrbitSpec:
-    """Replace the seed by V f0 for V in the generator's commutant.
-
-    Rejects with ``CommutatorError`` (carrying the measured norm) when
-    ``||VT - TV||`` exceeds ``COMMUTATOR_RTOL * ||T|| * ||V||``, and
-    rejects V whose condition is not below ``SIMILARITY_COND_MAX``.  V must
-    be finite and of T's shape.
-    """
-    V = _transport_operand(spec, V, "commutant multiplier")
-    comm = float(np.linalg.norm(V @ spec.T - spec.T @ V, 2))
-    bound = COMMUTATOR_RTOL * float(np.linalg.norm(spec.T, 2))
-    bound *= float(np.linalg.norm(V, 2))
-    if comm > bound:
-        raise CommutatorError(comm, bound)
-    check_condition(V, SIMILARITY_COND_MAX, "invertible commutant multiplier")
-    return OrbitSpec(
-        T=spec.T, f0=V @ spec.f0, index_set=spec.index_set, n_max=spec.n_max
-    )
-
-
 def unitarity_defect(spec: OrbitSpec) -> float:
     """Distance of W = S^{-1/2} T S^{1/2} from being an isometry, ||W* W - I||_2.
 
@@ -845,42 +783,3 @@ def unitarity_defect(spec: OrbitSpec) -> float:
     half, cross = (g_aa.real + g_bb.real) / 2.0, abs(g_ab)
     r = math.sqrt(max((half - cross) * (half + cross), 0.0))
     return abs(g_aa.real - g_bb.real) / 2.0 + r
-
-
-def lower_norm_check(spec: OrbitSpec, f: np.ndarray, n_range) -> tuple[float, float]:
-    """Smallest of ||T^n f|| / ||f|| and ||(T*)^n f|| / ||f|| over n_range.
-
-    Two-sided orbits only; ``n_range`` is a nonempty collection of integers.
-    Negative n use the inverse, formed once, and its adjoint, inv(T*) = inv(T)*.
-    """
-    if spec.index_set != "Z":
-        raise ValueError("lower norm check is defined for two-sided orbits")
-    f = np.asarray(f, dtype=np.complex128).reshape(-1)
-    if f.shape != (spec.dim,):
-        raise ValueError(f"f must have length {spec.dim}, got {f.shape[0]}")
-    if not np.isfinite(f).all():
-        raise ValueError("f must be finite")
-    base = float(np.linalg.norm(f))
-    if base == 0.0:
-        raise ValueError("reference vector must be nonzero")
-    ns = set()
-    for n in n_range:
-        if not isinstance(n, numbers.Integral):
-            raise ValueError(f"n_range entries must be integers, got {n!r}")
-        ns.add(int(n))
-    if not ns:
-        raise ValueError("n_range must be nonempty")
-    ns = sorted(ns)
-    forward = [n for n in ns if n >= 0]
-    backward = [-n for n in ns if n < 0]
-    inverse = spec._inverse if backward else None
-    mins = []
-    for adjoint in (False, True):
-        norms = []
-        for M, steps in ((spec.T, forward), (inverse, backward)):
-            if steps:
-                M = M.conj().T if adjoint else M
-                cols = orbit_columns(M, f, max(steps))[:, steps]
-                norms.extend(np.linalg.norm(cols, axis=0))
-        mins.append(float(min(norms)) / base)
-    return mins[0], mins[1]

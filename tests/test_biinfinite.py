@@ -15,12 +15,11 @@ from orbitframes import (
     build_multiplication_pair,
     commutant_multiplier,
     frame_bounds,
-    full_circle,
-    grid_parseval_defect,
     synthesis_matrix,
     translates_phi,
     unitarity_defect,
 )
+from orbitframes.biinfinite import parseval_defect
 from orbitframes.cli import run_problem
 from orbitframes.config import GRID_MASK_MAX
 
@@ -28,11 +27,12 @@ TWO_PI = 2.0 * math.pi
 EXACT_PERIOD_TOL = 1e-12
 ORACLE_TOL = 1e-12
 CLOSED_FORM_RTOL = 1e-13
+FULL_CIRCLE = ArcSet(((0.0, TWO_PI),))
 
 ARC_SETS = {
     "sub_arc": ArcSet(((0.0, math.pi),)),
     "two_arcs": ArcSet(((0.3, 1.2), (3.0, 4.5))),
-    "full_circle": full_circle(),
+    "full_circle": FULL_CIRCLE,
 }
 #: (M, arc set, n_max): windows shorter than, equal to and past one period.
 CLOSED_FORM_CASES = [
@@ -120,9 +120,6 @@ class TestArcSet:
         inside = sigma.contains([0.0, math.pi / 2, math.pi, TWO_PI])
         assert list(inside) == [True, True, False, True]
 
-    def test_full_circle_helper(self):
-        assert full_circle().measure == 1.0
-
     def test_to_json_round_trips(self):
         # The arcs as a biinfinite report writes them build the same arc set.
         sigma = ArcSet(((0.25, 1.0), (2.0, 3.0)))
@@ -139,13 +136,13 @@ class TestGrid:
         assert np.array_equal(np.diag(spec.T), np.exp(1j * theta))
 
     def test_weight(self):
-        spec = build_multiplication_pair(full_circle(), 16)
+        spec = build_multiplication_pair(FULL_CIRCLE, 16)
         assert np.all(spec.f0 == math.sqrt(1.0 / 16))
         assert np.linalg.norm(spec.f0) ** 2 == pytest.approx(1.0)
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="at least 1"):
-            build_multiplication_pair(full_circle(), 0)
+            build_multiplication_pair(FULL_CIRCLE, 0)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -179,7 +176,7 @@ class TestMultiplicationPair:
             build_multiplication_pair(ArcSet(((0.1, 0.101),)), 8)
 
     def test_generator_has_exact_period(self):
-        spec = build_multiplication_pair(full_circle(), 6, n_max=4)
+        spec = build_multiplication_pair(FULL_CIRCLE, 6, n_max=4)
         P = np.linalg.matrix_power(np.asarray(spec.T), 6)
         assert np.max(np.abs(P - np.eye(6))) < 1e-14
 
@@ -187,14 +184,14 @@ class TestMultiplicationPair:
 class TestParsevalDefect:
     def test_full_circle_exact(self):
         for n in (7, 40):
-            pair = build_multiplication_pair(full_circle(), 8, n_max=n)
-            assert grid_parseval_defect(pair, 8) < EXACT_PERIOD_TOL
+            pair = build_multiplication_pair(FULL_CIRCLE, 8, n_max=n)
+            assert parseval_defect(pair, 8) < EXACT_PERIOD_TOL
 
     def test_masked_one_period_window_exact(self):
         # Odd M lets the symmetric window hold exactly one period, where
         # the root-of-unity sum cancels off the diagonal for any mask.
         pair = build_multiplication_pair(ArcSet(((0.0, math.pi),)), 9, n_max=4)
-        defect = grid_parseval_defect(pair, 9)
+        defect = parseval_defect(pair, 9)
         assert defect < 1e-13
 
     def test_dirichlet_kernel_oracle(self):
@@ -211,7 +208,7 @@ class TestParsevalDefect:
             (2 * n + 1) * np.sin(diff[off] / 2.0)
         )
         expected = float(np.linalg.norm(K - np.eye(len(theta)), 2))
-        assert grid_parseval_defect(pair, M) == pytest.approx(
+        assert parseval_defect(pair, M) == pytest.approx(
             expected, abs=ORACLE_TOL
         )
 
@@ -221,21 +218,21 @@ class TestParsevalDefect:
         # columns: a period operator off the diagonal at rounding takes eigvalsh.
         pair = build_multiplication_pair(ARC_SETS[arcs], 8, n_max=n)
         fresh = OrbitSpec(T=pair.T, f0=pair.f0, index_set="Z", n_max=n)
-        assert grid_parseval_defect(fresh, 8) == pytest.approx(
-            grid_parseval_defect(pair, 8), abs=1e-13
+        assert parseval_defect(fresh, 8) == pytest.approx(
+            parseval_defect(pair, 8), abs=1e-13
         )
 
     def test_window_doubling_shrinks_defect(self):
         sigma = ArcSet(((0.0, math.pi),))
         defects = [
-            grid_parseval_defect(build_multiplication_pair(sigma, 64, n_max=n), 64)
+            parseval_defect(build_multiplication_pair(sigma, 64, n_max=n), 64)
             for n in (64, 128, 256, 512)
         ]
         assert all(b < a for a, b in zip(defects, defects[1:]))
 
     def test_rejects_negative_window(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            build_multiplication_pair(full_circle(), 8, n_max=-1)
+            build_multiplication_pair(FULL_CIRCLE, 8, n_max=-1)
 
 
 class TestClosedForm:
@@ -271,9 +268,9 @@ class TestClosedForm:
         assert_close(pair.period_operator, fresh.period_operator)
 
     def test_full_circle_period_is_identity(self):
-        pair = build_multiplication_pair(full_circle(), 16, n_max=16)
+        pair = build_multiplication_pair(FULL_CIRCLE, 16, n_max=16)
         assert np.array_equal(pair.period_operator, np.eye(16))
-        assert grid_parseval_defect(pair, 16) == 0.0
+        assert parseval_defect(pair, 16) == 0.0
 
     def test_operators_are_read_only(self):
         pair = build_multiplication_pair(ArcSet(((0.0, math.pi),)), 16)
@@ -290,7 +287,7 @@ class TestClosedForm:
     def test_mask_count_gate(self):
         M = GRID_MASK_MAX + 1
         with pytest.raises(ValueError, match=rf"M = {M} masks {M} points"):
-            build_multiplication_pair(full_circle(), M)
+            build_multiplication_pair(FULL_CIRCLE, M)
 
 
 class TestSpectrum:
@@ -298,7 +295,7 @@ class TestSpectrum:
     @pytest.mark.parametrize("window", ["3", "5", "M", "4M"])
     def test_full_circle_spectrum_is_residue_counts(self, M, window):
         N = {"3": 3, "5": 5, "M": M, "4M": 4 * M}[window]
-        pair = build_multiplication_pair(full_circle(), M, n_max=N)
+        pair = build_multiplication_pair(FULL_CIRCLE, M, n_max=N)
         counts = np.sort(residue_counts(M, N)).astype(float)
         np.testing.assert_array_equal(pair.spectrum, counts)
         assert not pair.spectrum.flags.writeable
@@ -310,7 +307,7 @@ class TestSpectrum:
 
     def test_short_window_lower_bound_is_exactly_zero(self):
         # 11 window indices on 16 grid points: 5 residues are never hit.
-        report = frame_bounds(build_multiplication_pair(full_circle(), 16, n_max=5))
+        report = frame_bounds(build_multiplication_pair(FULL_CIRCLE, 16, n_max=5))
         assert report.lower_bound == 0.0
         assert report.upper_bound == 1.0
 
@@ -348,7 +345,7 @@ class TestSpectrum:
         else:
             S = (M / (2.0 * n + 1.0)) * brute_force_frame_operator(pair)
         expected = float(np.linalg.norm(S - np.eye(pair.dim), 2))
-        assert grid_parseval_defect(pair, M) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+        assert parseval_defect(pair, M) == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
 
 def exact_reseeded_extremes(pair, M, psi):
@@ -420,7 +417,7 @@ class TestSecularExtremes:
         monkeypatch.setattr(np.fft, "ifft", lambda *a, **k: calls.append(1) or real(*a, **k))
         for arcs in ("sub_arc", "two_arcs", "full_circle"):
             pair = build_multiplication_pair(ARC_SETS[arcs], 64)
-            frame_bounds(pair), grid_parseval_defect(pair, 64), unitarity_defect(pair)
+            frame_bounds(pair), parseval_defect(pair, 64), unitarity_defect(pair)
             reseeded = commutant_multiplier(pair, np.linspace(0.5, 1.5, pair.dim))
             frame_bounds(reseeded)
             assert "frame_operator" not in pair.__dict__
@@ -445,7 +442,7 @@ class TestUnitarityOnGrid:
         assert defect > 0.1
 
     def test_full_circle_pair_is_unitary(self):
-        spec = build_multiplication_pair(full_circle(), 16, n_max=40)
+        spec = build_multiplication_pair(FULL_CIRCLE, 16, n_max=40)
         assert unitarity_defect(spec) < 1e-12
 
     @pytest.mark.parametrize("arcs", sorted(ARC_SETS))

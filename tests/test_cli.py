@@ -747,6 +747,32 @@ class TestInputGate:
         [
             (
                 "orbit_analysis",
+                {"T": [[[2.0, 0.0]]], "f0": [[1.0, 0.0]], "index_set": "N", "n_max": 2000, "bounds_schedule": [-1]},
+                "bounds_schedule entry must be nonnegative, got -1",
+            ),
+            ("model_space", {"zeros": [[0.5, 0.0]], "decay_n_max": -1}, "decay_n_max must be nonnegative, got -1"),
+        ],
+        ids=["diverging_orbit", "model_space"],
+    )
+    def test_window_range_checked_before_computation(
+        self, kind, parameters, message, tmp_path, capsys, monkeypatch
+    ):
+        # The orbit of T = 2 overflows (exit 3 once computed); a bad schedule
+        # entry or decay length exits 2 before the first library call.
+        def no_call(*args, **kwargs):
+            raise AssertionError("a library call ran before the range check")
+
+        for name in ("OrbitSpec", "BlaschkeProduct"):
+            monkeypatch.setattr(cli, name, no_call)
+        rc = main(["run", str(write_problem(tmp_path, {"kind": kind, "parameters": parameters}))])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, parameters, message",
+        [
+            (
+                "orbit_analysis",
                 {"index_set": "Z"},
                 "invalid problem file: recover_generator needs index_set N",
             ),

@@ -79,6 +79,69 @@ def test_unread_constant_detector():
     assert unread_constants(config, modules) == ["B", "D"]
 
 
+def package_names_read(source: str, modules: set[str]) -> set[str]:
+    """Names a source reads from the package: a name it imports from it and
+    reads, an attribute of a package module (``orbits.frame_bounds``), or a
+    string constant (a patch target such as ``("orbits", "frame_bounds")``)."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "orbitframes")
+        for alias in node.names
+    }
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in imported:
+            read.add(imported[node.id])
+        elif isinstance(node, ast.Attribute):
+            owner = node.value
+            if (owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)) in modules:
+                read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def test_every_public_function_is_read():
+    # A public function that only its own module, the package's exports and
+    # the acceptance battery name is one no computation reads.
+    import orbitframes
+
+    modules = {p.stem for p in MODULES} | {"orbitframes"}
+    sources = {
+        path: package_names_read(path.read_text(encoding="utf-8"), modules)
+        for folder in ("src/orbitframes", "perfbench", "bench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        if path.name not in ("__init__.py", "acceptance.py") or path.parent.name != "orbitframes"
+    }
+    unread = []
+    for name in orbitframes.__all__:
+        value = getattr(orbitframes, name)
+        if isinstance(value, type) or not callable(value):
+            continue
+        own = ROOT / "src" / "orbitframes" / (value.__module__.rsplit(".", 1)[-1] + ".py")
+        if not any(name in read for path, read in sources.items() if path != own):
+            unread.append(name)
+    assert unread == []
+
+
+def test_package_name_detector():
+    source = (
+        "from orbitframes import orbits, frame_bounds, unused\n"
+        "from .model_space import decay_profile as profile\n"
+        "import numpy as np\n"
+        "frame_bounds(orbits.synthesis_matrix(spec))\n"
+        "profile(ms, f, 8)\n"
+        "pair.orbit, np.linalg, other.generator_closure\n"
+        "TARGETS = [('blaschke', 'taylor_coeffs')]\n"
+    )
+    read = package_names_read(source, {"orbits", "blaschke", "orbitframes"})
+    assert {"frame_bounds", "synthesis_matrix", "decay_profile", "taylor_coeffs"} <= read
+    assert not {"unused", "orbit", "linalg", "generator_closure", "profile"} & read
+
+
 def dict_writes(source: str) -> list[int]:
     """Lines that assign into a ``__dict__``: a subscript store or delete, or a
     ``.__dict__.update`` call."""
