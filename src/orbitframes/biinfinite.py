@@ -9,7 +9,8 @@ q times and the r residues R = {-n_max, ..., r - 1 - n_max} once more, so
 its sum is S_N = q I + (1/M) U_R U_R* with U_R[j, s] = w^(k_j s), s in R,
 as distinct indices differ by a nonzero residue and the roots of unity sum
 to zero.  The sum over one period p = M / gcd(M, k_1, ..., k_D) is (p/M) I
-for the same reason.  The full grid (p = M) gives exactly I, the discrete
+for the same reason; the pair hands it over as its ``period_operator``
+when p <= 2 n_max.  The full grid (p = M) gives exactly I, the discrete
 Fourier orthogonality that anchors the zero-defect reference cases; proper
 sub-arcs are overcomplete.
 
@@ -27,7 +28,9 @@ a diagonal plus a rank-one term, q diag(|psi|^2) + (psi v)(psi v)*, and its
 extremes are roots of the secular equation, found by bisection.  The pairs
 keep their diagonal structure, so no grid computation runs an SVD or an
 ``eigh``: T's condition is max|t| / min|t|, and with T and the period
-operator both diagonal the unitarity defect is max ||t|^2 - 1|.
+operator both diagonal the unitarity defect is max ||t|^2 - 1|.  A spec
+built by hand from the same T and f0 has no period operator: it reads its
+window's boundary, as every two-sided spec does.
 
 Window sums over a symmetric truncation are averaged per period
 (factor M / (2 n_max + 1)) so the reported defect decreases with depth
@@ -129,11 +132,12 @@ def build_multiplication_pair(
     and the seed is the constant function under quadrature normalization,
     sqrt(1/M) at every masked point.  Depth defaults to one full period
     (n_max = M).  The ``spectrum`` from the residue counts and the Gram
-    (module docstring), ``period_operator``, ``rank_one`` = (q, v) when r <=
-    1, and ``frame_operator`` only where it is read go in by
-    ``OrbitSpec._replace``; otherwise a read of ``frame_operator`` sums the
-    window as any two-sided spec does.  A mask past ``GRID_MASK_MAX`` points
-    is rejected before any D x D array is allocated.
+    (module docstring), ``period_operator`` = (p/M) I when p <= 2 n_max,
+    ``rank_one`` = (q, v) when r <= 1, and ``frame_operator`` only where it
+    is read go in by ``OrbitSpec._replace``; otherwise a read of
+    ``frame_operator`` sums the window as any two-sided spec does.  A mask
+    past ``GRID_MASK_MAX`` points is rejected before any D x D array is
+    allocated.
     """
     M = int(M)
     if M < 1:
@@ -153,7 +157,7 @@ def build_multiplication_pair(
     pair = OrbitSpec(T=T, f0=f0, index_set="Z", n_max=M if n_max is None else n_max)
     D, N, p = k.size, pair.n_max, M // math.gcd(M, *k.tolist())
     q, r = divmod(2 * N + 1, M)
-    known = {"period_operator": (p / M) * np.eye(D) if p <= 2 * N else None}
+    known = {"period_operator": (p / M) * np.eye(D)} if p <= 2 * N else {}
     if r > 1 or p > 2 * N:  # read by commutant_multiplier and by unitarity_defect
         # The kernel is the ifft of the window's residue counts, real as the window is symmetric.
         counts = np.full(M, q)
@@ -181,18 +185,18 @@ def parseval_defect(pair: OrbitSpec, M: int) -> float:
     ``pair`` is the multiplication pair of an arc set on the M-th roots of
     unity.  For the full circle (every grid point masked) with the window
     covering at least one period the sum is taken over exactly one period,
-    the pair's ``period_operator``, where it telescopes to the identity
-    (discrete Fourier orthogonality) and the defect is 0.0 in the closed
-    form.  Otherwise the symmetric window sum is scaled by
+    the diagonal of the ``period_operator`` the pair hands over, where it
+    telescopes to the identity (discrete Fourier orthogonality) and the
+    defect is 0.0 in the closed form.  Otherwise, and for a spec with no
+    period operator, the symmetric window sum is scaled by
     c = M / (2 n_max + 1), the per-period average, and the defect is
     max(|c lambda_min - 1|, |c lambda_max - 1|) over the pair's ``spectrum``.
     """
-    S = pair.period_operator if pair.dim == M and pair.n_max >= M - 1 else None
-    if S is None:
+    P = pair.period_operator if pair.dim == M and pair.n_max >= M - 1 else None
+    if P is None:
         eigs = (M / (2.0 * pair.n_max + 1.0)) * pair.spectrum[[0, -1]]
     else:
-        d = diagonal_of(S)
-        eigs = np.linalg.eigvalsh(S) if d is None else d.real
+        eigs = np.diagonal(P).real
     return float(np.max(np.abs(eigs - 1.0)))
 
 

@@ -25,8 +25,6 @@ FACTOR_COLUMN_NS = 2500
 FACTOR_STEP_NS = 40000
 #: Condition ceiling for generators on two-sided index sets.
 TWO_SIDED_COND_MAX = 1e12
-#: Relative tolerance for detecting an exactly periodic orbit column sequence.
-PERIOD_TOL = 1e-10
 #: Relative kernel rank cut, and generator_closure's residual and frame-capture limits.
 KERNEL_TOL = 1e-10
 #: Smallest frame eigenvalue ratio ``unitarity_defect`` accepts as invertible.

@@ -28,7 +28,6 @@ from .config import (
     FACTOR_COLUMN_NS,
     FACTOR_STEP_NS,
     KERNEL_TOL,
-    PERIOD_TOL,
     SINGULAR_RTOL,
     TWO_SIDED_COND_MAX,
     check_size,
@@ -55,14 +54,13 @@ class OrbitSpec:
     kept, read-only.  A one-sided window reads ``columns`` (the synthesis
     matrix, 16 D L bytes), and every pass over it runs over chunks of
     ``_width(D)`` columns.  A two-sided window is read once, chunk by chunk,
-    by ``_pass``: S, the overflow check, the boundary columns u_-N and u_N
-    and the period candidates.  So ``frame_operator``, ``period`` and
-    ``unitarity_defect`` hold D x D work and a few chunks, and build the
-    window only when a caller asks for ``columns`` or a period candidate
-    must be checked.  A builder that knows an operator
-    or the ``spectrum`` in closed form hands it over through ``_replace``
-    (``biinfinite``); a builder that knows the orbit's ``eigensystem``
-    hands that over (``constructions``);
+    by ``_pass``: S, the overflow check and the boundary columns u_-N and
+    u_N.  So ``frame_operator`` and ``unitarity_defect`` hold D x D work and
+    a few chunks, and build the window only when a caller asks for
+    ``columns``.  A builder that knows an operator (the window sum, a
+    ``period_operator``) or the ``spectrum`` in closed form hands it over
+    through ``_replace`` (``biinfinite``); a builder that knows the orbit's
+    ``eigensystem`` hands that over (``constructions``);
     every ``window`` keeps it and reads its own ``closed_form``, which
     ``frame_bounds`` reads with no walk and no columns.  Long one-sided
     windows build no columns either, and every ``window`` shares ``_walk``.
@@ -109,6 +107,11 @@ class OrbitSpec:
     #: vector, or None for S_N = q I (``biinfinite``'s grid pairs with at most
     #: one residue past whole periods); ``commutant_multiplier`` reads it.
     rank_one = None
+
+    #: The diagonal sum over one period p of a window that holds a whole one, or
+    #: None: ``biinfinite``'s grid pairs hand over (p/M) I, their T diagonal too;
+    #: ``unitarity_defect`` and ``biinfinite.parseval_defect`` read its diagonal.
+    period_operator = None
 
     def _replace(self, **known) -> OrbitSpec:
         """This spec with validated ``known`` fields and cached operators, each
@@ -216,22 +219,17 @@ class OrbitSpec:
     @cached_property
     def _pass(self) -> tuple:
         """One pass over a two-sided window's chunks, T^-1's then T's, holding no
-        window: ``(S, u_-N, u_N, candidates, tol)``.
+        window: ``(S, u_-N, u_N)``.
 
-        S = sum_{|n| <= N} u_n u_n* is summed chunk by chunk (read-only).  The
-        column norms, kept in window order, get ``synthesis_matrix``'s
-        overflow check.  ``tol`` is ``PERIOD_TOL`` times the largest norm; the
-        period candidates, in increasing order, are the p <= N with
-        ||u_p - u_0|| <= tol and the N < p <= 2N with ||u_(p - N) - u_-N|| <=
-        tol, so every p that passes ``period``'s all-pairs scan is among them.
-        Short windows peak above their own bytes (1.4-2.7 times at n_max = 256,
-        D = 25-200, ``BENCH_23.json``): up to ``_width(D)`` steps one chunk is a
-        whole side, held with its gaps, and past it the D x D work dominates.
+        S = sum_{|n| <= N} u_n u_n* is summed chunk by chunk (read-only), and
+        the column norms, kept in window order, get ``synthesis_matrix``'s
+        overflow check.  Short windows peak above their own bytes (1.0-2.1
+        times at n_max = 256, D = 25-200, ``BENCH_33.json``): up to
+        ``_width(D)`` steps one chunk is a whole side, and past it the D x D
+        work dominates.
         """
-        if self.index_set != "Z":
-            raise ValueError("the period is defined for two-sided orbits")
-        N, D, f0 = self.n_max, self.dim, self.f0
-        norms, gaps = np.empty(2 * N + 1), np.empty((2, N + 1))
+        N, D = self.n_max, self.dim
+        norms = np.empty(2 * N + 1)
         S = np.zeros((D, D), dtype=np.complex128)
         backward, forward = _sides(self)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -244,37 +242,11 @@ class OrbitSpec:
             for n, chunk in forward:
                 k = chunk.shape[1]
                 norms[N + n : N + n + k] = np.linalg.norm(chunk, axis=0)
-                gaps[0, n : n + k] = np.linalg.norm(chunk - f0[:, None], axis=0)
-                gaps[1, n : n + k] = np.linalg.norm(chunk - first[:, None], axis=0)
                 S += chunk @ chunk.conj().T
             last = chunk[:, -1].copy()
         _check_overflow(norms)
-        tol = PERIOD_TOL * float(np.max(norms))
-        near = [np.flatnonzero(gap[1:] <= tol) + 1 for gap in gaps]
         S.setflags(write=False)
-        return S, first, last, near[0].tolist() + (near[1] + N).tolist(), tol
-
-    @cached_property
-    def period(self) -> int | None:
-        """The least p > 0 with column n + p within ``PERIOD_TOL`` (relative to the
-        largest column norm) of column n across the whole window; None when the
-        window holds no such period.  Two-sided windows only.  Each candidate
-        of ``_pass`` is held to that all-pairs scan in increasing order, over
-        ``columns`` built only then, one chunk of differences at a time."""
-        *_, candidates, tol = self._pass
-        for p in candidates:
-            U = self.columns
-            blocks = _blocks(U.shape[1] - p, self.dim)
-            shifted = (U[:, s.start + p : s.stop + p] - U[:, s] for s in blocks)
-            if all(np.max(np.linalg.norm(X, axis=0)) <= tol for X in shifted):
-                return p
-        return None
-
-    @cached_property
-    def period_operator(self) -> np.ndarray | None:
-        """U U* over the first ``period`` columns (``_gram``); None without a period."""
-        p = self.period
-        return None if p is None else _gram(self.columns[:, :p])
+        return S, first, last
 
 
 @dataclass(frozen=True)
@@ -728,34 +700,30 @@ def generator_closure(frame_columns: np.ndarray) -> tuple[np.ndarray, float]:
 def unitarity_defect(spec: OrbitSpec) -> float:
     """Distance of W = S^{-1/2} T S^{1/2} from being an isometry, ||W* W - I||_2.
 
-    Two-sided orbits only.  S is the spec's ``period_operator`` when the
-    window holds an exact period, else the full symmetric window sum
-    ``frame_operator``.  When T and S are both diagonal (a grid pair),
-    W = T and the defect is max_i ||t_i|^2 - 1|, with no factorization.
-    Otherwise it is read from the window's rank-two boundary: with u_n the
-    columns, a = T u_N and b = u_-N (a period window: a = T u_{p-1-N},
-    b = u_-N), T S T* - S = a a* - b b* holds exactly, so
+    Two-sided orbits only.  S is the full symmetric window sum
+    ``frame_operator``.  When T is diagonal and S, or the ``period_operator``
+    a builder hands over, is diagonal too (a grid pair), W = T and the
+    defect is max_i ||t_i|^2 - 1|, with no factorization.  Otherwise it is
+    read from the window's rank-two boundary: with u_n the columns,
+    a = T u_N and b = u_-N, T S T* - S = a a* - b b* holds exactly, so
     W W* - I = S^{-1/2} (a a* - b b*) S^{-1/2}, whose norm, that of
     W* W - I, is the largest |eigenvalue| of the 2 x 2 matrix
     diag(1, -1) [u v]* [u v] with [u v] = C^-1 [a b] and S = C C* (one
-    ``cholesky`` and one solve).  The window sum and its boundary columns
-    come from the one pass ``_pass``, so no window is built; a period
-    window reads the ``columns`` its period check built, and a diagonal T
-    reads a and b as t^n f0 without either.  A failed Cholesky is a
-    ``NumericalError``, as is an S whose eigenvalues (the ``spectrum``
-    ``frame_bounds`` reads, or one ``eigvalsh`` of a period operator) span
-    past ``SINGULAR_RTOL``.
+    ``cholesky`` and one solve).  That is so whatever T is: a dense orbit
+    whose window repeats reads its boundary too (the swap T = [[0, 1],
+    [1, 0]] with f0 = e_1 at N = 6 has S = diag(7, 6), a = e_2, b = e_1
+    and defect 1/6).  The window sum and its boundary columns come from the
+    one pass ``_pass``, so no window is built, and a diagonal T reads a and
+    b as t^n f0 without either.  A failed Cholesky is a ``NumericalError``,
+    as is an S whose eigenvalues (the ``spectrum`` ``frame_bounds`` reads)
+    span past ``SINGULAR_RTOL``.
     """
     if spec.index_set != "Z":
         raise ValueError("unitarity defect is defined for two-sided orbits")
-    P = spec.period_operator
-    S = spec.frame_operator if P is None else P
     t = diagonal_of(spec.T)
-    s = None if t is None else diagonal_of(S)
-    if s is not None:
-        w = np.sort(s.real)
-    else:
-        w = spec.spectrum if P is None else np.linalg.eigvalsh(S)
+    P = spec.period_operator
+    s = None if t is None else diagonal_of(spec.frame_operator if P is None else P)
+    w = spec.spectrum if s is None else np.sort(s.real)
     if w[0] <= 0.0 or w[0] < SINGULAR_RTOL * w[-1]:
         raise NumericalError(
             f"frame operator numerically singular: eigenvalue range "
@@ -764,19 +732,14 @@ def unitarity_defect(spec: OrbitSpec) -> float:
     if s is not None:
         return float(np.max(np.abs(np.abs(t) ** 2 - 1.0)))
     try:
-        C = np.linalg.cholesky(S)
+        C = np.linalg.cholesky(spec.frame_operator)
     except np.linalg.LinAlgError:
         raise NumericalError("frame operator is not numerically positive definite") from None
-    N = spec.n_max
-    q = 2 * N + 1 if P is None else spec.period  # the columns summed into S
     if t is not None:  # T^n f0 = t^n f0: no window is built (grid pairs)
-        a, b = t ** (q - N) * spec.f0, t ** (-N) * spec.f0
-    elif P is None:
-        _, b, last, *_ = spec._pass
-        a = spec.T @ last
+        a, b = t ** (spec.n_max + 1) * spec.f0, t ** (-spec.n_max) * spec.f0
     else:
-        U = spec.columns
-        a, b = spec.T @ U[:, q - 1], U[:, 0]
+        _, b, last = spec._pass
+        a = spec.T @ last
     uv = np.linalg.solve(C, np.stack([a, b], axis=1))
     (g_aa, g_ab), (_, g_bb) = (uv.conj().T @ uv).tolist()
     # Eigenvalues of [[g_aa, g_ab], [-conj(g_ab), -g_bb]]: (g_aa - g_bb) / 2 +- r.

@@ -24,7 +24,7 @@ from orbitframes.cli import run_problem
 from orbitframes.config import GRID_MASK_MAX
 
 TWO_PI = 2.0 * math.pi
-EXACT_PERIOD_TOL = 1e-12
+EXACT_DEFECT_TOL = 1e-12
 ORACLE_TOL = 1e-12
 CLOSED_FORM_RTOL = 1e-13
 FULL_CIRCLE = ArcSet(((0.0, TWO_PI),))
@@ -75,6 +75,21 @@ def unitarity_by_square_roots(T, S):
 
 def brute_force_frame_operator(spec):
     U = synthesis_matrix(spec)
+    return U @ U.conj().T
+
+
+def grid_indices(pair, M):
+    """The grid indices k_j of the pair's mask, read from T's diagonal w^(k_j)."""
+    return (np.rint(np.angle(np.diagonal(pair.T)) % TWO_PI * M / TWO_PI).astype(int) % M).tolist()
+
+
+def first_period_operator(pair, M):
+    """The sum of the first p = M / gcd(M, k_1, ..., k_D) columns of the pair's
+    synthesis matrix; None when the window holds fewer than p + 1 columns."""
+    p = M // math.gcd(M, *grid_indices(pair, M))
+    if p > 2 * pair.n_max:
+        return None
+    U = synthesis_matrix(pair)[:, :p]
     return U @ U.conj().T
 
 
@@ -185,7 +200,7 @@ class TestParsevalDefect:
     def test_full_circle_exact(self):
         for n in (7, 40):
             pair = build_multiplication_pair(FULL_CIRCLE, 8, n_max=n)
-            assert parseval_defect(pair, 8) < EXACT_PERIOD_TOL
+            assert parseval_defect(pair, 8) < EXACT_DEFECT_TOL
 
     def test_masked_one_period_window_exact(self):
         # Odd M lets the symmetric window hold exactly one period, where
@@ -214,13 +229,18 @@ class TestParsevalDefect:
 
     @pytest.mark.parametrize("arcs, n", [("full_circle", 8), ("full_circle", 21), ("sub_arc", 21)])
     def test_spec_without_closed_forms_agrees(self, arcs, n):
-        # A hand-built spec reads its period operator and spectrum from its
-        # columns: a period operator off the diagonal at rounding takes eigvalsh.
+        # A hand-built spec reads its spectrum from its window and has no
+        # period operator, so the full circle reads the per-period average
+        # of its residue counts, M / (2 n + 1) (q or q + 1), not one period.
         pair = build_multiplication_pair(ARC_SETS[arcs], 8, n_max=n)
         fresh = OrbitSpec(T=pair.T, f0=pair.f0, index_set="Z", n_max=n)
-        assert parseval_defect(fresh, 8) == pytest.approx(
-            parseval_defect(pair, 8), abs=1e-13
-        )
+        if arcs == "full_circle":
+            counts = np.array(residue_counts(8, n))
+            expected = float(np.max(np.abs(8.0 * counts / (2 * n + 1) - 1.0)))
+            assert parseval_defect(pair, 8) == 0.0
+        else:
+            expected = parseval_defect(pair, 8)
+        assert parseval_defect(fresh, 8) == pytest.approx(expected, abs=1e-13)
 
     def test_window_doubling_shrinks_defect(self):
         sigma = ArcSet(((0.0, math.pi),))
@@ -254,18 +274,17 @@ class TestClosedForm:
     @pytest.mark.parametrize("M, arcs, n", CLOSED_FORM_CASES)
     def test_period_operator_matches_columns(self, M, arcs, n):
         pair = build_multiplication_pair(ARC_SETS[arcs], M, n_max=n)
-        fresh = OrbitSpec(T=pair.T, f0=pair.f0, index_set="Z", n_max=n)
-        if fresh.period_operator is None:
+        oracle = first_period_operator(pair, M)
+        if oracle is None:
             assert pair.period_operator is None
         else:
-            assert_close(pair.period_operator, fresh.period_operator)
+            assert_close(pair.period_operator, oracle)
 
     def test_short_period_mask(self):
         # Grid indices {0, 8} of M = 16 repeat every 2 steps: one period is (2/16) I.
         pair = build_multiplication_pair(ArcSet(((0.0, 0.1), (math.pi, math.pi + 0.1))), 16, n_max=3)
-        fresh = OrbitSpec(T=pair.T, f0=pair.f0, index_set="Z", n_max=3)
         assert np.array_equal(pair.period_operator, np.eye(2) / 8)
-        assert_close(pair.period_operator, fresh.period_operator)
+        assert_close(pair.period_operator, first_period_operator(pair, 16))
 
     def test_full_circle_period_is_identity(self):
         pair = build_multiplication_pair(FULL_CIRCLE, 16, n_max=16)
@@ -354,7 +373,7 @@ def exact_reseeded_extremes(pair, M, psi):
     of the mask and f0 = M^(-1/2) 1, psi as its floats."""
     import mpmath
 
-    k = np.rint(np.angle(np.diagonal(pair.T)) % TWO_PI * M / TWO_PI).astype(int).tolist()
+    k = grid_indices(pair, M)
     N = pair.n_max
     with mpmath.workdps(50):
         sums = {}

@@ -218,7 +218,14 @@ class TestOrbitAnalysis:
         assert row["lower_bound"] == 0.0
         assert row["upper_bound"] == pytest.approx(4 / 3, rel=1e-15)
 
-    def test_two_sided_unitarity(self, tmp_path, capsys):
+    def test_two_sided_unitarity(self, tmp_path, capsys, monkeypatch):
+        # The swap repeats every two steps, and its defect is the window's
+        # boundary term: S = diag(7, 6), a = T u_6 = e_2, b = u_-6 = e_1, so
+        # 1/6.  No two-sided report path builds the window.
+        def no_window(spec):
+            raise AssertionError("a two-sided report built its window")
+
+        monkeypatch.setattr(orbits, "synthesis_matrix", no_window)
         payload = {
             "kind": "orbit_analysis",
             "parameters": {
@@ -226,10 +233,13 @@ class TestOrbitAnalysis:
                 "f0": [[1.0, 0.0], [0.0, 0.0]],
                 "index_set": "Z",
                 "n_max": 6,
+                "bounds_schedule": [2, 6],
             },
         }
         report = run_to_report(tmp_path, payload, capsys)
-        assert report["results"]["unitarity_defect"] < 1e-12
+        assert report["results"]["unitarity_defect"] == pytest.approx(1 / 6, rel=1e-15)
+        rows = report["results"]["bounds_schedule"]
+        assert [(row["lower_bound"], row["upper_bound"]) for row in rows] == [(2.0, 3.0), (6.0, 7.0)]
 
     def test_bounds_schedule_csv(self, tmp_path, capsys):
         # Each schedule row holds its window's bounds; no other file is written.

@@ -26,7 +26,7 @@ from orbitframes import (
     synthesis_matrix,
     unitarity_defect,
 )
-from orbitframes.config import PERIOD_TOL, max_truncation
+from orbitframes.config import max_truncation
 
 from helpers import brute_force_tail, power_loop
 
@@ -1007,29 +1007,17 @@ class TestCommutantTransport:
         assert moved.upper_bound <= base.upper_bound * svals[0] ** 2 * (1 + TRANSPORT_TOL)
 
 
-def all_pairs_period(U: np.ndarray) -> int | None:
-    """The least p > 0 with ||u_(n + p) - u_n|| <= PERIOD_TOL max ||u_n|| over
-    every pair of window columns, by brute force."""
-    L = U.shape[1]
-    tol = PERIOD_TOL * float(np.max(np.linalg.norm(U, axis=0)))
-    for p in range(1, L):
-        if np.max(np.linalg.norm(U[:, p:] - U[:, : L - p], axis=0)) <= tol:
-            return p
-    return None
-
-
-def defect_by_eigenbasis(T, f0, n_max: int, period: int | None = None) -> float:
+def defect_by_eigenbasis(T, f0, n_max: int) -> float:
     """||W* W - I||_2 for W = S^-1/2 T S^1/2 at 30 digits, S the window sum of
-    (T, f0) over |n| <= n_max (or its first ``period`` columns from -n_max on),
-    read in S's eigenbasis S = Q diag(w) Q*: Y = diag(w^-1/2) Q* T Q diag(w^1/2)
-    = Q* W Q, whose ||Y* Y - I||_2 is the largest |eigenvalue| of Y* Y - I."""
+    (T, f0) over |n| <= n_max, read in S's eigenbasis S = Q diag(w) Q*:
+    Y = diag(w^-1/2) Q* T Q diag(w^1/2) = Q* W Q, whose ||Y* Y - I||_2 is the largest |eigenvalue| of Y* Y - I."""
     import mpmath
 
     with mpmath.workdps(30):
         D, T = len(f0), mpmath.matrix(np.asarray(T).tolist())
         x = mpmath.inverse(T) ** n_max * mpmath.matrix(np.asarray(f0).tolist())
         S = mpmath.zeros(D, D)
-        for _ in range(2 * n_max + 1 if period is None else period):
+        for _ in range(2 * n_max + 1):
             S += x * x.H
             x = T * x
         w, Q = mpmath.eighe(S)
@@ -1060,9 +1048,14 @@ class TestUnitarityDefect:
             unitarity_defect(spec)
 
     def test_unitary_cycle_near_zero(self):
+        # T is unitary, yet the window's boundary term is not zero: over
+        # |n| <= 9, S = diag(5, 5, 4, 5), a = T u_9 = e_3 and b = u_-9 = e_4,
+        # so the defect is 1/4, and it falls like 1/N.
         d = 4
         spec = OrbitSpec(T=cycle_matrix(d), f0=seed(d), index_set="Z", n_max=9)
-        assert unitarity_defect(spec) < 1e-12
+        expected = defect_by_eigenbasis(spec.T, spec.f0, 9)
+        assert expected == pytest.approx(0.25, rel=1e-15)
+        assert unitarity_defect(spec) == pytest.approx(expected, rel=1e-12)
 
     def test_pure_contraction_flagged(self):
         spec = OrbitSpec(
@@ -1081,7 +1074,6 @@ class TestUnitarityDefect:
         T = W @ np.diag(lam) @ np.linalg.inv(W)
         f0 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         spec = OrbitSpec(T=T, f0=f0, index_set="Z", n_max=20)
-        assert spec.period_operator is None
         U = power_loop(T, f0, 20)
         V = power_loop(np.linalg.inv(T), f0, 20)[:, 1:]
         w, Q = np.linalg.eigh(U @ U.conj().T + V @ V.conj().T)
@@ -1108,7 +1100,6 @@ class TestUnitarityDefect:
         report = frame_bounds(spec)
         defect = unitarity_defect(spec)
         assert calls == ["eigvalsh", "cholesky"]
-        assert spec.period_operator is None
         assert not hasattr(spec, "eigenbasis")
         eigs = np.linalg.eigvalsh(bare.frame_operator)
         assert np.array_equal(spec.spectrum, eigs)
@@ -1123,68 +1114,22 @@ class TestUnitarityDefect:
         # comparison is held on frames the window sum conditions well.
         T, f0 = case
         spec = OrbitSpec(T=T, f0=f0, index_set="Z", n_max=n_max)
-        assume(spec.period_operator is None)
         assume(np.linalg.cond(spec.frame_operator) <= 1e4)
         expected = defect_by_eigenbasis(spec.T, spec.f0, n_max)
         assert unitarity_defect(spec) == pytest.approx(expected, rel=1e-12)
 
     def test_period_window_reads_its_own_boundary(self):
-        # A 3-cycle in a skewed basis over 11 columns: one period closes
-        # (a = T u_2 = u_0 = b), the whole window does not.
+        # A 3-cycle in a skewed basis over 11 columns: the window repeats, and
+        # its defect is the window's boundary term, read from one pass.
         rng = np.random.default_rng(4)
         W = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
         T = W @ cycle_matrix(3) @ np.linalg.inv(W)
         spec = OrbitSpec(T=T, f0=rng.standard_normal(3), index_set="Z", n_max=5)
-        assert spec.period == 3
-        expected = defect_by_eigenbasis(spec.T, spec.f0, 5, period=3)
-        assert expected < 1e-12
-        assert unitarity_defect(spec) == pytest.approx(expected, abs=1e-12)
-        assert defect_by_eigenbasis(spec.T, spec.f0, 5) > 0.1
-
-    def test_period_past_n_found_through_the_first_column(self):
-        # A 5-cycle over |n| <= 3: no p <= 3 has u_p = u_0, and p = 5 is seen
-        # as u_2 = u_-3.
-        rng = np.random.default_rng(9)
-        W = np.eye(5) + 0.3 * rng.standard_normal((5, 5))
-        T = W @ cycle_matrix(5) @ np.linalg.inv(W)
-        spec = OrbitSpec(T=T, f0=rng.standard_normal(5), index_set="Z", n_max=3)
-        assert spec._pass[3] == [5]
-        assert spec.period == 5 == all_pairs_period(synthesis_matrix(spec))
-        expected = defect_by_eigenbasis(spec.T, spec.f0, 3, period=5)
-        assert unitarity_defect(spec) == pytest.approx(expected, abs=1e-12)
-
-    def test_near_period_candidate_fails_the_scan(self):
-        # u_3 - u_0 is 0.875 * 2^-40 on the decaying coordinate, within the
-        # tolerance, but the backward half grows to norm 1 and breaks the
-        # period there: the candidate builds the columns and gives None.
-        T = np.diag([np.exp(2j * np.pi / 3), 0.5])
-        spec = OrbitSpec(T=T, f0=[1.0, 2.0**-40], index_set="Z", n_max=40)
-        assert 3 in spec._pass[3]
+        expected = defect_by_eigenbasis(spec.T, spec.f0, 5)
+        assert expected > 0.1
+        frame_bounds(spec)
+        assert unitarity_defect(spec) == pytest.approx(expected, rel=1e-12)
         assert "columns" not in spec.__dict__
-        assert spec.period is None
-        assert "columns" in spec.__dict__
-        assert all_pairs_period(spec.columns) is None
-
-    def test_period_is_two_sided_only(self):
-        spec = OrbitSpec(T=cycle_matrix(3), f0=seed(3), index_set="N", n_max=8)
-        with pytest.raises(ValueError, match="two-sided"):
-            spec.period
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        d=st.integers(min_value=1, max_value=6),
-        n_max=st.integers(min_value=0, max_value=14),
-        skew=st.floats(min_value=0.0, max_value=0.4),
-        eta=st.sampled_from([0.0, 1e-14, 1e-12, 1e-10, 1e-8]),
-        draw=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_period_matches_the_all_pairs_scan(self, d, n_max, skew, eta, draw):
-        rng = np.random.default_rng(draw)
-        W = np.eye(d) + skew * rng.standard_normal((d, d))
-        assume(np.linalg.cond(W) <= 10.0)
-        T = W @ cycle_matrix(d) @ np.linalg.inv(W) + eta * rng.standard_normal((d, d))
-        spec = OrbitSpec(T=T, f0=rng.standard_normal(d), index_set="Z", n_max=n_max)
-        assert spec.period == all_pairs_period(synthesis_matrix(spec))
 
     def test_failed_cholesky_is_numerical_error(self, monkeypatch):
         rng = np.random.default_rng(2)
@@ -1213,7 +1158,6 @@ class TestUnitarityDefect:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert spec.period_operator is None
         assert "columns" not in spec.__dict__
         assert peak <= 0.25 * 16 * D * (2 * n_max + 1)
 
