@@ -9,8 +9,9 @@ q times and the r residues R = {-n_max, ..., r - 1 - n_max} once more, so
 its sum is S_N = q I + (1/M) U_R U_R* with U_R[j, s] = w^(k_j s), s in R,
 as distinct indices differ by a nonzero residue and the roots of unity sum
 to zero.  The sum over one period p = M / gcd(M, k_1, ..., k_D) is (p/M) I
-for the same reason; the pair hands it over as its ``period_operator``
-when p <= 2 n_max.  The full grid (p = M) gives exactly I, the discrete
+for the same reason; the pair hands over its ``period`` as p and that
+diagonal, which no n_max changes, and its readers apply it when
+p <= 2 n_max.  The full grid (p = M) gives exactly I, the discrete
 Fourier orthogonality that anchors the zero-defect reference cases; proper
 sub-arcs are overcomplete.
 
@@ -27,10 +28,11 @@ Cholesky route, or a reseeding with r > 1).  A reseeded pair with r <= 1 is
 a diagonal plus a rank-one term, q diag(|psi|^2) + (psi v)(psi v)*, and its
 extremes are roots of the secular equation, found by bisection.  The pairs
 keep their diagonal structure, so no grid computation runs an SVD or an
-``eigh``: T's condition is max|t| / min|t|, and with T and the period
-operator both diagonal the unitarity defect is max ||t|^2 - 1|.  A spec
-built by hand from the same T and f0 has no period operator: it reads its
-window's boundary, as every two-sided spec does.
+``eigh``: T's condition is max|t| / min|t|, and with T and one period's
+sum both diagonal the unitarity defect is max ||t|^2 - 1|, also for every
+``window`` of the pair and for a reseeded pair, whose period's sum is
+diag(|psi|^2 p/M).  A spec built by hand from the same T and f0 has no
+period: it reads its window's boundary, as every two-sided spec does.
 
 Window sums over a symmetric truncation are averaged per period
 (factor M / (2 n_max + 1)) so the reported defect decreases with depth
@@ -132,10 +134,10 @@ def build_multiplication_pair(
     and the seed is the constant function under quadrature normalization,
     sqrt(1/M) at every masked point.  Depth defaults to one full period
     (n_max = M).  The ``spectrum`` from the residue counts and the Gram
-    (module docstring), ``period_operator`` = (p/M) I when p <= 2 n_max,
-    ``rank_one`` = (q, v) when r <= 1, and ``frame_operator`` only where it
-    is read go in by ``OrbitSpec._replace``; otherwise a read of
-    ``frame_operator`` sums the window as any two-sided spec does.  A mask
+    (module docstring), the ``period`` (p, p/M 1), ``rank_one`` = (q, v)
+    when r <= 1, and ``frame_operator`` only where it is read go in by
+    ``OrbitSpec._replace``; otherwise a read of ``frame_operator`` sums
+    the window as any two-sided spec does.  A mask
     past ``GRID_MASK_MAX`` points is rejected before any D x D array is
     allocated.
     """
@@ -157,7 +159,7 @@ def build_multiplication_pair(
     pair = OrbitSpec(T=T, f0=f0, index_set="Z", n_max=M if n_max is None else n_max)
     D, N, p = k.size, pair.n_max, M // math.gcd(M, *k.tolist())
     q, r = divmod(2 * N + 1, M)
-    known = {"period_operator": (p / M) * np.eye(D)} if p <= 2 * N else {}
+    known = {"period": (p, np.full(D, p / M))}
     if r > 1 or p > 2 * N:  # read by commutant_multiplier and by unitarity_defect
         # The kernel is the ifft of the window's residue counts, real as the window is symmetric.
         counts = np.full(M, q)
@@ -185,18 +187,15 @@ def parseval_defect(pair: OrbitSpec, M: int) -> float:
     ``pair`` is the multiplication pair of an arc set on the M-th roots of
     unity.  For the full circle (every grid point masked) with the window
     covering at least one period the sum is taken over exactly one period,
-    the diagonal of the ``period_operator`` the pair hands over, where it
-    telescopes to the identity (discrete Fourier orthogonality) and the
-    defect is 0.0 in the closed form.  Otherwise, and for a spec with no
-    period operator, the symmetric window sum is scaled by
-    c = M / (2 n_max + 1), the per-period average, and the defect is
-    max(|c lambda_min - 1|, |c lambda_max - 1|) over the pair's ``spectrum``.
+    the ``period_sum`` the pair hands over, where it telescopes to the
+    identity (discrete Fourier orthogonality) and the defect is 0.0 in the
+    closed form.  Otherwise, and for a spec with no period, the symmetric
+    window sum is scaled by c = M / (2 n_max + 1), the per-period average,
+    and the defect is max(|c lambda_min - 1|, |c lambda_max - 1|) over the
+    pair's ``spectrum``.
     """
-    P = pair.period_operator if pair.dim == M and pair.n_max >= M - 1 else None
-    if P is None:
-        eigs = (M / (2.0 * pair.n_max + 1.0)) * pair.spectrum[[0, -1]]
-    else:
-        eigs = np.diagonal(P).real
+    s = pair.period_sum if pair.dim == M and pair.n_max >= M - 1 else None
+    eigs = (M / (2.0 * pair.n_max + 1.0)) * pair.spectrum[[0, -1]] if s is None else s
     return float(np.max(np.abs(eigs - 1.0)))
 
 
@@ -271,7 +270,8 @@ def commutant_multiplier(pair: OrbitSpec, psi_samples) -> OrbitSpec:
     reported.  The accepted orbit's frame bounds sit inside
     [A min|psi|^2, B max|psi|^2] for the original bounds A, B.  T must be
     diagonal, so diag(psi) commutes with it and the reseeded frame operator
-    is diag(psi) S diag(conj(psi)).  When the pair knows S = q I + v v*
+    is diag(psi) S diag(conj(psi)), and a ``period`` (p, s) carries over as
+    (p, |psi|^2 s).  When the pair knows S = q I + v v*
     (``rank_one``), the reseeded ``spectrum`` holds only its least and
     largest eigenvalue, read from the secular equation
     (``_secular_extremes``), and the reseeded window sum is not formed;
@@ -306,16 +306,20 @@ def commutant_multiplier(pair: OrbitSpec, psi_samples) -> OrbitSpec:
         norm = float(np.linalg.norm(f0))
     if not norm <= COLUMN_OVERFLOW:
         raise NumericalError(f"reseeded orbit column norm {norm:.3e} passes {COLUMN_OVERFLOW:.0e}")
+    square = psi.real**2 + psi.imag**2  # not mods**2, which doubles abs's rounding
+    known = {"f0": f0}
+    if pair.period is not None:
+        known["period"] = (pair.period[0], square * pair.period[1])
     if pair.rank_one is not None:  # S' = q diag(|psi|^2) + (psi v)(psi v)*
         q, v = pair.rank_one
-        d = q * (psi.real**2 + psi.imag**2)  # not mods**2, which doubles abs's rounding
+        d = q * square
         extremes = (d.min(), d.max()) if v is None else _secular_extremes(d, np.abs(psi * v) ** 2)
-        return pair._replace(f0=f0, spectrum=np.array(extremes, dtype=float))
+        return pair._replace(**known, spectrum=np.array(extremes, dtype=float))
     S = pair.frame_operator
     # diag(psi) = diag(|psi|) diag(psi / |psi|), whose unitary factor commutes
     # with diag(|psi|): the same spectrum from a real matrix when S is real.
     spectrum = np.linalg.eigvalsh(mods[:, None] * S * mods)
-    return pair._replace(f0=f0, frame_operator=psi[:, None] * S * psi.conj(), spectrum=spectrum)
+    return pair._replace(**known, frame_operator=psi[:, None] * S * psi.conj(), spectrum=spectrum)
 
 
 def _secular_extremes(d: np.ndarray, w: np.ndarray) -> tuple[float, float]:

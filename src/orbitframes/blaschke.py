@@ -1,10 +1,11 @@
 """Finite products of disk automorphism factors and their separation data.
 
-A finite product ``B(z) = c * prod_j (z - l_j) / (1 - conj(l_j) z)`` with
-all ``|l_j| < 1`` and ``|c| = 1`` is inner: unimodular on the unit circle,
-vanishing exactly at its zero list (with multiplicity).  The separation
-constant of the zero list and the capacity function built from it drive
-every frame-bound certificate in this package.
+A finite product ``B(z) = prod_j (z - l_j) / (1 - conj(l_j) z)`` with all
+``|l_j| < 1`` is inner: unimodular on the unit circle, vanishing exactly at
+its zero list (with multiplicity).  A unimodular constant factor changes
+neither the model space nor its compressed shift, so none is carried.  The
+separation constant of the zero list and the capacity function built from
+it drive every frame-bound certificate in this package.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import CoeffVec
-from .config import EPS_DISK, UNIMODULAR_TOL
+from .config import EPS_DISK
 from .errors import NumericalError
 from .orbits import orbit_columns
 
@@ -53,26 +54,14 @@ def validate_zeros(zeros) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlaschkeProduct:
-    """Finite inner function given by its zero list and a unimodular constant.
-
-    The constant is carried through evaluation and coefficient expansion but
-    two products that differ only in the constant describe the same model
-    space; equality-sensitive consumers ignore it.
-    """
+    """Finite inner function given by its zero list, with constant factor 1."""
 
     zeros: np.ndarray
-    constant: complex = 1.0 + 0j
 
     def __post_init__(self) -> None:
         arr = validate_zeros(self.zeros)
         arr.setflags(write=False)
         object.__setattr__(self, "zeros", arr)
-        c = complex(self.constant)
-        # hypot gives inf where abs(c) raises OverflowError.
-        modulus = math.hypot(c.real, c.imag)
-        if not abs(modulus - 1.0) <= UNIMODULAR_TOL:
-            raise ValueError(f"constant must be unimodular, got |c| = {modulus:.17g}")
-        object.__setattr__(self, "constant", c)
 
     @property
     def degree(self) -> int:
@@ -155,9 +144,9 @@ def _compressed_shift(zeros: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def taylor_coeffs(b: BlaschkeProduct, n_trunc: int) -> CoeffVec:
     """First ``n_trunc + 1`` Taylor coefficients, window [0, n_trunc].
 
-    ``h_0 = c prod_m (-l_m)`` and, as ``(h - h_0) / z`` has model-space
-    coordinates ``c v`` with ``v_k = w_k prod_{m>k} (-l_m)``,
-    ``h_n = c sum_k v_k conj((A^(n-1) phi)_k)`` for n >= 1: one O(d^2 n) orbit
+    ``h_0 = prod_m (-l_m)`` and, as ``(h - h_0) / z`` has model-space
+    coordinates ``v_k = w_k prod_{m>k} (-l_m)``,
+    ``h_n = sum_k v_k conj((A^(n-1) phi)_k)`` for n >= 1: one O(d^2 n) orbit
     of the compressed shift, the ``orbit_columns`` window [0, n_trunc], so an
     ``n_trunc`` past the ceiling is the ``ValueError`` that routine raises.
     The discarded tail is bounded by a constant times
@@ -173,4 +162,4 @@ def taylor_coeffs(b: BlaschkeProduct, n_trunc: int) -> CoeffVec:
     acc = np.empty(n_trunc + 1, dtype=np.complex128)
     acc[0] = np.prod(-b.zeros)
     acc[1:] = (v.conj() @ orbit_columns(A, x, n_trunc)).conj()[:-1]
-    return CoeffVec(0, acc * b.constant)
+    return CoeffVec(0, acc)

@@ -250,7 +250,7 @@ def _run_model_space(zeros, trunc_n=None, decay_n_max=None) -> tuple[dict, dict,
         "gram_residual": ms.gram_residual,
     }
     if decay_n_max is not None:
-        results["decay_profile"] = decay_profile(ms, ms.phi, decay_n_max).tolist()
+        results["decay_profile"] = decay_profile(ms, decay_n_max).tolist()
     return results, {}, {"gram_target": config.GRAM_TARGET}
 
 

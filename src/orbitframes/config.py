@@ -13,8 +13,6 @@ DEFAULT_MAX_TRUNC = 16384
 GRID_MASK_MAX = 2048
 #: Margin inside the open unit disk required of every zero.
 EPS_DISK = 1e-10
-#: Largest ||c| - 1| accepted for the constant of a Blaschke product.
-UNIMODULAR_TOL = 1e-12
 #: Basis Gram residual the model-space window doubling aims for.
 GRAM_TARGET = 1e-10
 #: Column norm past which an orbit is declared numerically divergent.

@@ -11,12 +11,12 @@ those two; it widens the interval by the extreme squared singular values
 of W.
 
 Both builders know their orbit's eigensystem, T = H diag(lambda) H^-1 with
-f0 = H c, and hand it to the ``OrbitSpec`` (``eigensystem``), which reads
-every window's frame operator and tail from it (``closed_form``): the
-automatic depth reads max|lambda| and the growth (``_auto_depth``), and
-``frame_bounds`` of a built pair or of its ``window`` runs no walk and
-builds no columns unless the closed form's least eigenvalue is not resolved
-above its floor.
+f0 = H c, and hand it to the ``OrbitSpec`` (``eigensystem``, the one place
+the perturbed pair keeps H), which reads every window's frame operator and
+tail from it (``closed_form``): the automatic depth reads max|lambda| and
+the growth (``_auto_depth``), and ``frame_bounds`` of a built pair or of
+its ``window`` runs no walk and builds no columns unless the closed form's
+least eigenvalue is not resolved above its floor.
 """
 
 from __future__ import annotations
@@ -159,9 +159,9 @@ def _pair_indices(spec: NormalOrbitSpec, k, l) -> tuple[int, int]:
 class PerturbedPair:
     """Rank-one perturbed orbit with its materialized eigensystem.
 
-    ``h_basis`` columns are eigenvectors of the perturbed generator,
-    ``g_basis`` the biorthogonal duals; ``riesz_lower``/``riesz_upper``
-    are the Gram eigenvalue bounds of the dual system from the explicit
+    The orbit's ``eigensystem`` holds the eigenvectors h_j of the perturbed
+    generator as the columns of H; ``riesz_lower``/``riesz_upper`` are the
+    Gram eigenvalue bounds of the biorthogonal duals g_j from the explicit
     2x2 block, and the certificate transports the diagonal one through
     that system.  The two residuals record how well the materialized
     identities hold in floating point.
@@ -171,8 +171,6 @@ class PerturbedPair:
     k: int
     l: int
     tau: complex
-    g_basis: np.ndarray
-    h_basis: np.ndarray
     riesz_lower: float
     riesz_upper: float
     certificate_lower: float
@@ -199,7 +197,7 @@ def perturb_tau(
 
     Rejects a non-finite tau, and tau at the excluded value (relative distance
     at most ``EXCLUDED_TAU_RTOL``), where the seed loses its l-th spectral
-    component.  The orbit's eigensystem has H the h_basis, c the seed's
+    component.  The orbit's eigensystem has H the columns h_j, c the seed's
     components g_j* c along the duals and growth riesz_upper / riesz_lower.
     """
     k, l = _pair_indices(spec, k, l)
@@ -231,16 +229,16 @@ def _perturbed_pair(
     T = np.diag(spec.zeros).astype(np.complex128)
     T[l, k] += tau
 
-    h_basis = np.eye(J, dtype=np.complex128)
-    g_basis = np.eye(J, dtype=np.complex128)
-    h_basis[kl] = [[d, 0.0], [tau, 1.0]]
-    g_basis[kl] = [[1.0 / np.conj(d), -np.conj(tau) / np.conj(d)], [0.0, 1.0]]
+    H = np.eye(J, dtype=np.complex128)
+    G = np.eye(J, dtype=np.complex128)
+    H[kl] = [[d, 0.0], [tau, 1.0]]
+    G[kl] = [[1.0 / np.conj(d), -np.conj(tau) / np.conj(d)], [0.0, 1.0]]
 
     # G*H - I and T - H diag(lambda) G* vanish exactly outside rows and
     # columns k and l, so each spectral norm is its 2x2 block's.
-    H, G = h_basis[kl], g_basis[kl]
-    biorth = float(np.linalg.norm(G.conj().T @ H - np.eye(2), 2))
-    diag_res = float(np.linalg.norm(T[kl] - H @ np.diag(spec.zeros[[k, l]]) @ G.conj().T, 2))
+    H_kl, G_kl = H[kl], G[kl]
+    biorth = float(np.linalg.norm(G_kl.conj().T @ H_kl - np.eye(2), 2))
+    diag_res = float(np.linalg.norm(T[kl] - H_kl @ np.diag(spec.zeros[[k, l]]) @ G_kl.conj().T, 2))
 
     # Gram of the dual system deviates from identity only on a 2x2 block
     # whose inverse spectrum has the closed form below.  Its eigenvalues
@@ -256,9 +254,7 @@ def _perturbed_pair(
 
     # Seed components along the dual system; the perturbed pair is the
     # h-basis transport of the diagonal model with these weights.
-    c_dual = g_basis.conj().T @ spec.coeffs
-    for array in (h_basis, g_basis, c_dual):
-        array.setflags(write=False)
+    c_dual = G.conj().T @ spec.coeffs
     dual_spec = NormalOrbitSpec(zeros=spec.zeros, coeffs=c_dual)
     lo, hi = certificate_bounds(dual_spec)
     cert_lower = lo * block_lo
@@ -273,15 +269,13 @@ def _perturbed_pair(
     growth = riesz_upper / riesz_lower
     n_max = _auto_depth(spec.zeros, growth) if n_max is None else n_max
     orbit = OrbitSpec(T=T, f0=spec.coeffs, index_set="N", n_max=int(n_max))
-    orbit = orbit._replace(eigensystem=(spec.zeros, c_dual, h_basis, growth))
+    orbit = orbit._replace(eigensystem=(spec.zeros, c_dual, H, growth))
 
     return PerturbedPair(
         orbit=orbit,
         k=k,
         l=l,
         tau=tau,
-        g_basis=g_basis,
-        h_basis=h_basis,
         riesz_lower=riesz_lower,
         riesz_upper=riesz_upper,
         certificate_lower=cert_lower,

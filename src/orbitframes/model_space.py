@@ -4,11 +4,11 @@ For a finite product h of degree d the space ``H_h = L2+ minus h L2+`` has
 dimension d.  It carries the compression ``A_h`` of the coordinate shift.
 In the orthonormal Takenaka-Malmquist basis (one factor of the product
 peeled off per basis element) ``A_h`` and the projected constant ``phi``
-have an exact closed form, which is what is built here.  The basis, the
-coordinates and the projection need no series: the projection of ``z^k``
-is ``A^k phi``, so coefficient k of basis element j is
-``conj((A^k phi)_j)`` and each routine reads one orbit window of phi.  That
-orbit is the prototype frame the rest of the package analyzes.
+have an exact closed form, which is what is built here.  The coordinates
+and the projection need no series: the projection of ``z^k`` is
+``A^k phi``, so coefficient k of basis element j is ``conj((A^k phi)_j)``
+and each routine reads one orbit window of phi; no basis array is kept.
+That orbit is the prototype frame the rest of the package analyzes.
 """
 
 from __future__ import annotations
@@ -49,11 +49,6 @@ def _window(ms: ModelSpace) -> int:
     return ms.trunc_n
 
 
-def _check_finite(f: np.ndarray) -> None:
-    if not np.isfinite(f).all():
-        raise ValueError("f must be finite")
-
-
 @dataclass(frozen=True)
 class ModelSpace:
     """Finite-dimensional model space with its compressed shift.
@@ -62,9 +57,10 @@ class ModelSpace:
     against the k-th, so columns are images and the matrix acts on
     coordinate vectors.  ``phi`` holds the coordinates of the projected
     constant.  Both are exact closed forms.  ``trunc_n`` is the coefficient
-    window [0, trunc_n] on which the basis is materialized; ``gram_residual``
-    is the exact Gram defect of the basis on that window,
-    ``||I - G|| = ||A^(trunc_n + 1)||_2^2``.
+    window [0, trunc_n] on which projections are materialized, row k of
+    ``orbit_columns(shift_matrix, phi, trunc_n).conj()`` holding basis
+    element k there; ``gram_residual`` is the exact Gram defect of the basis
+    on that window, ``||I - G|| = ||A^(trunc_n + 1)||_2^2``.
     """
 
     h: BlaschkeProduct
@@ -76,12 +72,6 @@ class ModelSpace:
     @property
     def dim(self) -> int:
         return self.h.degree
-
-    @property
-    def basis(self) -> np.ndarray:
-        """The orthonormal basis on [0, trunc_n], shape (dim, trunc_n + 1):
-        row k holds coefficients 0..trunc_n of the k-th basis element."""
-        return orbit_columns(self.shift_matrix, self.phi, _window(self)).conj()
 
 
 def build_model_space(h: BlaschkeProduct, n_trunc: int | None = None) -> ModelSpace:
@@ -149,7 +139,8 @@ def basis_coordinates(ms: ModelSpace, f: CoeffVec) -> np.ndarray:
 def _coordinates(ms: ModelSpace, f: CoeffVec, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``basis_coordinates(ms, f)`` and the one orbit window of phi it reads,
     over [0, max(n, deg f)], for a caller that also needs [0, n]."""
-    _check_finite(f.coeffs)
+    if not np.isfinite(f.coeffs).all():
+        raise ValueError("f must be finite")
     lo = max(f.lo, 0)
     coeffs = f.coeffs[lo - f.lo :]  # empty when the window lies wholly below 0
     U = orbit_columns(ms.shift_matrix, ms.phi, max(n, f.hi))
@@ -186,15 +177,11 @@ def projected_monomial(ms: ModelSpace, m: int) -> np.ndarray:
     return orbit_columns(ms.shift_matrix, ms.phi, m)[:, m]
 
 
-def decay_profile(ms: ModelSpace, f: np.ndarray, n_max: int) -> np.ndarray:
-    """Norms ``||A^n f||`` for n = 0..n_max of a coordinate vector f.
+def decay_profile(ms: ModelSpace, n_max: int) -> np.ndarray:
+    """Norms ``||A^n phi||`` for n = 0..n_max: the orbit of the projected constant.
 
     The columns are one ``orbit_columns`` window, doubled when
     d log2(n_max + 1) <= 1.8 (n_max + 1); on compressed shifts either route is
     within 4.3e-16 of the largest norm (see there).
     """
-    f = np.asarray(f, dtype=np.complex128).reshape(-1)
-    if f.shape != (ms.dim,):
-        raise ValueError(f"expected a coordinate vector of length {ms.dim}")
-    _check_finite(f)
-    return np.linalg.norm(orbit_columns(ms.shift_matrix, f, n_max), axis=0)
+    return np.linalg.norm(orbit_columns(ms.shift_matrix, ms.phi, n_max), axis=0)

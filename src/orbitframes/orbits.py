@@ -57,11 +57,11 @@ class OrbitSpec:
     by ``_pass``: S, the overflow check and the boundary columns u_-N and
     u_N.  So ``frame_operator`` and ``unitarity_defect`` hold D x D work and
     a few chunks, and build the window only when a caller asks for
-    ``columns``.  A builder that knows an operator (the window sum, a
-    ``period_operator``) or the ``spectrum`` in closed form hands it over
-    through ``_replace`` (``biinfinite``); a builder that knows the orbit's
-    ``eigensystem`` hands that over (``constructions``);
-    every ``window`` keeps it and reads its own ``closed_form``, which
+    ``columns``.  A builder that knows the window sum, its ``spectrum`` or
+    the orbit's ``period`` in closed form hands it over through ``_replace``
+    (``biinfinite``); a builder that knows the orbit's ``eigensystem`` hands
+    that over (``constructions``).  Every ``window`` keeps the ``period`` and
+    the ``eigensystem``, and reads its own ``closed_form``, which
     ``frame_bounds`` reads with no walk and no columns.  Long one-sided
     windows build no columns either, and every ``window`` shares ``_walk``.
     """
@@ -108,22 +108,23 @@ class OrbitSpec:
     #: one residue past whole periods); ``commutant_multiplier`` reads it.
     rank_one = None
 
-    #: The diagonal sum over one period p of a window that holds a whole one, or
-    #: None: ``biinfinite``'s grid pairs hand over (p/M) I, their T diagonal too;
-    #: ``unitarity_defect`` and ``biinfinite.parseval_defect`` read its diagonal.
-    period_operator = None
+    #: ``(p, s)`` when a builder knows that the orbit repeats with period p and
+    #: that one period's sum is diag(s), T diagonal too (``biinfinite``'s grid
+    #: pairs), or None.  It does not depend on n_max; ``period_sum`` reads it.
+    period = None
 
     def _replace(self, **known) -> OrbitSpec:
         """This spec with validated ``known`` fields and cached operators, each
-        array made read-only; T keeps the gates it passed, and its ``_inverse``.
-        Builders write only here."""
+        array (also one in a tuple) made read-only; T keeps the gates it
+        passed, and its ``_inverse``.  Builders write only here."""
         spec = object.__new__(OrbitSpec)
         spec.__dict__.update(T=self.T, f0=self.f0, index_set=self.index_set, n_max=self.n_max)
         if "_inverse" in self.__dict__:
             spec.__dict__["_inverse"] = self._inverse
         for value in known.values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+            for array in value if isinstance(value, tuple) else (value,):
+                if isinstance(array, np.ndarray):
+                    array.setflags(write=False)
         spec.__dict__.update(known)
         return spec
 
@@ -132,11 +133,20 @@ class OrbitSpec:
         prefix (one-sided) or centred slice (two-sided)."""
         m, n, built = int(n_max), self.n_max, self.__dict__.get("columns")
         check_size("n_max", m)
-        known = {"n_max": m, "eigensystem": self.eigensystem, "_walk": self._walk}
+        known = dict(n_max=m, eigensystem=self.eigensystem, period=self.period, _walk=self._walk)
         if built is None or m > n:
             return self._replace(**known)
         cut = slice(n - m, n + m + 1) if self.index_set == "Z" else slice(m + 1)
         return self._replace(**known, columns=built[:, cut])
+
+    @property
+    def period_sum(self) -> np.ndarray | None:
+        """The diagonal s of one period's sum when the window holds a whole
+        period, p <= 2 n_max, else None: ``unitarity_defect`` and
+        ``biinfinite.parseval_defect`` read it in place of the window sum."""
+        if self.period is None or self.period[0] > 2 * self.n_max:
+            return None
+        return self.period[1]
 
     @cached_property
     def _walk(self) -> list:
@@ -701,8 +711,8 @@ def unitarity_defect(spec: OrbitSpec) -> float:
     """Distance of W = S^{-1/2} T S^{1/2} from being an isometry, ||W* W - I||_2.
 
     Two-sided orbits only.  S is the full symmetric window sum
-    ``frame_operator``.  When T is diagonal and S, or the ``period_operator``
-    a builder hands over, is diagonal too (a grid pair), W = T and the
+    ``frame_operator``.  When T is diagonal and S, or the ``period_sum`` a
+    builder hands over, is diagonal too (a grid pair), W = T and the
     defect is max_i ||t_i|^2 - 1|, with no factorization.  Otherwise it is
     read from the window's rank-two boundary: with u_n the columns,
     a = T u_N and b = u_-N, T S T* - S = a a* - b b* holds exactly, so
@@ -720,9 +730,9 @@ def unitarity_defect(spec: OrbitSpec) -> float:
     """
     if spec.index_set != "Z":
         raise ValueError("unitarity defect is defined for two-sided orbits")
-    t = diagonal_of(spec.T)
-    P = spec.period_operator
-    s = None if t is None else diagonal_of(spec.frame_operator if P is None else P)
+    t, s = diagonal_of(spec.T), spec.period_sum
+    if t is not None and s is None:
+        s = diagonal_of(spec.frame_operator)
     w = spec.spectrum if s is None else np.sort(s.real)
     if w[0] <= 0.0 or w[0] < SINGULAR_RTOL * w[-1]:
         raise NumericalError(

@@ -273,28 +273,32 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("M, arcs, n", CLOSED_FORM_CASES)
     def test_period_operator_matches_columns(self, M, arcs, n):
+        # The pair hands over its period whatever n_max; its sum is applied
+        # when the window holds a whole period.
         pair = build_multiplication_pair(ARC_SETS[arcs], M, n_max=n)
         oracle = first_period_operator(pair, M)
+        assert pair.period[0] == M // math.gcd(M, *grid_indices(pair, M))
         if oracle is None:
-            assert pair.period_operator is None
+            assert pair.period_sum is None
         else:
-            assert_close(pair.period_operator, oracle)
+            assert_close(np.diag(pair.period_sum), oracle)
 
     def test_short_period_mask(self):
         # Grid indices {0, 8} of M = 16 repeat every 2 steps: one period is (2/16) I.
         pair = build_multiplication_pair(ArcSet(((0.0, 0.1), (math.pi, math.pi + 0.1))), 16, n_max=3)
-        assert np.array_equal(pair.period_operator, np.eye(2) / 8)
-        assert_close(pair.period_operator, first_period_operator(pair, 16))
+        assert pair.period[0] == 2
+        assert np.array_equal(pair.period_sum, np.full(2, 1 / 8))
+        assert_close(np.diag(pair.period_sum), first_period_operator(pair, 16))
 
     def test_full_circle_period_is_identity(self):
         pair = build_multiplication_pair(FULL_CIRCLE, 16, n_max=16)
-        assert np.array_equal(pair.period_operator, np.eye(16))
+        assert np.array_equal(pair.period_sum, np.ones(16))
         assert parseval_defect(pair, 16) == 0.0
 
     def test_operators_are_read_only(self):
         pair = build_multiplication_pair(ArcSet(((0.0, math.pi),)), 16)
         reseeded = commutant_multiplier(pair, np.full(pair.dim, 2.0))
-        for array in (pair.frame_operator, pair.period_operator, reseeded.frame_operator):
+        for array in (pair.frame_operator, pair.period_sum, reseeded.frame_operator, reseeded.period_sum):
             assert not array.flags.writeable
 
     def test_non_diagonal_pair_rejected(self):
@@ -360,7 +364,7 @@ class TestSpectrum:
     def test_parseval_defect_matches_svd_norm(self, M, arcs, n):
         pair = build_multiplication_pair(ARC_SETS[arcs], M, n_max=n)
         if pair.dim == M and n >= M - 1:
-            S = pair.period_operator
+            S = np.diag(pair.period_sum)
         else:
             S = (M / (2.0 * n + 1.0)) * brute_force_frame_operator(pair)
         expected = float(np.linalg.norm(S - np.eye(pair.dim), 2))
@@ -450,15 +454,30 @@ class TestUnitarityOnGrid:
         assert unitarity_defect(spec) < 1e-12
 
     def test_window_without_period_reads_its_boundary(self):
-        # p = 64 > 2 n_max: no period operator, a dense window sum, and the
-        # boundary t^n f0 read without building the window.
+        # p = 64 > 2 n_max: no period's sum applies, a dense window sum, and
+        # the boundary t^n f0 read without building the window.
         pair = build_multiplication_pair(ARC_SETS["sub_arc"], 64, n_max=30)
-        assert pair.period_operator is None
+        assert pair.period[0] == 64 and pair.period_sum is None
         defect = unitarity_defect(pair)
         assert "columns" not in pair.__dict__
         expected = unitarity_by_square_roots(pair.T, brute_force_frame_operator(pair))
         assert defect == pytest.approx(expected, rel=1e-10)
         assert defect > 0.1
+
+    def test_window_keeps_the_period(self):
+        # The period does not depend on n_max: a window cut from a deeper pair
+        # reads the defect of the pair built at its depth.
+        built = build_multiplication_pair(ARC_SETS["sub_arc"], 16, n_max=40)
+        cut = build_multiplication_pair(ARC_SETS["sub_arc"], 16, n_max=64).window(40)
+        assert unitarity_defect(cut) == unitarity_defect(built) == 0.0
+        assert np.array_equal(cut.period_sum, built.period_sum)
+
+    def test_reseeded_pair_keeps_the_period(self):
+        # diag(psi) commutes with T, so one period's sum is |psi|^2 times the pair's.
+        pair = build_multiplication_pair(ARC_SETS["sub_arc"], 16, n_max=64)
+        reseeded = commutant_multiplier(pair, np.full(pair.dim, 2.0))
+        assert unitarity_defect(reseeded) == unitarity_defect(pair) == 0.0
+        assert np.array_equal(reseeded.period_sum, 4.0 * pair.period_sum)
 
     def test_full_circle_pair_is_unitary(self):
         spec = build_multiplication_pair(FULL_CIRCLE, 16, n_max=40)
@@ -474,7 +493,7 @@ class TestUnitarityOnGrid:
         pair = build_multiplication_pair(ARC_SETS[arcs], M, n_max=n)
         t = np.diagonal(pair.T)
         assert unitarity_defect(pair) == float(np.max(np.abs(np.abs(t) ** 2 - 1.0)))
-        expected = unitarity_by_square_roots(pair.T, pair.period_operator)
+        expected = unitarity_by_square_roots(pair.T, np.diag(pair.period_sum))
         assert unitarity_defect(pair) == pytest.approx(expected, abs=1e-15)
 
 

@@ -43,7 +43,7 @@ def disk_zeros(draw, max_degree=6, r_max=0.85):
     return np.array([r * np.exp(1j * t) for r, t in zip(radii, angles)])
 
 
-def convolution_coeffs(zeros, constant, n_trunc: int) -> np.ndarray:
+def convolution_coeffs(zeros, n_trunc: int) -> np.ndarray:
     """Taylor window [0, n_trunc] by exact polynomial multiplication.
 
     Each factor ``(z - l) / (1 - conj(l) z)`` expands as ``-l`` followed by
@@ -58,7 +58,7 @@ def convolution_coeffs(zeros, constant, n_trunc: int) -> np.ndarray:
         fac[0] = -lam
         fac[1:] = (1.0 - abs(lam) ** 2) * np.conj(lam) ** np.arange(n_trunc)
         acc = np.convolve(acc, fac)[: n_trunc + 1]
-    return acc * constant
+    return acc
 
 
 class TestValidation:
@@ -72,14 +72,6 @@ class TestValidation:
             validate_zeros([1.0])
         with pytest.raises(ValueError):
             validate_zeros([0.2, np.exp(0.3j)])
-
-    def test_rejects_constant_off_circle(self):
-        with pytest.raises(ValueError):
-            BlaschkeProduct(zeros=[0.1], constant=0.5)
-
-    def test_rejects_constant_past_float_range(self):
-        with pytest.raises(ValueError, match=r"\|c\| = inf"):
-            BlaschkeProduct(zeros=[0.1], constant=complex(1.7e308, 1.7e308))
 
     def test_degree(self):
         assert BlaschkeProduct(zeros=[0.1, 0.2]).degree == 2
@@ -174,8 +166,8 @@ class TestEvaluate:
 
 
 def product_values(b: BlaschkeProduct, z: np.ndarray) -> np.ndarray:
-    """``c prod_j (z - l_j) / (1 - conj(l_j) z)`` at the points z."""
-    out = np.full(z.shape, b.constant, dtype=complex)
+    """``prod_j (z - l_j) / (1 - conj(l_j) z)`` at the points z."""
+    out = np.ones(z.shape, dtype=complex)
     for lam in b.zeros:
         out = out * (z - lam) / (1.0 - np.conj(lam) * z)
     return out
@@ -262,13 +254,12 @@ class TestTaylorCoeffs:
     @settings(max_examples=60, deadline=None)
     @given(
         disk_zeros(max_degree=24, r_max=0.99),
-        st.floats(min_value=0.0, max_value=2.0 * math.pi),
         st.integers(min_value=0, max_value=576),
     )
-    def test_matches_convolution(self, zeros, angle, extra):
-        b = BlaschkeProduct(zeros=zeros, constant=np.exp(1j * angle))
+    def test_matches_convolution(self, zeros, extra):
+        b = BlaschkeProduct(zeros=zeros)
         n_trunc = len(zeros) + extra
-        want = convolution_coeffs(zeros, b.constant, n_trunc)
+        want = convolution_coeffs(zeros, n_trunc)
         got = taylor_coeffs(b, n_trunc)
         assert got.lo == 0 and len(got.coeffs) == n_trunc + 1
         assert np.max(np.abs(got.coeffs - want)) <= PRODUCT_TOL
@@ -278,14 +269,13 @@ class TestTaylorCoeffs:
         # Radii evenly spaced on [0.1, 0.9]: powers of the small zeros reach
         # subnormal floats long before n = 4096.
         zeros = np.linspace(0.1, 0.9, d) * np.exp(2.399963j * np.arange(d))
-        want = convolution_coeffs(zeros, 1.0, 4096)
+        want = convolution_coeffs(zeros, 4096)
         got = taylor_coeffs(BlaschkeProduct(zeros=zeros), 4096).coeffs
         assert np.max(np.abs(got - want)) <= PRODUCT_TOL
 
     def test_degree_zero_is_the_constant(self):
-        c = np.exp(0.7j)
-        got = taylor_coeffs(BlaschkeProduct(zeros=[], constant=c), 6).coeffs
-        assert np.array_equal(got, np.r_[c, np.zeros(6)])
+        got = taylor_coeffs(BlaschkeProduct(zeros=[]), 6).coeffs
+        assert np.array_equal(got, np.r_[1.0, np.zeros(6)])
         assert np.array_equal(taylor_coeffs(BlaschkeProduct(zeros=[]), 0).coeffs, [1.0])
 
     @pytest.mark.parametrize("d", [1, 3])
@@ -312,20 +302,14 @@ class TestTaylorCoeffs:
     def test_windows_past_the_ceiling_raise(self, monkeypatch):
         # One orbit window: up to the ceiling it is the series, past it the
         # ValueError of orbit_columns.
-        b = BlaschkeProduct(zeros=[0.9, -0.85j, 0.3 + 0.4j], constant=1j)
+        b = BlaschkeProduct(zeros=[0.9, -0.85j, 0.3 + 0.4j])
         whole = taylor_coeffs(b, 300).coeffs
         monkeypatch.setenv("ORBITFRAMES_MAX_TRUNC", "64")
         for n_trunc in (3, 63, 64):
             got = taylor_coeffs(b, n_trunc).coeffs
             assert np.max(np.abs(got - whole[: n_trunc + 1])) <= 1e-15
-            want = convolution_coeffs(b.zeros, b.constant, n_trunc)
+            want = convolution_coeffs(b.zeros, n_trunc)
             assert np.max(np.abs(got - want)) <= PRODUCT_TOL
         for n_trunc in (65, 300):
             with pytest.raises(ValueError, match=f"n_max = {n_trunc} exceeds the ceiling 64"):
                 taylor_coeffs(b, n_trunc)
-
-    def test_constant_scales_series(self):
-        c = np.exp(0.7j)
-        plain = taylor_coeffs(BlaschkeProduct(zeros=[0.3]), 8).coeffs
-        scaled = taylor_coeffs(BlaschkeProduct(zeros=[0.3], constant=c), 8).coeffs
-        assert np.max(np.abs(scaled - c * plain)) < 1e-15

@@ -361,10 +361,9 @@ class TestPerturbTau:
         k, l = 0, 1
         pair = perturb_tau(spec, k, l, tau)
         d = spec.zeros[k] - spec.zeros[l]
-        assert pair.h_basis[l, k] == tau
-        assert pair.h_basis[k, k] == d
-        assert pair.g_basis[k, l] == -np.conj(tau) / np.conj(d)
-        assert pair.g_basis[k, k] == 1.0 / np.conj(d)
+        H = pair.orbit.eigensystem[2]
+        assert H[l, k] == tau
+        assert H[k, k] == d
         assert pair.biorthogonality_residual < RESIDUAL_TOL
         assert pair.diagonalization_residual < RESIDUAL_TOL
 
@@ -376,7 +375,11 @@ class TestPerturbTau:
         spec = random_spec(seed, size=6)
         k, l = (int(i) for i in rng.choice(6, 2, replace=False))
         pair = perturb_tau(spec, k, l, 2.0 * rng.uniform() * np.exp(2j * np.pi * rng.uniform()))
-        H, G, T = pair.h_basis, pair.g_basis, np.asarray(pair.orbit.T)
+        H, T = pair.orbit.eigensystem[2], np.asarray(pair.orbit.T)
+        # The duals g_j of the docstring's closed form.
+        d, tau = spec.zeros[k] - spec.zeros[l], pair.tau
+        G = np.eye(6, dtype=np.complex128)
+        G[np.ix_([k, l], [k, l])] = [[1.0 / np.conj(d), -np.conj(tau) / np.conj(d)], [0.0, 1.0]]
         biorth = G.conj().T @ H - np.eye(6)
         diag_res = T - H @ np.diag(spec.zeros) @ G.conj().T
         outside = np.ones((6, 6), dtype=bool)
@@ -399,7 +402,8 @@ class TestPerturbTau:
     def test_dual_gram_block_spectrum(self):
         spec = NormalOrbitSpec(zeros=[0.5, 0.75, 0.875], coeffs=[1.0, 1.0, 1.0])
         pair = perturb_tau(spec, 0, 1, 0.4j)
-        dual_gram = np.linalg.inv(pair.h_basis.conj().T @ pair.h_basis)
+        H = pair.orbit.eigensystem[2]
+        dual_gram = np.linalg.inv(H.conj().T @ H)
         w = np.linalg.eigvalsh(dual_gram)
         assert pair.riesz_lower == pytest.approx(float(w[0]), rel=1e-12)
         assert pair.riesz_upper == pytest.approx(float(w[-1]), rel=1e-12)
@@ -650,12 +654,12 @@ class TestClosedForm:
 
 def test_records_hold_read_only_arrays():
     # A write to phi would change later projections and decay profiles, one
-    # to h_basis or c_dual the closed form of every window of the pair.
+    # to H or c_dual the closed form of every window of the pair.
     ms = build_model_space(BlaschkeProduct(zeros=[0.5, 0.3j]))
     spec = ring_spec(8, 0.9, 1)
     pair = perturb_tau(spec, 0, 1, 0.3j, 64)
     normal = build_normal_pair(spec, 64)
-    arrays = [ms.shift_matrix, ms.phi, pair.h_basis, pair.g_basis]
-    for array in arrays + [*pair.orbit.eigensystem[:3], *normal.eigensystem[:2]]:
+    arrays = [ms.shift_matrix, ms.phi, *pair.orbit.eigensystem[:3], *normal.eigensystem[:2]]
+    for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0

@@ -1171,7 +1171,7 @@ class TestUnitarityDefect:
         t = np.array([0.5, 1.2, np.exp(1j)])
         S = np.diag([1.0, 2.0, 3.0])
         spec = OrbitSpec(T=np.diag(t), f0=np.ones(3), index_set="Z", n_max=6)
-        spec = spec._replace(period_operator=S)
+        spec = spec._replace(period=(2, np.diag(S)))
         root, inv_root = np.sqrt(S), np.diag(1.0 / np.sqrt(np.diag(S)))
         W = inv_root @ spec.T @ root
         expected = float(np.linalg.norm(W.conj().T @ W - np.eye(3), 2))
@@ -1182,7 +1182,7 @@ class TestUnitarityDefect:
 
     def test_diagonal_singular_frame_rejected(self):
         spec = OrbitSpec(T=np.eye(2), f0=seed(2), index_set="Z", n_max=6)
-        spec = spec._replace(period_operator=np.diag([1.0, 0.0]))
+        spec = spec._replace(period=(2, np.array([1.0, 0.0])))
         with pytest.raises(NumericalError, match="singular"):
             unitarity_defect(spec)
 

@@ -1,8 +1,10 @@
-"""Source hygiene: every package import and ``config`` constant is read, only
-``orbits`` writes a spec's ``__dict__``, only ``cli`` knows the report format
-and writes a file, and the README's code runs."""
+"""Source hygiene: every package import, ``config`` constant and public field
+is read, only ``orbits`` writes a spec's ``__dict__``, only ``cli`` knows the
+report format and writes a file, and the README's code runs."""
 
 import ast
+import dataclasses
+import functools
 import pathlib
 import re
 import warnings
@@ -142,6 +144,87 @@ def test_package_name_detector():
     assert not {"unused", "orbit", "linalg", "generator_closure", "profile"} & read
 
 
+def _callee(func: ast.expr) -> str | None:
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def attributes_read(source: str, fields: dict[str, list[str]], returns: dict[str, str]) -> set[str]:
+    """Attribute names a source loads (``x.name``), plus every field of the
+    dataclass that ``asdict(x)`` takes: x a call, or a name assigned a call, of
+    a function whose return annotation ``returns`` gives, ``fields`` the class's."""
+    tree = ast.parse(source)
+    made = {
+        target.id: node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Call) and _callee(node.func) == "asdict" and node.args:
+            arg = node.args[0]
+            arg = made.get(arg.id, arg) if isinstance(arg, ast.Name) else arg
+            if isinstance(arg, ast.Call):
+                read.update(fields.get(returns.get(_callee(arg.func)), ()))
+    return read
+
+
+def test_every_public_field_is_read():
+    # A field or property that no program reads is a value no computation
+    # needs; the tests alone do not count.
+    import orbitframes
+
+    exported = {name: getattr(orbitframes, name) for name in orbitframes.__all__}
+    classes = {name: value for name, value in exported.items() if isinstance(value, type)}
+    fields = {
+        name: [f.name for f in dataclasses.fields(cls)]
+        for name, cls in classes.items()
+        if dataclasses.is_dataclass(cls)
+    }
+    members = {
+        name: fields.get(name, [])
+        + [
+            attr
+            for attr, value in vars(cls).items()
+            if isinstance(value, (property, functools.cached_property)) and not attr.startswith("_")
+        ]
+        for name, cls in classes.items()
+    }
+    returns = {
+        name: value.__annotations__.get("return")
+        for name, value in exported.items()
+        if name not in classes and callable(value)
+    }
+    read = set()
+    for folder in ("src/orbitframes", "perfbench", "bench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if path.name != "__init__.py":
+                read |= attributes_read(path.read_text(encoding="utf-8"), fields, returns)
+    unread = [f"{name}.{attr}" for name, attrs in members.items() for attr in attrs if attr not in read]
+    assert unread == []
+
+
+def test_attribute_read_detector():
+    source = (
+        "import dataclasses\n"
+        "spec.dim, ms.phi[0]\n"
+        "pair.stored = 1\n"
+        "rep = bounds(spec)\n"
+        "dataclasses.asdict(rep)\n"
+        "asdict(profile(x))\n"
+        "asdict(other)\n"
+        "(lambda m: m.method)(0).called()\n"
+    )
+    fields = {"Report": ["lower", "upper"], "Profile": ["phi"], "Other": ["unseen"]}
+    returns = {"bounds": "Report", "profile": "Profile", "helper": "Other"}
+    read = attributes_read(source, fields, returns)
+    assert {"dim", "phi", "asdict", "lower", "upper", "method", "called"} <= read
+    assert not {"stored", "unseen", "spec", "rep"} & read
+
+
 def dict_writes(source: str) -> list[int]:
     """Lines that assign into a ``__dict__``: a subscript store or delete, or a
     ``.__dict__.update`` call."""
@@ -215,8 +298,7 @@ def file_writes(source: str) -> list[int]:
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
             continue
-        func = node.func
-        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "open":
+        if _callee(node.func) != "open":
             continue
         for arg in node.args + [kw.value for kw in node.keywords if kw.arg == "mode"]:
             text = arg.value if isinstance(arg, ast.Constant) else None
